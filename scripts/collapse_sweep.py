@@ -7,11 +7,12 @@ isomorphism class) and every formula of bounded depth over a monotonic
 signature, comparing the Kripke value against the classical value in the
 per-world projection. Expected outcome: exact agreement everywhere.
 
-The default bounds reproduce the full desk-scale check in a couple of
-minutes:
+The default bounds reproduce the full desk-scale check in under a
+second, since every interpretation of one frame and domain size is
+evaluated in one bit-parallel pass:
 
     python scripts/collapse_sweep.py
-    python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # seconds
+    python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # milliseconds
 """
 
 import argparse

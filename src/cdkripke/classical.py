@@ -37,7 +37,16 @@ ENUM_CAP_ENV = "CDKRIPKE_MAX_ENUM"
 def enum_cap(override: Optional[int] = None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -269,7 +278,7 @@ def classical_model_from_json(obj: dict) -> ClassicalModel:
             (entry["pred"], tuple(entry["args"])): int(entry["value"])
             for entry in obj.get("interp", [])
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model file: {exc}"]) from None
     return ClassicalModel(domain, interp)
 

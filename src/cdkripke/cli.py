@@ -11,7 +11,8 @@ Exit codes are a stable contract:
     4  internal verification failure (a construction bug, never expected)
 
 The environment variable CDKRIPKE_MAX_ENUM caps how many interpretations
-or models any bounded search may enumerate (default 2**24).
+or models any bounded search may enumerate (a positive integer, default
+2**24). Unreadable, non-UTF-8 or malformed input files exit 2.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def main(argv: Optional[list] = None) -> int:
         )
         return _COMMANDS[args.command](config)
     except (ParseError, UsageError, ModelValidationError, EnumerationCapError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConstructionError as exc:

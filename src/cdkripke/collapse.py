@@ -14,14 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classical import ClassicalEvaluator, ClassicalModel
+from .classical import ClassicalModel
 from .errors import UsageError
-from .kripke import (
-    KripkeEvaluator,
-    KripkeModel,
-    enumerate_cd_models,
-    validate_kripke_model,
-)
+from .kripke import KripkeModel, cd_model_batches, validate_kripke_model
+from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, connective_names
 from .truthfn import Signature, monotonicity_witness
 
@@ -98,6 +94,26 @@ def require_monotone(formulas: Sequence[Formula], sig: Signature):
             )
 
 
+def _lane_values(lanes: Lanes, formulas: Sequence[Formula], assignments):
+    """Yield (f, rho, kripke, classical) for each formula under each
+    assignment, in check order. With assignments=None, each formula runs
+    under every assignment of its free variables into the domain,
+    variables sorted, values in domain order."""
+    assign_cache: dict = {}
+    for f in formulas:
+        rhos = assignments
+        if rhos is None:
+            rhos = assign_cache.get(f.fvs)
+            if rhos is None:
+                rhos = assign_cache[f.fvs] = [
+                    dict(zip(f.fvs, values))
+                    for values in itertools.product(lanes.domain, repeat=len(f.fvs))
+                ]
+        for rho in rhos:
+            kripke, classical = lanes.value(f, rho)
+            yield f, rho, kripke, classical
+
+
 def check_collapse(
     model: KripkeModel,
     formulas: Sequence[Formula],
@@ -123,35 +139,18 @@ def check_collapse(
         require_monotone(formulas, sig)
     report = CollapseReport(model_id)
     worlds = model.worlds
-    kripke_eval = KripkeEvaluator(model, sig)
-    classical_evals = [
-        ClassicalEvaluator(project_world(model, w), sig) for w in worlds
-    ]
-    domain = model.domains[worlds[0]]
     fixed = list(assignments) if assignments is not None else None
-    assign_cache: dict = {}
-    for f in formulas:
-        if fixed is not None:
-            rhos = fixed
-        else:
-            rhos = assign_cache.get(f.fvs)
-            if rhos is None:
-                rhos = assign_cache[f.fvs] = [
-                    dict(zip(f.fvs, values))
-                    for values in itertools.product(domain, repeat=len(f.fvs))
-                ]
-        for rho in rhos:
-            kripke_profile = kripke_eval.profile(f, rho)
-            report.checked += len(worlds)
-            for i, w in enumerate(worlds):
-                kv = kripke_profile[i]
-                cv = classical_evals[i].value(f, rho)
-                if keep_pairs:
-                    report.pairs.append((w, f, tuple(sorted(rho.items())), kv, cv))
-                if kv != cv:
-                    report.disagreements.append(
-                        (w, f, tuple(sorted(rho.items())), kv, cv)
-                    )
+    for f, rho, kripke, classical in _lane_values(Lanes.for_model(model, sig), formulas, fixed):
+        report.checked += len(worlds)
+        if not keep_pairs and kripke == classical:
+            continue
+        key = tuple(sorted(rho.items()))
+        for i, w in enumerate(worlds):
+            kv, cv = kripke >> i & 1, classical >> i & 1
+            if keep_pairs:
+                report.pairs.append((w, f, key, kv, cv))
+            if kv != cv:
+                report.disagreements.append((w, f, key, kv, cv))
     return report
 
 
@@ -227,16 +226,27 @@ def run_collapse_sweep(
     formulas = enumerate_formulas(sig, atoms, depth)
     require_monotone(formulas, sig)
     report = SweepReport()
-    for model in enumerate_cd_models(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
-        sub = check_collapse(
-            model,
-            formulas,
-            sig,
-            keep_pairs=False,
-            model_id=f"model{report.models}",
-            precheck=False,
-        )
-        report.models += 1
-        report.values += sub.checked
-        report.disagreements.extend(sub.disagreements[:100])
+    for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
+        # all interpretations of one frame and domain size at once; each
+        # model keeps its first 100 disagreements in check order
+        lanes = Lanes.for_batch(batch, sig)
+        width, worlds = lanes.width, batch.worlds
+        found: dict = {}
+        for f, rho, kripke, classical in _lane_values(lanes, formulas, None):
+            report.values += width * len(worlds)
+            diff = kripke ^ classical
+            if not diff:
+                continue
+            key = tuple(sorted(rho.items()))
+            while diff:
+                lane = (diff & -diff).bit_length() - 1
+                diff &= diff - 1
+                kept = found.setdefault(lane % width, [])
+                if len(kept) < 100:
+                    kept.append((worlds[lane // width], f, key,
+                                 kripke >> lane & 1, classical >> lane & 1))
+        lanes.clear()
+        for index in sorted(found):
+            report.disagreements.extend(found[index])
+        report.models += width
     return report

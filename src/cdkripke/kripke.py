@@ -505,22 +505,45 @@ def _domain_names(n: int) -> tuple:
     return tuple(f"a{i + 1}" for i in range(n))
 
 
-def enumerate_cd_models(
+class CdBatch:
+    """Every interpretation of one frame and domain size: the models are
+    the product of per-slot monotone world vectors, slots in
+    interpretation_slots order, earlier slots varying slowest.
+
+    A plain class rather than a dataclass, because every CLI call pays
+    the package import and a dataclass takes most of a millisecond to
+    create."""
+
+    def __init__(self, worlds: tuple, order: frozenset, future: Mapping,
+                 domain: tuple, slots: list, vectors: list):
+        self.worlds = worlds
+        self.order = order
+        self.future = future
+        self.domain = domain
+        self.slots = slots
+        self.vectors = vectors
+
+    def models(self):
+        worlds, domains = self.worlds, {w: self.domain for w in self.worlds}
+        for profile in itertools.product(self.vectors, repeat=len(self.slots)):
+            interp = {}
+            for (pred, args), vec in zip(self.slots, profile):
+                for w, val in zip(worlds, vec):
+                    if val:
+                        interp[(w, pred, args)] = 1
+            yield KripkeModel(worlds, self.order, domains, interp, True, self.future)
+
+
+def cd_model_batches(
     preds: Mapping,
     max_worlds: int,
     max_domain: int,
     up_to_iso: bool = False,
     cap: Optional[int] = None,
 ):
-    """Yield every constant-domain model over the given predicates within
-    the bounds, in a deterministic order.
-
-    Order: world count ascending; preorder matrices in enumerate_preorders
-    order; domain size ascending; interpretations as the product of
-    per-slot monotone world vectors, slots in interpretation_slots order,
-    earlier slots varying slowest. Raises EnumerationCapError when the
-    cumulative model count would exceed the cap.
-    """
+    """Yield one CdBatch per (frame, domain size) in enumerate_cd_models
+    order. Raises EnumerationCapError before the batch that would take
+    the cumulative model count past the cap."""
     ceiling = enum_cap(cap)
     produced = 0
     for n in range(1, max_worlds + 1):
@@ -546,14 +569,27 @@ def enumerate_cd_models(
                         f"bound infeasible: more than {ceiling} constant-domain "
                         f"models within worlds<={max_worlds}, domain<={max_domain}"
                     )
-                domains = {w: domain for w in worlds}
-                for profile in itertools.product(vectors, repeat=len(slots)):
-                    interp = {}
-                    for (pred, args), vec in zip(slots, profile):
-                        for w, val in zip(worlds, vec):
-                            if val:
-                                interp[(w, pred, args)] = 1
-                    yield KripkeModel(worlds, order, domains, interp, True, future)
+                yield CdBatch(worlds, order, future, domain, slots, vectors)
+
+
+def enumerate_cd_models(
+    preds: Mapping,
+    max_worlds: int,
+    max_domain: int,
+    up_to_iso: bool = False,
+    cap: Optional[int] = None,
+):
+    """Yield every constant-domain model over the given predicates within
+    the bounds, in a deterministic order.
+
+    Order: world count ascending; preorder matrices in enumerate_preorders
+    order; domain size ascending; interpretations as the product of
+    per-slot monotone world vectors, slots in interpretation_slots order,
+    earlier slots varying slowest. Raises EnumerationCapError when the
+    cumulative model count would exceed the cap.
+    """
+    for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap):
+        yield from batch.models()
 
 
 @dataclass(frozen=True)
@@ -624,7 +660,7 @@ def kripke_model_from_json(obj: dict) -> KripkeModel:
             (e["world"], e["pred"], tuple(e["args"])): int(e["value"])
             for e in obj.get("interp", [])
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model file: {exc}"]) from None
     known = set(worlds)
     bad = [pair for pair in order if pair[0] not in known or pair[1] not in known]

@@ -243,3 +243,64 @@ class TestArgumentsFromFiles:
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "1"
+
+
+class TestInputBoundary:
+    """Malformed input exits 2 with one error line, never a traceback."""
+
+    def _input_error(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-3", "2.5"])
+    def test_bad_enumeration_cap_env_var(self, cap, files, capsys, monkeypatch):
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", cap)
+        self._input_error(
+            ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", "cd-search",
+             "--sequent", "p => p"],
+            capsys,
+        )
+
+    def test_sig_is_a_directory(self, tmp_path, capsys):
+        self._input_error(["check-mono", "--sig", str(tmp_path)], capsys)
+
+    def test_non_utf8_sig(self, tmp_path, capsys):
+        sig = tmp_path / "s.txt"
+        sig.write_bytes(b"conn and 2 0001 \xff\n")
+        self._input_error(["check-mono", "--sig", str(sig)], capsys)
+
+    def test_non_utf8_model(self, files, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_bytes(b'{"domain": ["\xff"]}')
+        self._input_error(
+            ["eval", "--sig", files("s.txt", MONO_SIG), "--model", str(model),
+             "--formula", "p"],
+            capsys,
+        )
+
+    def test_non_utf8_at_file(self, files, tmp_path, capsys):
+        seq = tmp_path / "seq.txt"
+        seq.write_bytes(b"p => \xfe\n")
+        self._input_error(
+            ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", "classical-prop",
+             "--sequent", f"@{seq}"],
+            capsys,
+        )
+
+    def test_non_integer_value_in_kripke_model(self, files, capsys):
+        model = dict(KSTAR, interp=[{"world": "w1", "pred": "p", "args": [], "value": "x"}])
+        self._input_error(
+            ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", model),
+             "--formula", "p", "--all-worlds"],
+            capsys,
+        )
+
+    def test_non_integer_value_in_classical_model(self, files, capsys):
+        model = {"domain": ["a1"], "interp": [{"pred": "p", "args": [], "value": "x"}]}
+        self._input_error(
+            ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", model),
+             "--formula", "p"],
+            capsys,
+        )
