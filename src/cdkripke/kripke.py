@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classical import Valid, enum_cap, interpretation_slots
 from .errors import EnumerationCapError, ModelValidationError, UsageError
+from .lanes import Lanes
 from .syntax import (
     Atom,
     Conn,
@@ -508,7 +509,8 @@ def _domain_names(n: int) -> tuple:
 class CdBatch:
     """Every interpretation of one frame and domain size: the models are
     the product of per-slot monotone world vectors, slots in
-    interpretation_slots order, earlier slots varying slowest.
+    interpretation_slots order, earlier slots varying slowest; ``width``
+    counts them.
 
     A plain class rather than a dataclass, because every CLI call pays
     the package import and a dataclass takes most of a millisecond to
@@ -522,16 +524,22 @@ class CdBatch:
         self.domain = domain
         self.slots = slots
         self.vectors = vectors
+        self.width = len(vectors) ** len(slots)
+
+    def model(self, index: int) -> KripkeModel:
+        """The index-th model of the batch, 0 <= index < width."""
+        nvec, last = len(self.vectors), len(self.slots) - 1
+        interp = {}
+        for s, (pred, args) in enumerate(self.slots):
+            vec = self.vectors[index // nvec ** (last - s) % nvec]
+            for w, val in zip(self.worlds, vec):
+                if val:
+                    interp[(w, pred, args)] = 1
+        domains = {w: self.domain for w in self.worlds}
+        return KripkeModel(self.worlds, self.order, domains, interp, True, self.future)
 
     def models(self):
-        worlds, domains = self.worlds, {w: self.domain for w in self.worlds}
-        for profile in itertools.product(self.vectors, repeat=len(self.slots)):
-            interp = {}
-            for (pred, args), vec in zip(self.slots, profile):
-                for w, val in zip(worlds, vec):
-                    if val:
-                        interp[(w, pred, args)] = 1
-            yield KripkeModel(worlds, self.order, domains, interp, True, self.future)
+        return (self.model(index) for index in range(self.width))
 
 
 def cd_model_batches(
@@ -563,13 +571,14 @@ def cd_model_batches(
             for size in range(1, max_domain + 1):
                 domain = _domain_names(size)
                 slots = interpretation_slots(preds, domain)
-                produced += len(vectors) ** len(slots)
+                batch = CdBatch(worlds, order, future, domain, slots, vectors)
+                produced += batch.width
                 if produced > ceiling:
                     raise EnumerationCapError(
                         f"bound infeasible: more than {ceiling} constant-domain "
                         f"models within worlds<={max_worlds}, domain<={max_domain}"
                     )
-                yield CdBatch(worlds, order, future, domain, slots, vectors)
+                yield batch
 
 
 def enumerate_cd_models(
@@ -614,18 +623,47 @@ def bounded_cd_countermodel_search(
 ):
     """Look for a constant-domain Kripke countermodel within the bounds.
 
-    Enumerates models via enumerate_cd_models over the predicates
-    occurring in s and returns the first refutation found, else a bound
-    report. The bound report is a semi-check only: it never certifies
-    validity beyond the searched space.
+    Searches the models of enumerate_cd_models over the predicates
+    occurring in s, one CdBatch at a time: the sequent is evaluated on
+    every interpretation of a frame and domain size in one lane pass.
+    The refutation returned is the first in (model, world, assignment)
+    order, models in enumerate_cd_models order and worlds and
+    assignments in model_validity order; only that model is built.
+    Otherwise a bound report is returned. The bound report is a
+    semi-check only: it never certifies validity beyond the searched
+    space.
     """
     if max_worlds < 1 or max_domain < 1:
         raise UsageError("bounds must be >= 1")
     preds = predicates(s)
-    for model in enumerate_cd_models(preds, max_worlds, max_domain, cap=cap):
-        verdict = model_validity(model, s, sig)
-        if isinstance(verdict, Failure):
-            return CdCountermodel(model, verdict.world, verdict.assignment)
+    fv = sorted(free_vars(s))
+    for batch in cd_model_batches(preds, max_worlds, max_domain, cap=cap):
+        lanes = Lanes.for_batch(batch, sig)
+        rhos = [dict(zip(fv, values))
+                for values in itertools.product(batch.domain, repeat=len(fv))]
+        # per assignment, the lanes where every antecedent holds and no
+        # succedent does
+        failing, union = [], 0
+        for rho in rhos:
+            fail = lanes.full
+            for f in s.antecedent:
+                fail &= lanes.value(f, rho)[0]
+            for f in s.succedent:
+                fail &= ~lanes.value(f, rho)[0]
+            failing.append(fail)
+            union |= fail
+        lanes.clear()
+        if not union:
+            continue
+        # fold the world blocks: bit i is set iff model i fails somewhere
+        width, block, models = batch.width, (1 << batch.width) - 1, 0
+        for j in range(len(batch.worlds)):
+            models |= (union >> (j * width)) & block
+        index = (models & -models).bit_length() - 1
+        for j, w in enumerate(batch.worlds):
+            for rho, fail in zip(rhos, failing):
+                if fail >> (j * width + index) & 1:
+                    return CdCountermodel(batch.model(index), w, rho)
     return NoCountermodelUpTo(max_worlds, max_domain)
 
 

@@ -14,12 +14,14 @@ are the OR over the domain on both sides.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import UsageError
-from .kripke import CdBatch, KripkeModel
 from .syntax import Atom, Conn, Exists, Forall, Formula
 from .truthfn import Signature
+
+if TYPE_CHECKING:  # kripke imports this module
+    from .kripke import CdBatch, KripkeModel
 
 
 class Lanes:
@@ -27,9 +29,9 @@ class Lanes:
 
     ``future`` lists, for each world index, the indices of the worlds
     above it; ``atoms`` maps (predicate, argument tuple) to its lane mask,
-    absent atoms reading 0. The memo is keyed by formula structure and
-    the assignment restricted to the formula's free variables; call
-    clear() when the models are done with.
+    absent atoms reading 0; ``full`` has every lane set. The memo is keyed
+    by formula structure and the assignment restricted to the formula's
+    free variables; call clear() when the models are done with.
     """
 
     def __init__(
@@ -44,13 +46,10 @@ class Lanes:
         self.domain = domain
         self._future = tuple(future)
         self._block = (1 << width) - 1
-        self._all = (1 << (width * len(self._future))) - 1
+        self.full = (1 << (width * len(self._future))) - 1
         self._boxed = any(fut != (i,) for i, fut in enumerate(self._future))
         self._atoms = atoms
-        self._rows = {
-            name: [bits for bits, out in table.rows() if out]
-            for name, table in sig.connectives.items()
-        }
+        self._rows = {name: table.true_rows for name, table in sig.connectives.items()}
         self._memo: dict = {}
 
     @classmethod
@@ -68,9 +67,8 @@ class Lanes:
     def for_batch(cls, batch: CdBatch, sig: Signature) -> Lanes:
         """Every interpretation of a CdBatch, interp_index in the batch's
         model order."""
-        worlds, vectors = batch.worlds, batch.vectors
+        worlds, vectors, width = batch.worlds, batch.vectors, batch.width
         nvec, nslots = len(vectors), len(batch.slots)
-        width = nvec ** nslots
         atoms = {}
         for s, slot in enumerate(batch.slots):
             # slot s holds vector v on a run of `stride` consecutive
@@ -112,7 +110,7 @@ class Lanes:
         rows = self._rows.get(name)
         if rows is None:
             raise UsageError(f"unknown connective {name!r}")
-        full = self._all
+        full = self.full
         out = 0
         for bits in rows:
             term = full
@@ -144,7 +142,7 @@ class Lanes:
                 self._table(f.name, [c for _, c in pairs]),
             )
         elif isinstance(f, Forall):
-            k = c = self._all
+            k = c = self.full
             for a in self.domain:
                 bk, bc = self.value(f.body, {**rho, f.var: a})
                 k &= bk

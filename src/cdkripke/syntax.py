@@ -10,7 +10,7 @@ evaluators can memoize on (node, restricted assignment) cheaply.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, UsageError
 from .truthfn import Signature
@@ -151,13 +151,6 @@ class Sequent:
         return self.antecedent | self.succedent
 
 
-def restrict_assignment(rho: Mapping, fv: frozenset) -> tuple:
-    """Assignment restricted to fv, as a hashable sorted tuple of pairs."""
-    if not fv:
-        return ()
-    return tuple(sorted((x, rho[x]) for x in fv))
-
-
 def free_vars(obj) -> frozenset:
     """Free variables of a formula, or of all formulas in a sequent."""
     if isinstance(obj, Formula):
@@ -267,6 +260,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>=>)|(?P<
 
 _KEYWORDS = ("forall", "exists")
 
+# Deepest formula nesting the parser accepts (formula_depth counts the
+# same nodes). The printer and the evaluators recurse once or more per
+# level, so a bound here keeps them clear of the recursion limit.
+MAX_DEPTH = 200
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -308,8 +306,20 @@ class _Parser:
         self.toks = _Tokens(text)
         self.sig = sig
         self.pred_arity: dict = {}
+        self.depth = 0
 
     def parse_formula(self) -> Formula:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"formula nested deeper than the limit of {MAX_DEPTH} levels",
+                self.toks.peek()[2],
+            )
+        f = self._formula()
+        self.depth -= 1
+        return f
+
+    def _formula(self) -> Formula:
         kind, name, pos = self.toks.next()
         if kind != "id":
             shown = name if name else "end of input"

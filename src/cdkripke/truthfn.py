@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError, UsageError
@@ -20,14 +21,6 @@ from .errors import ParseError, UsageError
 TruthVector = tuple
 
 CASE_LABELS = ("a", "b", "c", "d")
-
-
-def as_vector(bits: Iterable[int]) -> TruthVector:
-    vec = tuple(bits)
-    for x in vec:
-        if x not in (0, 1):
-            raise UsageError(f"truth vector may contain only 0/1, got {x!r}")
-    return vec
 
 
 def zeros(n: int) -> TruthVector:
@@ -115,6 +108,11 @@ class TruthTable:
         """Yield (argument vector, output) pairs in row order."""
         for i, out in enumerate(self.outputs):
             yield index_vector(i, self.arity), out
+
+    @cached_property
+    def true_rows(self) -> tuple:
+        """The argument vectors mapped to 1, in row order."""
+        return tuple(bits for bits, out in self.rows() if out)
 
 
 def eval_table(table: TruthTable, args: Sequence[int]) -> int:

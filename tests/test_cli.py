@@ -9,6 +9,8 @@ from cdkripke.cli import (
     EXIT_OK,
     main,
 )
+from cdkripke.syntax import MAX_DEPTH, formula_depth, parse_formula
+from cdkripke.truthfn import parse_signature
 
 IMPLIES_SIG = "conn implies 2 1101\n"
 MONO_SIG = "conn and 2 0001\nconn or 2 0111\n"
@@ -304,3 +306,56 @@ class TestInputBoundary:
              "--formula", "p"],
             capsys,
         )
+
+
+class TestNestingLimit:
+    """Formulas nested to the parser's limit get a normal verdict in every
+    mode; one level deeper is an input error, not a RecursionError."""
+
+    NEST_SIG = "conn not 1 10\nconn and 2 0001\n"
+    PROPOSITIONAL = ("q", ("not({})", "and({}, p)"))
+    QUANTIFIED = ("P(x)", ("not({})", "forall x. {}", "and({}, p)", "exists x. {}"))
+
+    @staticmethod
+    def nested(depth, shape):
+        text, wrappers = shape
+        for level in range(depth - 1):
+            text = wrappers[level % len(wrappers)].format(text)
+        return text
+
+    def runs(self, files, depth):
+        sig = files("s.txt", self.NEST_SIG)
+        kripke = files("k.json", KSTAR)
+        classical = files("c.json", {"domain": ["a1"], "interp": []})
+        for shape in (self.PROPOSITIONAL, self.QUANTIFIED):
+            formula = self.nested(depth, shape)
+            yield ["eval", "--sig", sig, "--model", kripke, "--formula", formula,
+                   "--all-worlds"]
+            yield ["eval", "--sig", sig, "--model", classical, "--formula", formula]
+            modes = ["classical-bounded", "kripke-model", "cd-search"]
+            if shape is self.PROPOSITIONAL:
+                modes.insert(0, "classical-prop")
+            for mode in modes:
+                yield ["valid", "--sig", sig, "--mode", mode, "--model", kripke,
+                       "--max-worlds", "2", "--max-domain", "1",
+                       "--sequent", f"p => {formula}"]
+
+    def test_formulas_reach_the_limit(self):
+        sig = parse_signature(self.NEST_SIG)
+        for shape in (self.PROPOSITIONAL, self.QUANTIFIED):
+            f = parse_formula(self.nested(MAX_DEPTH, shape), sig)
+            assert formula_depth(f) == MAX_DEPTH
+
+    def test_every_mode_at_the_limit(self, files, capsys):
+        for argv in self.runs(files, MAX_DEPTH):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_NEGATIVE), (argv[:5], captured.err)
+            assert captured.err == "" and captured.out
+
+    def test_one_level_deeper_exits_2(self, files, capsys):
+        for argv in self.runs(files, MAX_DEPTH + 1):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT, argv[:5]
+            assert err.startswith("error: ") and f"limit of {MAX_DEPTH}" in err

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cdkripke.classical import ClassicalEvaluator
+from cdkripke.classical import ClassicalEvaluator, Valid, decide_propositional
 from cdkripke.collapse import (
     check_collapse,
     enumerate_formulas,
@@ -18,14 +18,32 @@ from cdkripke.collapse import (
     run_collapse_sweep,
 )
 from cdkripke.kripke import (
+    CdCountermodel,
+    Failure,
     KripkeEvaluator,
+    NoCountermodelUpTo,
+    bounded_cd_countermodel_search,
     cd_model_batches,
     enumerate_cd_models,
+    model_validity,
     validate_kripke_model,
 )
 from cdkripke.lanes import Lanes
-from cdkripke.suites import MIXED_SIGNATURE, random_formula, random_kripke_model
-from cdkripke.syntax import Atom, parse_formula
+from cdkripke.suites import (
+    MIXED_SIGNATURE,
+    MONOTONE_SIGNATURE,
+    random_formula,
+    random_kripke_model,
+    random_propositional_sequent,
+)
+from cdkripke.syntax import (
+    Atom,
+    Forall,
+    Sequent,
+    free_vars,
+    parse_formula,
+    predicates,
+)
 from cdkripke.truthfn import standard_signature
 
 PREDS = {"p": 0, "q": 0, "P": 1}
@@ -169,3 +187,71 @@ class TestMetamorphic:
             assert after.agreement == before.agreement
             assert after.checked == before.checked
             assert len(after.disagreements) == len(before.disagreements)
+
+
+def scalar_cd_search(sig, s, max_worlds, max_domain):
+    """The one-model-at-a-time search the lane search replaced: models in
+    enumerate_cd_models order, first model_validity Failure wins."""
+    for model in enumerate_cd_models(predicates(s), max_worlds, max_domain):
+        verdict = model_validity(model, s, sig)
+        if isinstance(verdict, Failure):
+            return CdCountermodel(model, verdict.world, verdict.assignment)
+    return NoCountermodelUpTo(max_worlds, max_domain)
+
+
+def random_sequent(rng, sig, free):
+    """A random sequent of 1-3 formulas; free says whether x occurs free."""
+    while True:
+        formulas = [random_formula(rng, sig, depth=4) for _ in range(rng.randint(1, 3))]
+        cut = rng.randint(0, len(formulas))
+        s = Sequent(formulas[:cut], formulas[cut:])
+        if bool(free_vars(s)) == free:
+            return s
+
+
+class TestCdSearchAgainstScalar:
+    @pytest.mark.parametrize("bounds", [(3, 1), (2, 2)])
+    @pytest.mark.parametrize("free", [False, True])
+    @pytest.mark.parametrize("sig", [MIXED_SIGNATURE, MONOTONE_SIGNATURE],
+                             ids=["mixed", "monotone"])
+    def test_random_sequents(self, sig, free, bounds):
+        rng = random.Random(9_400 + 2 * bounds[0] + free)
+        for _ in range(25):
+            s = random_sequent(rng, sig, free)
+            assert bounded_cd_countermodel_search(sig, s, *bounds) == (
+                scalar_cd_search(sig, s, *bounds)), str(s)
+
+    def test_several_failing_lanes_first_in_order(self):
+        # classically refuted only on domain 2: in that batch models 1
+        # (P(a2)) and 2 (P(a1)) both fail, at assignments x=a2 and x=a1;
+        # the first model wins over the first assignment
+        sig = MONOTONE_SIGNATURE
+        s = Sequent([Atom("P", ("x",))], [Forall("y", Atom("P", ("y",)))])
+        batch = list(cd_model_batches(predicates(s), 2, 2))[1]
+        lanes = Lanes.for_batch(batch, sig)
+        failing = [
+            lanes.value(Atom("P", ("x",)), {"x": a})[0]
+            & ~lanes.value(Forall("y", Atom("P", ("y",))), {"x": a})[0]
+            for a in batch.domain
+        ]
+        assert failing == [0b0100, 0b0010]
+        verdict = bounded_cd_countermodel_search(sig, s, 2, 2)
+        assert verdict == scalar_cd_search(sig, s, 2, 2)
+        assert verdict.model == batch.model(1)
+        assert (verdict.world, verdict.assignment) == ("w0", {"x": "a2"})
+
+    def test_classically_valid_sequents_reach_larger_frames(self):
+        # random sequents are mostly refuted by a one-world model; the
+        # classically valid ones are refuted, if at all, on 2-3 worlds
+        rng = random.Random(9_500)
+        sizes = set()
+        checked = 0
+        while checked < 20:
+            s = random_propositional_sequent(rng, MIXED_SIGNATURE, depth=4)
+            if not isinstance(decide_propositional(MIXED_SIGNATURE, s), Valid):
+                continue
+            checked += 1
+            verdict = bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 3, 1)
+            assert verdict == scalar_cd_search(MIXED_SIGNATURE, s, 3, 1), str(s)
+            sizes.add(len(verdict.model.worlds) if isinstance(verdict, CdCountermodel) else 0)
+        assert {0, 2, 3} <= sizes
