@@ -4,18 +4,18 @@ Evaluation is the usual tarskian interpretation with connectives applied
 via their truth tables. Validity checking is exact for propositional
 sequents (truth-table enumeration over the occurring symbols) and a
 bounded semi-check for quantified sequents (exhaustive enumeration of
-interpretations over domains up to a size limit).
+interpretations over domains up to a size limit). A classical model is
+a one-world constant-domain Kripke model, so both checks run the
+constant-domain countermodel search of ``kripke`` with one world.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .errors import EnumerationCapError, ModelValidationError, UsageError
+from .errors import ModelValidationError, UsageError
+from .kripke import Valid, _check_assignment, _first_refutation
 from .syntax import (
     Atom,
     Conn,
@@ -28,25 +28,6 @@ from .syntax import (
     predicates,
 )
 from .truthfn import Signature
-
-# ceiling on the number of interpretations a bounded search may enumerate
-DEFAULT_ENUM_CAP = 2 ** 24
-ENUM_CAP_ENV = "CDKRIPKE_MAX_ENUM"
-
-
-def enum_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -75,10 +56,6 @@ class ClassicalModel:
 
     def value(self, pred: str, args: tuple) -> int:
         return self.interp.get((pred, args), 0)
-
-
-def classical_model(domain: Sequence[str], interp: Mapping) -> ClassicalModel:
-    return ClassicalModel(tuple(domain), dict(interp))
 
 
 class ClassicalEvaluator:
@@ -152,31 +129,16 @@ class ClassicalEvaluator:
         return 1
 
 
-def _check_assignment(model: ClassicalModel, rho: Mapping, fv: frozenset):
-    missing = [x for x in sorted(fv) if x not in rho]
-    if missing:
-        raise UsageError(f"assignment misses free variables {missing}")
-    dom = set(model.domain)
-    for x in sorted(fv):
-        if rho[x] not in dom:
-            raise UsageError(f"assignment value {rho[x]!r} for {x!r} is outside the domain")
-
-
 def eval_classical(model: ClassicalModel, rho: Mapping, f: Formula, sig: Signature) -> int:
-    _check_assignment(model, rho, f.fv)
+    _check_assignment(model.domain, rho, f.fv)
     return ClassicalEvaluator(model, sig).value(f, rho)
 
 
 def eval_sequent_classical(
     model: ClassicalModel, rho: Mapping, s: Sequent, sig: Signature
 ) -> int:
-    _check_assignment(model, rho, free_vars(s))
+    _check_assignment(model.domain, rho, free_vars(s))
     return ClassicalEvaluator(model, sig).sequent_value(s, rho)
-
-
-@dataclass(frozen=True)
-class Valid:
-    pass
 
 
 @dataclass(frozen=True)
@@ -190,6 +152,18 @@ class NoCountermodelUpTo:
     max_domain: int
 
 
+def _refutation(sig: Signature, s: Sequent, preds: Mapping, max_domain: int,
+                cap: Optional[int]) -> Optional[Countermodel]:
+    """The first one-world refutation of s, as a classical model whose
+    interp lists every slot, zero-valued ones included, or None."""
+    found = _first_refutation(sig, s, preds, 1, max_domain, cap)
+    if found is None:
+        return None
+    batch, index, _, rho = found
+    interp = {slot: vec[0] for slot, vec in batch.slot_vectors(index)}
+    return Countermodel(ClassicalModel(batch.domain, interp), rho)
+
+
 def decide_propositional(sig: Signature, s: Sequent):
     """Exact validity for propositional sequents.
 
@@ -197,31 +171,13 @@ def decide_propositional(sig: Signature, s: Sequent):
     occurring in s, symbols in sorted name order, valuations in
     lexicographic order with 0 before 1. Returns Valid() or the first
     falsifying valuation packaged as a one-element-domain Countermodel.
+    The enumeration cap does not apply: the decision is exact.
     """
     if not is_propositional_sequent(s):
         raise UsageError("decide_propositional expects a propositional sequent")
-    symbols = sorted(predicates(s))
-    evaluator_domain = ("a1",)
-    for values in itertools.product((0, 1), repeat=len(symbols)):
-        interp = {(p, ()): v for p, v in zip(symbols, values)}
-        model = ClassicalModel(evaluator_domain, interp)
-        if ClassicalEvaluator(model, sig).sequent_value(s, {}) == 0:
-            return Countermodel(model, {})
-    return Valid()
-
-
-def _domain(of_size: int) -> tuple:
-    return tuple(f"a{i + 1}" for i in range(of_size))
-
-
-def interpretation_slots(preds: Mapping, domain: Sequence[str]) -> list:
-    """The documented slot order: predicates sorted by name, argument
-    tuples in lexicographic order over the domain as given."""
-    slots = []
-    for pred in sorted(preds):
-        for args in itertools.product(domain, repeat=preds[pred]):
-            slots.append((pred, args))
-    return slots
+    preds = predicates(s)
+    verdict = _refutation(sig, s, preds, 1, 2 ** len(preds))
+    return Valid() if verdict is None else verdict
 
 
 def bounded_fo_validity(
@@ -233,31 +189,15 @@ def bounded_fo_validity(
     size, interpretations as tuples over the slot order of
     ``interpretation_slots`` enumerated lexicographically (0 before 1);
     then assignments to the sequent's free variables, variables sorted,
-    values in domain order. A NoCountermodelUpTo result is only a bound
+    values in domain order. This is the one-world case of the
+    constant-domain search order, and the cap counts interpretations
+    across all domain sizes. A NoCountermodelUpTo result is only a bound
     report, not a validity certificate.
     """
     if max_domain < 1:
         raise UsageError("max_domain must be >= 1")
-    preds = predicates(s)
-    fv = sorted(free_vars(s))
-    ceiling = enum_cap(cap)
-    for size in range(1, max_domain + 1):
-        domain = _domain(size)
-        slots = interpretation_slots(preds, domain)
-        if 2 ** len(slots) > ceiling:
-            raise EnumerationCapError(
-                f"bound infeasible: 2**{len(slots)} interpretations at domain size "
-                f"{size} exceeds the ceiling {ceiling}"
-            )
-        for bits in itertools.product((0, 1), repeat=len(slots)):
-            interp = {slot: b for slot, b in zip(slots, bits)}
-            model = ClassicalModel(domain, interp)
-            evaluator = ClassicalEvaluator(model, sig)
-            for values in itertools.product(domain, repeat=len(fv)):
-                rho = dict(zip(fv, values))
-                if evaluator.sequent_value(s, rho) == 0:
-                    return Countermodel(model, rho)
-    return NoCountermodelUpTo(max_domain)
+    verdict = _refutation(sig, s, predicates(s), max_domain, cap)
+    return NoCountermodelUpTo(max_domain) if verdict is None else verdict
 
 
 # --- model files ---------------------------------------------------------
@@ -281,8 +221,3 @@ def classical_model_from_json(obj: dict) -> ClassicalModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model file: {exc}"]) from None
     return ClassicalModel(domain, interp)
-
-
-def load_classical_model(path) -> ClassicalModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return classical_model_from_json(json.load(fh))

@@ -10,9 +10,11 @@ Exit codes are a stable contract:
     3  all connectives monotone (separate only)
     4  internal verification failure (a construction bug, never expected)
 
-The environment variable CDKRIPKE_MAX_ENUM caps how many interpretations
-or models any bounded search may enumerate (a positive integer, default
-2**24). Unreadable, non-UTF-8 or malformed input files exit 2.
+The environment variable CDKRIPKE_MAX_ENUM caps how many models the
+bounded searches (classical-bounded, cd-search) may enumerate across all
+frames and domain sizes (a positive integer, default 2**24); the exact
+classical-prop decision is not capped. Unreadable, non-UTF-8 or
+malformed input files exit 2.
 """
 
 from __future__ import annotations

@@ -21,11 +21,10 @@ documented deviations are exactly the known three, no more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .classical import ClassicalEvaluator, ClassicalModel
 from .errors import ConstructionError
 from .kripke import KripkeEvaluator
-from .separator import SeparationResult, separate
-from .syntax import Atom, Conn
+from .separator import SeparationResult, cell_evaluator, separate
+from .syntax import Atom
 from .truthfn import Signature, TruthTable, ones, relative_invert, zeros
 
 # (key, arity, bits) of the representative connective per table group
@@ -181,31 +180,20 @@ def _resolve_symbol(symbol, result: SeparationResult):
 
 
 def _check_group(report: GoldenReport, group: str, result: SeparationResult):
-    sig = result.signature()
-    kripke_eval = KripkeEvaluator(result.countermodel, sig)
+    row_evaluator = cell_evaluator(result.countermodel, result.signature())
     for table_name, rows in GOLDEN_TABLES[group]:
-        for setting, cells in rows:
+        for setting, row_cells in rows:
             if table_name == "kripke":
                 row_label = setting
-
-                def evaluate(g, _w=setting):
-                    return kripke_eval.value(g, _w, {})
+                cell_value = row_evaluator(setting)
             else:
                 p_val, q_val = setting
                 row_label = f"p={p_val},q={q_val}"
-                model = ClassicalModel(("a1",), {("p", ()): p_val, ("q", ()): q_val})
-                evaluator = ClassicalEvaluator(model, sig)
-
-                def evaluate(g, _e=evaluator):
-                    return _e.value(g, {})
-            for key, kind, expected in cells:
-                f = result.formulas[key]
+                cell_value = row_evaluator(None, (("p", p_val), ("q", q_val)))
+            for key, kind, expected in row_cells:
+                actual = cell_value(result.formulas[key], kind)
                 if kind == "args":
-                    assert isinstance(f, Conn)
-                    actual = tuple(evaluate(g) for g in f.args)
                     expected = _resolve_symbol(expected, result)
-                else:
-                    actual = evaluate(f)
                 report.cells_checked += 1
                 if actual != expected:
                     report.diffs.append(

@@ -13,12 +13,12 @@ evaluation assumes them and never re-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classical import Valid, enum_cap, interpretation_slots
 from .errors import EnumerationCapError, ModelValidationError, UsageError
 from .lanes import Lanes
 from .syntax import (
@@ -381,29 +381,32 @@ class KripkeEvaluator:
         return 1
 
 
-def _check_assignment(model: KripkeModel, w: str, rho: Mapping, fv: frozenset):
-    if w not in set(model.worlds):
-        raise UsageError(f"unknown world {w!r}")
+def _check_assignment(domain: Sequence, rho: Mapping, fv: frozenset, where: str = ""):
+    """UsageError unless rho maps every free variable into the domain."""
     missing = [x for x in sorted(fv) if x not in rho]
     if missing:
         raise UsageError(f"assignment misses free variables {missing}")
-    dom = set(model.domains[w])
+    dom = set(domain)
     for x in sorted(fv):
         if rho[x] not in dom:
-            raise UsageError(
-                f"assignment value {rho[x]!r} for {x!r} is outside the domain at {w!r}"
-            )
+            raise UsageError(f"assignment value {rho[x]!r} for {x!r} is outside the domain{where}")
+
+
+def _check_world(model: KripkeModel, w: str, rho: Mapping, fv: frozenset):
+    if w not in set(model.worlds):
+        raise UsageError(f"unknown world {w!r}")
+    _check_assignment(model.domains[w], rho, fv, f" at {w!r}")
 
 
 def eval_kripke(model: KripkeModel, w: str, rho: Mapping, f: Formula, sig: Signature) -> int:
-    _check_assignment(model, w, rho, f.fv)
+    _check_world(model, w, rho, f.fv)
     return KripkeEvaluator(model, sig).value(f, w, rho)
 
 
 def eval_sequent_kripke(
     model: KripkeModel, w: str, rho: Mapping, s: Sequent, sig: Signature
 ) -> int:
-    _check_assignment(model, w, rho, free_vars(s))
+    _check_world(model, w, rho, free_vars(s))
     return KripkeEvaluator(model, sig).sequent_value(s, w, rho)
 
 
@@ -498,40 +501,93 @@ def monotone_world_vectors(matrix) -> list:
     return out
 
 
-def _world_names(n: int) -> tuple:
-    return tuple(f"w{i}" for i in range(n))
+# ceiling on the number of models a bounded search may enumerate
+DEFAULT_ENUM_CAP = 2 ** 24
+ENUM_CAP_ENV = "CDKRIPKE_MAX_ENUM"
 
 
-def _domain_names(n: int) -> tuple:
-    return tuple(f"a{i + 1}" for i in range(n))
+def enum_cap(override: Optional[int] = None) -> int:
+    if override is not None:
+        return override
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def interpretation_slots(preds: Mapping, domain: Sequence[str]) -> list:
+    """The documented slot order: predicates sorted by name, argument
+    tuples in lexicographic order over the domain as given."""
+    slots = []
+    for pred in sorted(preds):
+        for args in itertools.product(domain, repeat=preds[pred]):
+            slots.append((pred, args))
+    return slots
+
+
+@dataclass(frozen=True)
+class Valid:
+    pass
+
+
+@functools.lru_cache(maxsize=None)
+def _frames(n: int, up_to_iso: bool) -> tuple:
+    """(worlds, order, future, vectors) per preorder on n worlds, in
+    enumerate_preorders order, future as (world, worlds above it) pairs.
+    Computed once per process, so every value is immutable."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    frames = []
+    for matrix in enumerate_preorders(n, up_to_iso=up_to_iso):
+        order = frozenset(
+            (worlds[i], worlds[j]) for i in range(n) for j in range(n) if matrix[i][j]
+        )
+        future = tuple(
+            (worlds[i], tuple(worlds[j] for j in range(n) if matrix[i][j]))
+            for i in range(n)
+        )
+        frames.append((worlds, order, future, tuple(monotone_world_vectors(matrix))))
+    return tuple(frames)
 
 
 class CdBatch:
-    """Every interpretation of one frame and domain size: the models are
-    the product of per-slot monotone world vectors, slots in
-    interpretation_slots order, earlier slots varying slowest; ``width``
-    counts them.
+    """Interpretations of one frame and domain size: the leading slots
+    hold the world vectors of ``fixed`` (slot, vector) pairs, and the
+    models are the product of per-slot monotone world vectors over the
+    other ``slots``, in interpretation_slots order, earlier slots varying
+    slowest; ``width`` counts them.
 
     A plain class rather than a dataclass, because every CLI call pays
     the package import and a dataclass takes most of a millisecond to
     create."""
 
     def __init__(self, worlds: tuple, order: frozenset, future: Mapping,
-                 domain: tuple, slots: list, vectors: list):
+                 domain: tuple, slots: list, vectors: Sequence, fixed: Sequence = ()):
         self.worlds = worlds
         self.order = order
         self.future = future
         self.domain = domain
         self.slots = slots
         self.vectors = vectors
+        self.fixed = fixed
         self.width = len(vectors) ** len(slots)
+
+    def slot_vectors(self, index: int) -> list:
+        """(slot, world vector) pairs of the index-th model, 0 <= index <
+        width, slots in interpretation_slots order."""
+        nvec, last = len(self.vectors), len(self.slots) - 1
+        return list(self.fixed) + [(slot, self.vectors[index // nvec ** (last - s) % nvec])
+                                   for s, slot in enumerate(self.slots)]
 
     def model(self, index: int) -> KripkeModel:
         """The index-th model of the batch, 0 <= index < width."""
-        nvec, last = len(self.vectors), len(self.slots) - 1
         interp = {}
-        for s, (pred, args) in enumerate(self.slots):
-            vec = self.vectors[index // nvec ** (last - s) % nvec]
+        for (pred, args), vec in self.slot_vectors(index):
             for w, val in zip(self.worlds, vec):
                 if val:
                     interp[(w, pred, args)] = 1
@@ -542,6 +598,11 @@ class CdBatch:
         return (self.model(index) for index in range(self.width))
 
 
+# widest batch cd_model_batches yields: each lane mask holds width *
+# worlds bits, and Lanes.for_batch takes time quadratic in the width
+MAX_BATCH_WIDTH = 2 ** 14
+
+
 def cd_model_batches(
     preds: Mapping,
     max_worlds: int,
@@ -549,36 +610,33 @@ def cd_model_batches(
     up_to_iso: bool = False,
     cap: Optional[int] = None,
 ):
-    """Yield one CdBatch per (frame, domain size) in enumerate_cd_models
-    order. Raises EnumerationCapError before the batch that would take
-    the cumulative model count past the cap."""
+    """Yield the models of each (frame, domain size) as CdBatches in
+    enumerate_cd_models order, splitting the models of a frame and
+    domain size that number more than MAX_BATCH_WIDTH on their leading
+    slots. Raises EnumerationCapError before the models of the frame
+    and domain size that would take the cumulative model count, over
+    all frames and domain sizes, past the cap."""
     ceiling = enum_cap(cap)
     produced = 0
     for n in range(1, max_worlds + 1):
-        worlds = _world_names(n)
-        for matrix in enumerate_preorders(n, up_to_iso=up_to_iso):
-            order = frozenset(
-                (worlds[i], worlds[j])
-                for i in range(n)
-                for j in range(n)
-                if matrix[i][j]
-            )
-            future = {
-                worlds[i]: tuple(worlds[j] for j in range(n) if matrix[i][j])
-                for i in range(n)
-            }
-            vectors = monotone_world_vectors(matrix)
+        for worlds, order, future, vectors in _frames(n, up_to_iso):
             for size in range(1, max_domain + 1):
-                domain = _domain_names(size)
+                domain = tuple(f"a{i + 1}" for i in range(size))
                 slots = interpretation_slots(preds, domain)
-                batch = CdBatch(worlds, order, future, domain, slots, vectors)
-                produced += batch.width
+                produced += len(vectors) ** len(slots)
                 if produced > ceiling:
+                    # one world: the models are classical, name no world bound
+                    within = (f"constant-domain models within worlds<={max_worlds}, "
+                              if max_worlds > 1 else "models within ")
                     raise EnumerationCapError(
-                        f"bound infeasible: more than {ceiling} constant-domain "
-                        f"models within worlds<={max_worlds}, domain<={max_domain}"
+                        f"bound infeasible: more than {ceiling} {within}domain<={max_domain}"
                     )
-                yield batch
+                lead = 0
+                while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
+                    lead += 1
+                for fixed in itertools.product(vectors, repeat=lead):
+                    yield CdBatch(worlds, order, dict(future), domain, slots[lead:],
+                                  vectors, list(zip(slots, fixed)))
 
 
 def enumerate_cd_models(
@@ -614,28 +672,11 @@ class NoCountermodelUpTo:
     max_domain: int
 
 
-def bounded_cd_countermodel_search(
-    sig: Signature,
-    s: Sequent,
-    max_worlds: int,
-    max_domain: int,
-    cap: Optional[int] = None,
-):
-    """Look for a constant-domain Kripke countermodel within the bounds.
-
-    Searches the models of enumerate_cd_models over the predicates
-    occurring in s, one CdBatch at a time: the sequent is evaluated on
-    every interpretation of a frame and domain size in one lane pass.
-    The refutation returned is the first in (model, world, assignment)
-    order, models in enumerate_cd_models order and worlds and
-    assignments in model_validity order; only that model is built.
-    Otherwise a bound report is returned. The bound report is a
-    semi-check only: it never certifies validity beyond the searched
-    space.
-    """
-    if max_worlds < 1 or max_domain < 1:
-        raise UsageError("bounds must be >= 1")
-    preds = predicates(s)
+def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
+                      max_worlds: int, max_domain: int, cap: Optional[int]):
+    """(batch, model index, world, assignment) of the first refutation of
+    s over preds in the order of bounded_cd_countermodel_search, or None.
+    That search and, with one world, the classical deciders share it."""
     fv = sorted(free_vars(s))
     for batch in cd_model_batches(preds, max_worlds, max_domain, cap=cap):
         lanes = Lanes.for_batch(batch, sig)
@@ -663,8 +704,36 @@ def bounded_cd_countermodel_search(
         for j, w in enumerate(batch.worlds):
             for rho, fail in zip(rhos, failing):
                 if fail >> (j * width + index) & 1:
-                    return CdCountermodel(batch.model(index), w, rho)
-    return NoCountermodelUpTo(max_worlds, max_domain)
+                    return batch, index, w, rho
+    return None
+
+
+def bounded_cd_countermodel_search(
+    sig: Signature,
+    s: Sequent,
+    max_worlds: int,
+    max_domain: int,
+    cap: Optional[int] = None,
+):
+    """Look for a constant-domain Kripke countermodel within the bounds.
+
+    Searches the models of enumerate_cd_models over the predicates
+    occurring in s, one CdBatch at a time: the sequent is evaluated on
+    every interpretation of a frame and domain size in one lane pass.
+    The refutation returned is the first in (model, world, assignment)
+    order, models in enumerate_cd_models order and worlds and
+    assignments in model_validity order; only that model is built.
+    Otherwise a bound report is returned. The bound report is a
+    semi-check only: it never certifies validity beyond the searched
+    space.
+    """
+    if max_worlds < 1 or max_domain < 1:
+        raise UsageError("bounds must be >= 1")
+    found = _first_refutation(sig, s, predicates(s), max_worlds, max_domain, cap)
+    if found is None:
+        return NoCountermodelUpTo(max_worlds, max_domain)
+    batch, index, world, rho = found
+    return CdCountermodel(batch.model(index), world, rho)
 
 
 # --- model files ---------------------------------------------------------
@@ -707,8 +776,3 @@ def kripke_model_from_json(obj: dict) -> KripkeModel:
             [Violation("unknown-world-in-order", {"pair": pair}) for pair in bad]
         )
     return validate_kripke_model(worlds, order, domains, interp)
-
-
-def load_kripke_model(path) -> KripkeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kripke_model_from_json(json.load(fh))

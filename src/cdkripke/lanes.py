@@ -9,7 +9,9 @@ applies its truth table lane by lane, as the OR over the table's 1-rows
 of the ANDed argument masks, complemented where the row bit is 0. The
 Kripke side of a connective or of a universal is then boxed: its block
 at world i is the AND of the blocks at every world above i. Existentials
-are the OR over the domain on both sides.
+are the OR over the domain on both sides. Where no world sees another
+(one world: classical models) boxing is the identity, the two sides
+are equal and each connective's table is applied once.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class Lanes:
     @classmethod
     def for_batch(cls, batch: CdBatch, sig: Signature) -> Lanes:
         """Every interpretation of a CdBatch, interp_index in the batch's
-        model order."""
+        model order; a fixed slot has the same value on every model."""
         worlds, vectors, width = batch.worlds, batch.vectors, batch.width
         nvec, nslots = len(vectors), len(batch.slots)
         atoms = {}
@@ -85,6 +87,8 @@ class Lanes:
                         block |= run << (v * stride)
                 mask |= (block * repeat) << (j * width)
             atoms[slot] = mask
+        for slot, vec in batch.fixed:
+            atoms[slot] = sum(((1 << width) - 1) << (j * width) for j, val in enumerate(vec) if val)
         windex = {w: i for i, w in enumerate(worlds)}
         future = [tuple(windex[v] for v in batch.future[w]) for w in worlds]
         return cls(sig, future, width, batch.domain, atoms)
@@ -137,10 +141,12 @@ class Lanes:
             result = (mask, mask)
         elif isinstance(f, Conn):
             pairs = [self.value(g, rho) for g in f.args]
-            result = (
-                self.box(self._table(f.name, [k for k, _ in pairs])),
-                self._table(f.name, [c for _, c in pairs]),
-            )
+            kripke = self._table(f.name, [k for k, _ in pairs])
+            if not self._boxed:
+                # no world sees another: both sides are the same masks
+                result = (kripke, kripke)
+            else:
+                result = (self.box(kripke), self._table(f.name, [c for _, c in pairs]))
         elif isinstance(f, Forall):
             k = c = self.full
             for a in self.domain:

@@ -141,14 +141,6 @@ def build_tau(table: TruthTable) -> Formula:
     return Conn(table.name, (S,) * table.arity)
 
 
-def _repeated(table: TruthTable, f: Formula) -> Formula:
-    """c(f, ..., f) with no case gate; a placeholder that a later
-    substitution replaces wholesale."""
-    if table.arity < 1:
-        raise UsageError("needs arity >= 1")
-    return Conn(table.name, (f,) * table.arity)
-
-
 def _slots(a: tuple, b: tuple, on_zz: Formula, on_zo: Formula, on_one: Formula) -> tuple:
     """Per-index formula choices keyed by the (a[i], b[i]) pattern; a <= b,
     so the patterns are (0,0), (0,1) and (1,1)."""
@@ -366,7 +358,7 @@ def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
     rel = relative_invert(a, b)
     name = table.name
     psi = Conn(name, tuple(R if x else Q for x in a))
-    tau = _repeated(table, S)
+    tau = build_negation(table, S)
     candidates = {}
     for variant, layer_subcase in (("PP", 1), ("QQ", 2)):
         sigma_t = Conn(name, _slots(a, b, Q, P, tau))
@@ -636,41 +628,52 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("cd-refuted", False, "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    kripke_eval = KripkeEvaluator(result.countermodel, sig)
+    row_evaluator = cell_evaluator(result.countermodel, sig)
     for table in result.tables:
         for row in table.rows:
-            if row.world is not None:
-                world = row.world
-
-                def evaluate(g, _w=world):
-                    return kripke_eval.value(g, _w, {})
-            else:
-                interp = {(sym, ()): bit for sym, bit in row.valuation}
-                model = ClassicalModel(("a1",), interp)
-                evaluator = ClassicalEvaluator(model, sig)
-
-                def evaluate(g, _e=evaluator):
-                    return _e.value(g, {})
+            cell_value = row_evaluator(row.world, row.valuation)
             for cell in row.cells:
                 f = _resolve(result, cell.formula)
-                where = f"{table.name}/{row.label}/{cell.formula}"
-                if cell.kind == "value":
-                    actual = evaluate(f)
-                    report.add(
-                        f"table:{where}",
-                        actual == cell.expected,
-                        f"expected {cell.expected}, got {actual}",
-                    )
-                elif isinstance(f, Conn):
-                    actual = tuple(evaluate(g) for g in f.args)
-                    report.add(
-                        f"table:{where}",
-                        actual == tuple(cell.expected),
-                        f"expected {tuple(cell.expected)}, got {actual}",
-                    )
+                where = f"table:{table.name}/{row.label}/{cell.formula}"
+                actual = cell_value(f, cell.kind)
+                if actual is None:
+                    report.add(where, False, "args cell on a non-connective")
                 else:
-                    report.add(f"table:{where}", False, "args cell on a non-connective")
+                    expected = cell.expected if cell.kind == "value" else tuple(cell.expected)
+                    report.add(where, actual == expected, f"expected {expected}, got {actual}")
     return report
+
+
+def cell_evaluator(countermodel: KripkeModel, sig: Signature):
+    """row(world, valuation) gives the cell function cell(f, kind) of one
+    expected-table row: a Kripke row is read at its world of the
+    countermodel, a classical row (world None) on the one-element model
+    of its ((symbol, bit), ...) valuation. cell(f, "value") is f's value;
+    cell(f, "args") is the tuple of the argument values of f's top
+    connective, or None when f is not a connective."""
+    kripke = KripkeEvaluator(countermodel, sig)
+
+    def row(world: Optional[str], valuation: Sequence = ()):
+        if world is not None:
+            def evaluate(g):
+                return kripke.value(g, world, {})
+        else:
+            interp = {(sym, ()): bit for sym, bit in valuation}
+            classical = ClassicalEvaluator(ClassicalModel(("a1",), interp), sig)
+
+            def evaluate(g):
+                return classical.value(g, {})
+
+        def cell(f: Formula, kind: str):
+            if kind == "value":
+                return evaluate(f)
+            if isinstance(f, Conn):
+                return tuple(evaluate(g) for g in f.args)
+            return None
+
+        return cell
+
+    return row
 
 
 # --- serialization ---------------------------------------------------------

@@ -17,6 +17,7 @@ from cdkripke.collapse import (
     project_world,
     run_collapse_sweep,
 )
+from cdkripke.errors import EnumerationCapError
 from cdkripke.kripke import (
     CdCountermodel,
     Failure,
@@ -42,6 +43,7 @@ from cdkripke.syntax import (
     Sequent,
     free_vars,
     parse_formula,
+    parse_sequent,
     predicates,
 )
 from cdkripke.truthfn import standard_signature
@@ -255,3 +257,64 @@ class TestCdSearchAgainstScalar:
             assert verdict == scalar_cd_search(MIXED_SIGNATURE, s, 3, 1), str(s)
             sizes.add(len(verdict.model.worlds) if isinstance(verdict, CdCountermodel) else 0)
         assert {0, 2, 3} <= sizes
+
+
+class TestSplitBatches:
+    """A frame and domain size with more models than MAX_BATCH_WIDTH is
+    split on its leading slots; a width of 4 splits nearly every one."""
+
+    NARROW = 4
+
+    def test_models_in_order(self, monkeypatch):
+        whole = list(enumerate_cd_models(PREDS, 2, 2))
+        monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", self.NARROW)
+        batches = list(cd_model_batches(PREDS, 2, 2))
+        assert max(b.width for b in batches) <= self.NARROW
+        assert [m for b in batches for m in b.models()] == whole
+
+    def test_lanes_match_single_models(self, monkeypatch):
+        monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", self.NARROW)
+        sig = standard_signature("implies", "not")
+        formulas = enumerate_formulas(sig, ATOMS, 3)[::11]
+        for batch in cd_model_batches(PREDS, 3, 2, up_to_iso=True):
+            assert batch.fixed
+            lanes = Lanes.for_batch(batch, sig)
+            width, n = lanes.width, len(batch.worlds)
+            for index, model in enumerate(batch.models()):
+                single = Lanes.for_model(model, sig)
+
+                def column(mask):
+                    return sum((mask >> (i * width + index) & 1) << i for i in range(n))
+
+                for f in formulas:
+                    k, c = lanes.value(f, {"x": "a2"})
+                    assert (column(k), column(c)) == single.value(f, {"x": "a2"})
+
+    def test_sweep(self, monkeypatch):
+        monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
+        whole = run_collapse_sweep(IMPLIES, max_worlds=2, max_domain=2, depth=2)
+        monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", self.NARROW)
+        split = run_collapse_sweep(IMPLIES, max_worlds=2, max_domain=2, depth=2)
+        assert whole.disagreements
+        assert (split.models, split.values, split.disagreements) == (
+            whole.models, whole.values, whole.disagreements)
+
+    @pytest.mark.parametrize("bounds", [(3, 1), (2, 2)])
+    def test_cd_search(self, bounds, monkeypatch):
+        monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", self.NARROW)
+        rng = random.Random(9_600 + bounds[0])
+        for _ in range(20):
+            s = random_sequent(rng, MIXED_SIGNATURE, rng.random() < 0.5)
+            assert bounded_cd_countermodel_search(MIXED_SIGNATURE, s, *bounds) == (
+                scalar_cd_search(MIXED_SIGNATURE, s, *bounds)), str(s)
+
+    def test_cap_counts_whole_frames(self, monkeypatch):
+        # classically valid: refuted first on the 2-world chain, after 72
+        # models on the smaller frames; the chain's 27 models split into
+        # batches of 3, and the countermodel is model 82 in all
+        s = parse_sequent("=> or(p, not(p)), q, r", MIXED_SIGNATURE)
+        whole = bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1)
+        monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", self.NARROW)
+        with pytest.raises(EnumerationCapError):
+            bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1, cap=84)
+        assert bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1, cap=99) == whole
