@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ModelValidationError, UsageError
-from .kripke import Valid, _check_assignment, _first_refutation
+from .kripke import (
+    Valid,
+    _check_assignment,
+    _first_refutation,
+    _malformed,
+    _model_file_interp,
+    _model_file_strings,
+)
 from .syntax import (
     Atom,
     Conn,
@@ -212,12 +219,8 @@ def classical_model_to_json(model: ClassicalModel) -> dict:
 
 
 def classical_model_from_json(obj: dict) -> ClassicalModel:
-    try:
-        domain = tuple(obj["domain"])
-        interp = {
-            (entry["pred"], tuple(entry["args"])): int(entry["value"])
-            for entry in obj.get("interp", [])
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelValidationError([f"malformed model file: {exc}"]) from None
-    return ClassicalModel(domain, interp)
+    """A validated classical model from the JSON object of a model file."""
+    if not isinstance(obj, dict) or "domain" not in obj:
+        raise _malformed('a classical model is a JSON object with "domain"')
+    domain = tuple(_model_file_strings(obj["domain"], '"domain"'))
+    return ClassicalModel(domain, _model_file_interp(obj, ("pred",)))

@@ -20,6 +20,7 @@ malformed input files exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from typing import Optional
 from . import golden, suites
 from .classical import (
     ClassicalEvaluator,
+    Countermodel,
     NoCountermodelUpTo,
     Valid,
     bounded_fo_validity,
@@ -42,8 +44,10 @@ from .errors import (
     ParseError,
     UsageError,
 )
+from .kripke import NoCountermodelUpTo as CdNoCountermodelUpTo
 from .kripke import (
     CdCountermodel,
+    Failure,
     KripkeEvaluator,
     bounded_cd_countermodel_search,
     kripke_model_from_json,
@@ -88,18 +92,23 @@ class RunConfig:
             raise UsageError("bounds and trial counts must be >= 1")
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _emit(config: RunConfig, human: str, payload: dict):
-    if config.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+    print(_json(payload) if config.format == "json" else human)
 
 
 def _load_model_file(path: str):
     """Classical or Kripke model by file shape ('worlds' key marks Kripke)."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "worlds" in obj:
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise ModelValidationError([f"malformed model file: {exc}"]) from None
+    if isinstance(obj, dict) and "worlds" in obj:
         return kripke_model_from_json(obj), "kripke"
     return classical_model_from_json(obj), "classical"
 
@@ -166,95 +175,112 @@ def cmd_eval(config: RunConfig) -> int:
         return EXIT_OK
     if config.world is None:
         raise UsageError("Kripke evaluation needs --world or --all-worlds")
+    if config.world not in model.worlds:
+        raise UsageError(f"--world {config.world!r} is not a world of the model")
     value = evaluator.value(f, config.world, {})
     _emit(config, str(value), {"value": value, "world": config.world})
     return EXIT_OK
 
 
+def _kripke_model_validity(config: RunConfig, sig, s):
+    if config.model_path is None:
+        raise UsageError("kripke-model mode needs --model")
+    model, flavor = _load_model_file(config.model_path)
+    if flavor != "kripke":
+        raise UsageError("kripke-model mode needs a Kripke model file")
+    return model_validity(model, s, sig)
+
+
+_VALID_ROW = (EXIT_OK, lambda v: "Valid", lambda v: {"verdict": "valid"})
+
+# mode -> (check, {verdict type: (exit code, human text, JSON payload)});
+# the text and the payload are functions of the verdict, so only the one
+# the requested --format prints is built
+_VALID_MODES = {
+    "classical-prop": (
+        lambda config, sig, s: decide_propositional(sig, s),
+        {
+            Valid: _VALID_ROW,
+            Countermodel: (
+                EXIT_NEGATIVE,
+                lambda v: f"Countermodel: {classical_model_to_json(v.model)}",
+                lambda v: {"verdict": "countermodel", "model": classical_model_to_json(v.model)},
+            ),
+        },
+    ),
+    "classical-bounded": (
+        lambda config, sig, s: bounded_fo_validity(sig, s, config.max_domain),
+        {
+            NoCountermodelUpTo: (
+                EXIT_OK,
+                lambda v: f"NoCountermodelUpTo({v.max_domain})",
+                lambda v: {"verdict": "no-countermodel-up-to", "max_domain": v.max_domain},
+            ),
+            Countermodel: (
+                EXIT_NEGATIVE,
+                lambda v: f"Countermodel: {classical_model_to_json(v.model)} "
+                f"assignment {dict(v.assignment)}",
+                lambda v: {
+                    "verdict": "countermodel",
+                    "model": classical_model_to_json(v.model),
+                    "assignment": dict(v.assignment),
+                },
+            ),
+        },
+    ),
+    "kripke-model": (
+        _kripke_model_validity,
+        {
+            Valid: _VALID_ROW,
+            Failure: (
+                EXIT_NEGATIVE,
+                lambda v: f"Failure(world={v.world}, assignment={dict(v.assignment)})",
+                lambda v: {"verdict": "failure", "world": v.world,
+                           "assignment": dict(v.assignment)},
+            ),
+        },
+    ),
+    "cd-search": (
+        lambda config, sig, s: bounded_cd_countermodel_search(
+            sig, s, config.max_worlds, config.max_domain
+        ),
+        {
+            CdCountermodel: (
+                EXIT_NEGATIVE,
+                lambda v: f"Countermodel at {v.world}: "
+                f"{json.dumps(kripke_model_to_json(v.model), sort_keys=True)} "
+                f"assignment {dict(v.assignment)}",
+                lambda v: {
+                    "verdict": "countermodel",
+                    "world": v.world,
+                    "assignment": dict(v.assignment),
+                    "model": kripke_model_to_json(v.model),
+                },
+            ),
+            CdNoCountermodelUpTo: (
+                EXIT_OK,
+                lambda v: f"NoCountermodelUpTo(worlds={v.max_worlds}, domain={v.max_domain})",
+                lambda v: {
+                    "verdict": "no-countermodel-up-to",
+                    "max_worlds": v.max_worlds,
+                    "max_domain": v.max_domain,
+                },
+            ),
+        },
+    ),
+}
+
+
 def cmd_valid(config: RunConfig) -> int:
     sig = load_signature(config.sig_path)
     s = parse_sequent(_text_or_file(config.sequent), sig)
-    mode = config.mode
-    if mode == "classical-prop":
-        verdict = decide_propositional(sig, s)
-        if isinstance(verdict, Valid):
-            _emit(config, "Valid", {"verdict": "valid"})
-            return EXIT_OK
-        _emit(
-            config,
-            f"Countermodel: {classical_model_to_json(verdict.model)}",
-            {"verdict": "countermodel", "model": classical_model_to_json(verdict.model)},
-        )
-        return EXIT_NEGATIVE
-    if mode == "classical-bounded":
-        verdict = bounded_fo_validity(sig, s, config.max_domain)
-        if isinstance(verdict, NoCountermodelUpTo):
-            _emit(
-                config,
-                f"NoCountermodelUpTo({verdict.max_domain})",
-                {"verdict": "no-countermodel-up-to", "max_domain": verdict.max_domain},
-            )
-            return EXIT_OK
-        _emit(
-            config,
-            f"Countermodel: {classical_model_to_json(verdict.model)} "
-            f"assignment {dict(verdict.assignment)}",
-            {
-                "verdict": "countermodel",
-                "model": classical_model_to_json(verdict.model),
-                "assignment": dict(verdict.assignment),
-            },
-        )
-        return EXIT_NEGATIVE
-    if mode == "kripke-model":
-        if config.model_path is None:
-            raise UsageError("kripke-model mode needs --model")
-        model, flavor = _load_model_file(config.model_path)
-        if flavor != "kripke":
-            raise UsageError("kripke-model mode needs a Kripke model file")
-        verdict = model_validity(model, s, sig)
-        if isinstance(verdict, Valid):
-            _emit(config, "Valid", {"verdict": "valid"})
-            return EXIT_OK
-        _emit(
-            config,
-            f"Failure(world={verdict.world}, assignment={dict(verdict.assignment)})",
-            {
-                "verdict": "failure",
-                "world": verdict.world,
-                "assignment": dict(verdict.assignment),
-            },
-        )
-        return EXIT_NEGATIVE
-    if mode == "cd-search":
-        verdict = bounded_cd_countermodel_search(
-            sig, s, config.max_worlds, config.max_domain
-        )
-        if isinstance(verdict, CdCountermodel):
-            _emit(
-                config,
-                f"Countermodel at {verdict.world}: "
-                f"{json.dumps(kripke_model_to_json(verdict.model), sort_keys=True)} "
-                f"assignment {dict(verdict.assignment)}",
-                {
-                    "verdict": "countermodel",
-                    "world": verdict.world,
-                    "assignment": dict(verdict.assignment),
-                    "model": kripke_model_to_json(verdict.model),
-                },
-            )
-            return EXIT_NEGATIVE
-        _emit(
-            config,
-            f"NoCountermodelUpTo(worlds={verdict.max_worlds}, domain={verdict.max_domain})",
-            {
-                "verdict": "no-countermodel-up-to",
-                "max_worlds": verdict.max_worlds,
-                "max_domain": verdict.max_domain,
-            },
-        )
-        return EXIT_OK
-    raise UsageError(f"unknown mode {mode!r}")
+    if config.mode not in _VALID_MODES:
+        raise UsageError(f"unknown mode {config.mode!r}")
+    check, verdicts = _VALID_MODES[config.mode]
+    verdict = check(config, sig, s)
+    code, human, payload = verdicts[type(verdict)]
+    print(_json(payload(verdict)) if config.format == "json" else human(verdict))
+    return code
 
 
 def cmd_separate(config: RunConfig) -> int:
@@ -336,6 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call and then reused:
+    parse_args returns a fresh namespace and leaves the parser as it was."""
+    return build_parser()
+
+
 _COMMANDS = {
     "check-mono": cmd_check_mono,
     "eval": cmd_eval,
@@ -347,8 +380,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(
             command=args.command,
@@ -367,7 +399,7 @@ def main(argv: Optional[list] = None) -> int:
         )
         return _COMMANDS[args.command](config)
     except (ParseError, UsageError, ModelValidationError, EnumerationCapError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConstructionError as exc:

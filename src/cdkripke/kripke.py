@@ -755,20 +755,60 @@ def kripke_model_to_json(model: KripkeModel) -> dict:
     return obj
 
 
+def _malformed(what: str) -> ModelValidationError:
+    return ModelValidationError([f"malformed model file: {what}"])
+
+
+def _model_file_strings(value, what: str) -> list:
+    """value, if it is a JSON list of strings (world names, domain
+    elements and predicate arguments are strings in a model file)."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise _malformed(f"{what} must be a list of strings")
+    return value
+
+
+def _model_file_interp(obj: dict, names: tuple) -> dict:
+    """The "interp" entries of a model file as {(*names, args): value},
+    names being the entry's string fields in key order."""
+    entries = obj.get("interp", [])
+    if not isinstance(entries, list):
+        raise _malformed('"interp" must be a list')
+    keys = (*names, "args", "value")
+    interp = {}
+    for e in entries:
+        if not isinstance(e, dict) or any(k not in e for k in keys):
+            raise _malformed(f"each interp entry needs the keys {', '.join(keys)}")
+        if not all(isinstance(e[k], str) for k in names):
+            raise _malformed(f"interp entry {' and '.join(names)} must be strings")
+        if not isinstance(e["value"], int):
+            raise _malformed(f"interp value {e['value']!r} is not an integer")
+        args = tuple(_model_file_strings(e["args"], "interp entry args"))
+        interp[(*(e[k] for k in names), args)] = int(e["value"])
+    return interp
+
+
 def kripke_model_from_json(obj: dict) -> KripkeModel:
-    try:
-        worlds = list(obj["worlds"])
-        order = [tuple(pair) for pair in obj.get("order", [])]
-        if "domain" in obj:
-            domains = {w: list(obj["domain"]) for w in worlds}
-        else:
-            domains = {w: list(d) for w, d in obj["domains"].items()}
-        interp = {
-            (e["world"], e["pred"], tuple(e["args"])): int(e["value"])
-            for e in obj.get("interp", [])
+    """A validated Kripke model from the JSON object of a model file."""
+    if not isinstance(obj, dict) or "worlds" not in obj:
+        raise _malformed('a Kripke model is a JSON object with "worlds"')
+    worlds = _model_file_strings(obj["worlds"], '"worlds"')
+    order = obj.get("order", [])
+    if not isinstance(order, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)
+        for pair in order
+    ):
+        raise _malformed('"order" must be a list of [world, world] pairs')
+    order = [tuple(pair) for pair in order]
+    if "domain" in obj:
+        domain = _model_file_strings(obj["domain"], '"domain"')
+        domains = {w: domain for w in worlds}
+    elif isinstance(obj.get("domains"), dict):
+        domains = {
+            w: _model_file_strings(d, f'"domains" of {w!r}') for w, d in obj["domains"].items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelValidationError([f"malformed model file: {exc}"]) from None
+    else:
+        raise _malformed('a Kripke model needs "domain" or a "domains" object')
+    interp = _model_file_interp(obj, ("world", "pred"))
     known = set(worlds)
     bad = [pair for pair in order if pair[0] not in known or pair[1] not in known]
     if bad:

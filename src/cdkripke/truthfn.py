@@ -239,8 +239,8 @@ def parse_signature(text: str) -> Signature:
                 arity = int(arity_s)
             except ValueError:
                 raise ParseError(f"bad arity {arity_s!r}", offset) from None
-            if arity < 0:
-                raise ParseError(f"bad arity {arity}", offset)
+            if not 0 <= arity < 64:  # no BITS string has 2**64 characters
+                raise ParseError(f"bad arity {arity_s}", offset)
             if len(bits) != 2 ** arity or any(ch not in "01" for ch in bits):
                 raise ParseError(
                     f"BITS for {name!r} must be {2 ** arity} characters of 0/1", offset

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cdkripke import cli
 from cdkripke.cli import (
     EXIT_ALL_MONOTONE,
     EXIT_INPUT,
@@ -306,6 +307,100 @@ class TestInputBoundary:
              "--formula", "p"],
             capsys,
         )
+
+
+    def _model_file_error(self, files, capsys, model):
+        sig = files("s.txt", MONO_SIG)
+        path = files("m.json", model)
+        for argv in (
+            ["eval", "--sig", sig, "--model", path, "--formula", "p", "--all-worlds"],
+            ["valid", "--sig", sig, "--mode", "kripke-model", "--model", path,
+             "--sequent", "=> p"],
+        ):
+            self._input_error(argv, capsys)
+
+    @pytest.mark.parametrize("top", ["5", "null", "true"])
+    def test_model_file_not_an_object(self, top, files, capsys):
+        self._model_file_error(files, capsys, top)
+
+    def test_order_entry_not_a_pair(self, files, capsys):
+        self._model_file_error(files, capsys, dict(KSTAR, order=[["w0"]]))
+
+    def test_non_string_domain_element_in_kripke_model(self, files, capsys):
+        self._model_file_error(files, capsys, dict(KSTAR, domain=[["a1"]]))
+
+    def test_non_string_domain_element_in_classical_model(self, files, capsys):
+        self._model_file_error(files, capsys, {"domain": [["a1"]], "interp": []})
+
+    def test_infinite_value_in_model(self, files, capsys):
+        entry = '{"pred": "p", "args": [], "value": 1e400}'
+        self._model_file_error(files, capsys, '{"domain": ["a1"], "interp": [%s]}' % entry)
+
+    def test_integer_literal_too_long_to_convert(self, files, capsys):
+        self._model_file_error(files, capsys, '{"domain": ["a1"], "value": 1' + "0" * 5000 + "}")
+
+    def test_unknown_world(self, files, capsys):
+        self._input_error(
+            ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", KSTAR),
+             "--formula", "p", "--world", "w9"],
+            capsys,
+        )
+
+    def test_huge_arity(self, files, capsys):
+        self._input_error(["check-mono", "--sig", files("s.txt", "conn c 20000 0\n")], capsys)
+
+
+def outcome(argv, capsys):
+    """(exit code or SystemExit code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call through the
+    reused parser prints and returns what a freshly built one gives."""
+
+    MODES = ("classical-prop", "classical-bounded", "kripke-model", "cd-search")
+
+    def argvs(self, files):
+        sig = files("s.txt", IMPLIES_SIG)
+        model = files("m.json", KSTAR)
+        queries = [
+            ["valid", "--sig", sig, "--mode", mode, "--model", model, "--max-worlds", "2",
+             "--max-domain", "1", "--sequent", sequent, "--format", fmt]
+            for mode in self.MODES
+            for sequent in ("=> implies(implies(implies(p,q),p),p)", "p => p")
+            for fmt in ("human", "json")
+        ]
+        errors = [
+            ["valid", "--sig", sig, "--mode", "cd-search"],
+            ["valid", "--sig", sig, "--mode", "bogus", "--sequent", "=> p"],
+            ["valid", "--sig", sig, "--mode", "cd-search", "--max-domain", "x",
+             "--sequent", "=> p"],
+            ["--help"],
+            ["valid", "--help"],
+        ]
+        return queries + errors + queries
+
+    def test_reused_parser_matches_a_fresh_one(self, files, capsys):
+        argvs = self.argvs(files)
+        cli._parser.cache_clear()
+        reused = [outcome(argv, capsys) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        for argv, got in zip(argvs, reused):
+            cli._parser.cache_clear()
+            assert got == outcome(argv, capsys), argv
+        assert {code for code, _, _ in reused} == {
+            EXIT_OK, EXIT_NEGATIVE, ("SystemExit", 0), ("SystemExit", 2)
+        }
+
+    def test_build_parser_is_not_cached(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
 
 
 class TestNestingLimit:
