@@ -22,18 +22,11 @@ from .kripke import (
     _malformed,
     _model_file_interp,
     _model_file_strings,
+    _refuted,
+    _repeats,
 )
-from .syntax import (
-    Atom,
-    Conn,
-    Exists,
-    Forall,
-    Formula,
-    Sequent,
-    free_vars,
-    is_propositional_sequent,
-    predicates,
-)
+from .lanes import Lanes
+from .syntax import Formula, Sequent, free_vars, is_propositional_sequent, predicates
 from .truthfn import Signature
 
 
@@ -52,6 +45,8 @@ class ClassicalModel:
         if not self.domain:
             raise ModelValidationError(["empty-domain"])
         dom = set(self.domain)
+        if len(dom) < len(self.domain):
+            raise ModelValidationError([f"repeated-element {a!r}" for a in _repeats(self.domain)])
         for (pred, args), value in self.interp.items():
             if value not in (0, 1):
                 raise ModelValidationError([f"bad-value {pred}{args} = {value!r}"])
@@ -66,74 +61,19 @@ class ClassicalModel:
 
 
 class ClassicalEvaluator:
-    """Memoized evaluation of formulas on one model.
-
-    Memo keys restrict the assignment to the formula's free variables, so
-    a subformula shared by many formulas is evaluated once per relevant
-    assignment.
-    """
+    """Evaluation of formulas on one model, a view of one-world Lanes."""
 
     def __init__(self, model: ClassicalModel, sig: Signature):
         self.model = model
         self.sig = sig
-        self._tables = dict(sig.connectives)
-        self._memo: dict = {}
-        self._keep: dict = {}
+        atoms = {slot: 1 for slot, value in model.interp.items() if value}
+        self._lanes = Lanes(sig, [(0,)], 1, model.domain, atoms)
 
     def value(self, f: Formula, rho: Mapping) -> int:
-        fvs = f.fvs
-        if not fvs:
-            key = id(f)
-        elif len(fvs) == 1:
-            key = (id(f), rho[fvs[0]])
-        else:
-            key = (id(f), tuple(rho[x] for x in fvs))
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        self._keep[id(f)] = f
-        if isinstance(f, Atom):
-            result = self.model.interp.get(
-                (f.pred, tuple(rho[x] for x in f.args)), 0
-            )
-        elif isinstance(f, Conn):
-            table = self._tables.get(f.name)
-            if table is None:
-                table = self.sig.table(f.name)  # raises UsageError
-            args = f.args
-            if len(args) == 2:
-                result = table.outputs[
-                    (self.value(args[0], rho) << 1) | self.value(args[1], rho)
-                ]
-            else:
-                idx = 0
-                for g in args:
-                    idx = (idx << 1) | self.value(g, rho)
-                result = table.outputs[idx]
-        elif isinstance(f, Forall):
-            result = 1
-            for a in self.model.domain:
-                if not self.value(f.body, {**rho, f.var: a}):
-                    result = 0
-                    break
-        elif isinstance(f, Exists):
-            result = 0
-            for a in self.model.domain:
-                if self.value(f.body, {**rho, f.var: a}):
-                    result = 1
-                    break
-        else:
-            raise UsageError(f"not a formula: {f!r}")
-        memo[key] = result
-        return result
+        return self._lanes.value(f, rho)[0]
 
     def sequent_value(self, s: Sequent, rho: Mapping) -> int:
-        if all(self.value(f, rho) == 1 for f in s.antecedent) and all(
-            self.value(f, rho) == 0 for f in s.succedent
-        ):
-            return 0
-        return 1
+        return 0 if _refuted(self._lanes, s, rho) else 1
 
 
 def eval_classical(model: ClassicalModel, rho: Mapping, f: Formula, sig: Signature) -> int:

@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import golden, suites
 from .classical import (
@@ -96,8 +96,9 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(config: RunConfig, human: str, payload: dict):
-    print(_json(payload) if config.format == "json" else human)
+def _emit(config: RunConfig, human: Callable[[], str], payload: Callable[[], dict]):
+    """Print the requested format, built by calling human() or payload()."""
+    print(_json(payload()) if config.format == "json" else human())
 
 
 def _load_model_file(path: str):
@@ -140,18 +141,22 @@ def cmd_check_mono(config: RunConfig) -> int:
             }
         )
         all_monotone = all_monotone and witness is None
-    lines = []
-    for row in rows:
-        if row["monotone"]:
-            lines.append(f"{row['connective']}: monotone (case {row['case']})")
-        else:
-            a, b = row["witness"]
-            lines.append(
-                f"{row['connective']}: NOT monotone, witness f({tuple(a)}) = 1, "
-                f"f({tuple(b)}) = 0 (case {row['case']})"
-            )
-    lines.append("all monotone" if all_monotone else "non-monotone connective present")
-    _emit(config, "\n".join(lines), {"connectives": rows, "all_monotone": all_monotone})
+
+    def human():
+        lines = []
+        for row in rows:
+            if row["monotone"]:
+                lines.append(f"{row['connective']}: monotone (case {row['case']})")
+            else:
+                a, b = row["witness"]
+                lines.append(
+                    f"{row['connective']}: NOT monotone, witness f({tuple(a)}) = 1, "
+                    f"f({tuple(b)}) = 0 (case {row['case']})"
+                )
+        lines.append("all monotone" if all_monotone else "non-monotone connective present")
+        return "\n".join(lines)
+
+    _emit(config, human, lambda: {"connectives": rows, "all_monotone": all_monotone})
     return EXIT_OK if all_monotone else EXIT_NEGATIVE
 
 
@@ -165,20 +170,20 @@ def cmd_eval(config: RunConfig) -> int:
         )
     if flavor == "classical":
         value = ClassicalEvaluator(model, sig).value(f, {})
-        _emit(config, str(value), {"value": value})
+        _emit(config, lambda: str(value), lambda: {"value": value})
         return EXIT_OK
     evaluator = KripkeEvaluator(model, sig)
     if config.all_worlds:
         values = {w: evaluator.value(f, w, {}) for w in model.worlds}
-        human = "\n".join(f"{w}: {values[w]}" for w in model.worlds)
-        _emit(config, human, {"values": values})
+        _emit(config, lambda: "\n".join(f"{w}: {values[w]}" for w in model.worlds),
+              lambda: {"values": values})
         return EXIT_OK
     if config.world is None:
         raise UsageError("Kripke evaluation needs --world or --all-worlds")
     if config.world not in model.worlds:
         raise UsageError(f"--world {config.world!r} is not a world of the model")
     value = evaluator.value(f, config.world, {})
-    _emit(config, str(value), {"value": value, "world": config.world})
+    _emit(config, lambda: str(value), lambda: {"value": value, "world": config.world})
     return EXIT_OK
 
 
@@ -287,28 +292,25 @@ def cmd_separate(config: RunConfig) -> int:
     sig = load_signature(config.sig_path)
     result = separate(sig)
     if isinstance(result, AllMonotone):
-        _emit(config, "all monotone", {"verdict": "all-monotone"})
+        _emit(config, lambda: "all monotone", lambda: {"verdict": "all-monotone"})
         return EXIT_ALL_MONOTONE
     report = verify_separation(result)
     if not report.passed:
         raise ConstructionError(report.summary())
-    _emit(
-        config,
-        render_separation(result, report),
-        separation_to_json(result, report),
-    )
+    _emit(config, lambda: render_separation(result, report),
+          lambda: separation_to_json(result, report))
     return EXIT_OK
 
 
 def cmd_verify_paper(config: RunConfig) -> int:
     report = golden.run_golden_checks()
-    _emit(config, report.render(), report.to_json())
+    _emit(config, report.render, report.to_json)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
 def cmd_fuzz(config: RunConfig) -> int:
     report = suites.run_fuzz(config.seed, config.trials)
-    _emit(config, report.render(), report.to_json())
+    _emit(config, report.render, report.to_json)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 

@@ -7,6 +7,9 @@ truth table accepts the argument values at *every* world above w. The
 universal quantifier likewise ranges over future worlds and their
 domains; the existential quantifier stays at the present world.
 
+Every evaluation runs on the lane core of ``lanes``: one model is
+Lanes.for_model, its growing domains existence masks, and a search
+evaluates all interpretations of a frame and domain size at once.
 Heredity and domain monotonicity are enforced when a model is validated;
 evaluation assumes them and never re-checks.
 """
@@ -21,16 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, ModelValidationError, UsageError
 from .lanes import Lanes
-from .syntax import (
-    Atom,
-    Conn,
-    Exists,
-    Forall,
-    Formula,
-    Sequent,
-    free_vars,
-    predicates,
-)
+from .syntax import Formula, Sequent, free_vars, predicates
 from .truthfn import Signature
 
 
@@ -116,6 +110,11 @@ def assemble_kripke_model(
     return KripkeModel(worlds, order, domains, dict(interp), constant, future)
 
 
+def _repeats(names: Sequence) -> list:
+    """The names occurring more than once, sorted."""
+    return sorted({a for a in names if names.count(a) > 1})
+
+
 def kripke_violations(model: KripkeModel) -> list:
     """All invariant violations of an assembled model, with witnesses."""
     out = []
@@ -123,18 +122,25 @@ def kripke_violations(model: KripkeModel) -> list:
         out.append(Violation("empty-worlds", {}))
         return out
     world_set = set(model.worlds)
+    # lanes and the world index are keyed by name: a repeat would merge
+    if len(world_set) < len(model.worlds):
+        out += [Violation("repeated-world", {"world": w}) for w in _repeats(model.worlds)]
+    domain_sets = {w: set(d) for w, d in model.domains.items()}
     for w in model.worlds:
         if w not in model.domains:
             out.append(Violation("missing-domain", {"world": w}))
         elif not model.domains[w]:
             out.append(Violation("empty-domain", {"world": w}))
+        elif len(domain_sets[w]) < len(model.domains[w]):
+            out += [Violation("repeated-element", {"world": w, "element": a})
+                    for a in _repeats(model.domains[w])]
     if any(v.code in ("missing-domain",) for v in out):
         return out
     # domain monotonicity along the closed order
     for w, v in sorted(model.order):
         if w == v:
             continue
-        missing = [a for a in model.domains[w] if a not in set(model.domains[v])]
+        missing = [a for a in model.domains[w] if a not in domain_sets[v]]
         if missing:
             out.append(
                 Violation(
@@ -153,8 +159,7 @@ def kripke_violations(model: KripkeModel) -> list:
                 Violation("bad-value", {"world": w, "pred": pred, "args": args, "value": value})
             )
             continue
-        dom_w = set(model.domains[w])
-        if any(a not in dom_w for a in args):
+        if any(a not in domain_sets[w] for a in args):
             out.append(
                 Violation("interp-out-of-domain", {"world": w, "pred": pred, "args": args})
             )
@@ -187,19 +192,15 @@ def validate_kripke_model(
 
 
 class KripkeEvaluator:
-    """Memoized evaluation of formulas on one model.
+    """Evaluation of formulas on one model, a view of Lanes.for_model.
 
-    Values are computed one whole world-profile at a time and memoized
-    per (subformula, assignment restricted to its free variables), which
-    turns the future-world clause into tuple indexing. On models with
-    growing domains an assignment may be meaningless at some worlds (a
-    value missing from the domain there); those profile entries are None
-    and are never consulted, because the clauses only descend to worlds
-    where the relevant values exist.
+    On models with growing domains an assignment may be meaningless at
+    some worlds (a value missing from the domain there); those profile
+    entries are None, and value() refuses them with a UsageError.
 
     For constant-domain models the universal clause may equivalently be
     computed at the present world only; when ``check_cd_universal`` is on
-    (the default under __debug__) both computations run and must agree.
+    (the default under __debug__) the lanes cross-check both readings.
     Diagnostics that run on possibly-invalid models should switch the
     check off, since it relies on heredity.
     """
@@ -209,169 +210,25 @@ class KripkeEvaluator:
         self.sig = sig
         if check_cd_universal is None:
             check_cd_universal = __debug__
-        self._check_cd = bool(check_cd_universal) and model.constant_domain
-        self._cd = model.constant_domain
-        worlds = model.worlds
-        self._worlds = worlds
-        self._windex = {w: i for i, w in enumerate(worlds)}
-        self._future_idx = tuple(
-            tuple(self._windex[v] for v in model.future[w]) for w in worlds
-        )
-        self._tables = dict(sig.connectives)
-        # per element: at which worlds it exists (only needed when domains grow)
-        self._elem_worlds = {}
-        if not self._cd:
-            for i, w in enumerate(worlds):
-                for a in model.domains[w]:
-                    self._elem_worlds.setdefault(a, set()).add(i)
-        self._memo: dict = {}
-        self._keep: dict = {}
+        self._lanes = Lanes.for_model(model, sig)
+        if not check_cd_universal:
+            self._lanes.cross_check = False
+        self._windex = {w: i for i, w in enumerate(model.worlds)}
 
     def value(self, f: Formula, w: str, rho: Mapping) -> int:
-        result = self.profile(f, rho)[self._windex[w]]
-        if result is None:
+        i, lanes = self._windex[w], self._lanes
+        if not lanes.alive(rho, f.fvs) >> i & 1:
             raise UsageError(
                 f"assignment {dict(rho)!r} is not defined at world {w!r}"
             )
-        return result
+        return lanes.value(f, rho)[0] >> i & 1
 
     def profile(self, f: Formula, rho: Mapping) -> tuple:
         """Value of f at every world, in model world order."""
-        fvs = f.fvs
-        if not fvs:
-            key = id(f)
-        elif len(fvs) == 1:
-            key = (id(f), rho[fvs[0]])
-        else:
-            key = (id(f), tuple(rho[x] for x in fvs))
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        self._keep[id(f)] = f
-        result = self._compute(f, rho)
-        memo[key] = result
-        return result
-
-    def _alive(self, rho: Mapping, fvs) -> Optional[set]:
-        """World indices where every assigned value exists, or None for all."""
-        if self._cd or not fvs:
-            return None
-        alive = None
-        for x in fvs:
-            ws = self._elem_worlds.get(rho[x], set())
-            alive = set(ws) if alive is None else alive & ws
-        return alive
-
-    def _compute(self, f: Formula, rho: Mapping) -> tuple:
-        model = self.model
-        worlds = self._worlds
-        alive = self._alive(rho, f.fvs)
-        if isinstance(f, Atom):
-            args = tuple(rho[x] for x in f.args)
-            interp = model.interp
-            return tuple(
-                interp.get((w, f.pred, args), 0)
-                if alive is None or i in alive
-                else None
-                for i, w in enumerate(worlds)
-            )
-        if isinstance(f, Conn):
-            table = self._tables.get(f.name)
-            if table is None:
-                table = self.sig.table(f.name)  # raises UsageError
-            outs = table.outputs
-            profiles = [self.profile(g, rho) for g in f.args]
-            future = self._future_idx
-            vals = []
-            if len(profiles) == 2:
-                pa, pb = profiles
-                for i in range(len(worlds)):
-                    if alive is not None and i not in alive:
-                        vals.append(None)
-                        continue
-                    v = 1
-                    for j in future[i]:
-                        if outs[(pa[j] << 1) | pb[j]] == 0:
-                            v = 0
-                            break
-                    vals.append(v)
-            else:
-                for i in range(len(worlds)):
-                    if alive is not None and i not in alive:
-                        vals.append(None)
-                        continue
-                    v = 1
-                    for j in future[i]:
-                        idx = 0
-                        for p in profiles:
-                            idx = (idx << 1) | p[j]
-                        if outs[idx] == 0:
-                            v = 0
-                            break
-                    vals.append(v)
-            return tuple(vals)
-        if isinstance(f, Forall):
-            body, var = f.body, f.var
-            cache: dict = {}
-
-            def body_profile(a):
-                p = cache.get(a)
-                if p is None:
-                    p = cache[a] = self.profile(body, {**rho, var: a})
-                return p
-
-            future = self._future_idx
-            domains = model.domains
-            vals = []
-            for i, w in enumerate(worlds):
-                if alive is not None and i not in alive:
-                    vals.append(None)
-                    continue
-                v = 1
-                for j in future[i]:
-                    for a in domains[worlds[j]]:
-                        if body_profile(a)[j] != 1:
-                            v = 0
-                            break
-                    if v == 0:
-                        break
-                vals.append(v)
-            if self._check_cd:
-                domain = domains[worlds[0]]
-                present = tuple(
-                    1 if all(body_profile(a)[i] == 1 for a in domain) else 0
-                    for i in range(len(worlds))
-                )
-                assert present == tuple(vals), (
-                    f"universal clause mismatch: future-worlds {tuple(vals)}, "
-                    f"present-world {present} for {f}"
-                )
-            return tuple(vals)
-        if isinstance(f, Exists):
-            body, var = f.body, f.var
-            cache = {}
-
-            def body_profile(a):
-                p = cache.get(a)
-                if p is None:
-                    p = cache[a] = self.profile(body, {**rho, var: a})
-                return p
-
-            domains = model.domains
-            vals = []
-            for i, w in enumerate(worlds):
-                if alive is not None and i not in alive:
-                    vals.append(None)
-                    continue
-                v = 0
-                for a in domains[w]:
-                    if body_profile(a)[i] == 1:
-                        v = 1
-                        break
-                vals.append(v)
-            return tuple(vals)
-        raise UsageError(f"not a formula: {f!r}")
+        lanes = self._lanes
+        mask = lanes.value(f, rho)[0]
+        alive = lanes.alive(rho, f.fvs)
+        return tuple(mask >> i & 1 if alive >> i & 1 else None for i in range(len(self._windex)))
 
     def sequent_value(self, s: Sequent, w: str, rho: Mapping) -> int:
         if all(self.value(f, w, rho) == 1 for f in s.antecedent) and all(
@@ -410,6 +267,17 @@ def eval_sequent_kripke(
     return KripkeEvaluator(model, sig).sequent_value(s, w, rho)
 
 
+def _refuted(lanes: Lanes, s: Sequent, rho: Mapping) -> int:
+    """The lanes where every antecedent of s holds under rho and no
+    succedent does."""
+    fail = lanes.full
+    for f in s.antecedent:
+        fail &= lanes.value(f, rho)[0]
+    for f in s.succedent:
+        fail &= ~lanes.value(f, rho)[0]
+    return fail
+
+
 @dataclass(frozen=True)
 class Failure:
     world: str
@@ -424,11 +292,11 @@ def model_validity(model: KripkeModel, s: Sequent, sig: Signature):
     order, lexicographically.
     """
     fv = sorted(free_vars(s))
-    evaluator = KripkeEvaluator(model, sig)
-    for w in model.worlds:
+    lanes = Lanes.for_model(model, sig)
+    for i, w in enumerate(model.worlds):
         for values in itertools.product(model.domains[w], repeat=len(fv)):
             rho = dict(zip(fv, values))
-            if evaluator.sequent_value(s, w, rho) == 0:
+            if _refuted(lanes, s, rho) >> i & 1:
                 return Failure(w, rho)
     return Valid()
 
@@ -440,14 +308,12 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     Runs with the constant-domain cross-check off, so it can diagnose
     models that bypassed validation.
     """
-    evaluator = KripkeEvaluator(model, sig, check_cd_universal=False)
-    for w, v in sorted(model.order):
-        dom_w = set(model.domains[w])
-        if any(rho[x] not in dom_w for x in f.fv):
-            continue
-        if evaluator.value(f, w, rho) > evaluator.value(f, v, rho):
-            return False
-    return True
+    lanes = KripkeEvaluator(model, sig, check_cd_universal=False)._lanes
+    value = lanes.value(f, rho)[0]
+    # the worlds where f holds but fails at some world above
+    drops = value & ~lanes.box(value)
+    return not any(drops >> i & 1 and all(rho[x] in model.domains[w] for x in f.fv)
+                   for i, w in enumerate(model.worlds))
 
 
 # --- enumeration of small constant-domain models ---------------------------
@@ -682,15 +548,9 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
         lanes = Lanes.for_batch(batch, sig)
         rhos = [dict(zip(fv, values))
                 for values in itertools.product(batch.domain, repeat=len(fv))]
-        # per assignment, the lanes where every antecedent holds and no
-        # succedent does
         failing, union = [], 0
         for rho in rhos:
-            fail = lanes.full
-            for f in s.antecedent:
-                fail &= lanes.value(f, rho)[0]
-            for f in s.succedent:
-                fail &= ~lanes.value(f, rho)[0]
+            fail = _refuted(lanes, s, rho)
             failing.append(fail)
             union |= fail
         lanes.clear()

@@ -2,21 +2,28 @@
 
 A formula's value under one assignment is a pair of Python-int bitsets
 ``(kripke, classical)``: bit ``world_index * M + interp_index`` holds its
-value at that world of the interp_index-th of M constant-domain models
-sharing one frame and one domain. The classical side is the value in the
-world's projection. Both sides read the same atomic masks; a connective
-applies its truth table lane by lane, as the OR over the table's 1-rows
-of the ANDed argument masks, complemented where the row bit is 0. The
-Kripke side of a connective or of a universal is then boxed: its block
-at world i is the AND of the blocks at every world above i. Existentials
-are the OR over the domain on both sides. Where no world sees another
-(one world: classical models) boxing is the identity, the two sides
-are equal and each connective's table is applied once.
+value at that world of the interp_index-th of M models sharing one frame
+and one domain. The classical side is the value in the world's
+projection. Both sides read the same atomic masks; a connective applies
+its truth table lane by lane, as the OR over the table's 1-rows of the
+ANDed argument masks, complemented where the row bit is 0. The Kripke
+side of a connective or of a universal is then boxed: its block at world
+i is the AND of the blocks at every world above i. Existentials are the
+OR over the domain on both sides. Where no world sees another (one
+world: classical models) boxing is the identity, the two sides are equal
+and each connective's table is applied once.
+
+Growing domains (one model, M = 1) carry an existence mask E_a per
+element: ``forall x. phi`` is ``box(AND_a (phi_a | ~E_a))`` and
+``exists x. phi`` is ``OR_a (phi_a & E_a)``. A value is meaningful only
+on the lanes where every value of the assignment exists; the other lanes
+hold don't-care bits that no clause reads there, since domains grow
+along the order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import UsageError
 from .syntax import Atom, Conn, Exists, Forall, Formula
@@ -31,7 +38,11 @@ class Lanes:
 
     ``future`` lists, for each world index, the indices of the worlds
     above it; ``atoms`` maps (predicate, argument tuple) to its lane mask,
-    absent atoms reading 0; ``full`` has every lane set. The memo is keyed
+    absent atoms reading 0; ``full`` has every lane set. ``exists`` maps
+    each element of ``domain`` to the lanes where it exists, or is None
+    when every element exists everywhere (constant domains). Only then
+    may ``cross_check`` be on: each universal is asserted to equal its
+    present-world reading, which relies on heredity. The memo is keyed
     by formula structure and the assignment restricted to the formula's
     free variables; call clear() when the models are done with.
     """
@@ -43,27 +54,38 @@ class Lanes:
         width: int,
         domain: tuple,
         atoms: Mapping,
+        exists: Optional[Mapping] = None,
     ):
         self.width = width
         self.domain = domain
+        self.exists = exists
+        self.cross_check = exists is None
         self._future = tuple(future)
         self._block = (1 << width) - 1
-        self.full = (1 << (width * len(self._future))) - 1
+        self._lanes = width * len(self._future)
+        self.full = (1 << self._lanes) - 1
         self._boxed = any(fut != (i,) for i, fut in enumerate(self._future))
         self._atoms = atoms
-        self._rows = {name: table.true_rows for name, table in sig.connectives.items()}
+        self._tables = sig.connectives
         self._memo: dict = {}
 
     @classmethod
     def for_model(cls, model: KripkeModel, sig: Signature) -> Lanes:
-        """One constant-domain model: M = 1, so lane i is world i."""
+        """One model: M = 1, so lane i is world i. Growing domains get
+        existence masks, the elements in order of first appearance."""
         windex = {w: i for i, w in enumerate(model.worlds)}
         atoms: dict = {}
         for (w, pred, args), value in model.interp.items():
-            if value:
+            if value and w in windex:
                 atoms[(pred, args)] = atoms.get((pred, args), 0) | (1 << windex[w])
         future = [tuple(windex[v] for v in model.future[w]) for w in model.worlds]
-        return cls(sig, future, 1, model.domains[model.worlds[0]], atoms)
+        if model.constant_domain:
+            return cls(sig, future, 1, model.domains[model.worlds[0]], atoms)
+        exists: dict = {}
+        for i, w in enumerate(model.worlds):
+            for a in model.domains[w]:
+                exists[a] = exists.get(a, 0) | (1 << i)
+        return cls(sig, future, 1, tuple(exists), atoms, exists)
 
     @classmethod
     def for_batch(cls, batch: CdBatch, sig: Signature) -> Lanes:
@@ -110,12 +132,30 @@ class Lanes:
             out |= b << (i * width)
         return out
 
+    def alive(self, rho: Mapping, variables) -> int:
+        """The lanes where every value rho gives the variables exists."""
+        mask = self.full
+        if self.exists is not None:
+            for x in variables:
+                mask &= self.exists.get(rho[x], 0)
+        return mask
+
     def _table(self, name: str, masks: Sequence[int]) -> int:
-        rows = self._rows.get(name)
-        if rows is None:
+        table = self._tables.get(name)
+        if table is None:
             raise UsageError(f"unknown connective {name!r}")
-        full = self.full
+        rows = table.true_rows
         out = 0
+        if self._lanes < len(rows):
+            # fewer lanes than 1-rows: look each lane's row up
+            outputs = table.outputs
+            for lane in range(self._lanes):
+                row = 0
+                for mask in masks:
+                    row = (row << 1) | (mask >> lane & 1)
+                out |= outputs[row] << lane
+            return out
+        full = self.full
         for bits in rows:
             term = full
             for bit, mask in zip(bits, masks):
@@ -141,28 +181,39 @@ class Lanes:
             result = (mask, mask)
         elif isinstance(f, Conn):
             pairs = [self.value(g, rho) for g in f.args]
-            kripke = self._table(f.name, [k for k, _ in pairs])
+            ks = [k for k, _ in pairs]
+            kripke = self._table(f.name, ks)
             if not self._boxed:
                 # no world sees another: both sides are the same masks
                 result = (kripke, kripke)
             else:
-                result = (self.box(kripke), self._table(f.name, [c for _, c in pairs]))
+                # the classical side is the unboxed table of its own masks
+                cs = [c for _, c in pairs]
+                result = (self.box(kripke), kripke if ks == cs else self._table(f.name, cs))
         elif isinstance(f, Forall):
-            k = c = self.full
+            full, exists = self.full, self.exists
+            k = c = full
             for a in self.domain:
                 bk, bc = self.value(f.body, {**rho, f.var: a})
+                if exists is not None:
+                    # a constrains only the lanes where it exists
+                    gone = full ^ exists[a]
+                    bk, bc = bk | gone, bc | gone
                 k &= bk
                 c &= bc
             boxed = self.box(k)
-            assert boxed == k, (
+            assert not self.cross_check or boxed == k, (
                 f"universal clause mismatch: future-worlds {boxed:b}, "
                 f"present-world {k:b} for {f}"
             )
             result = (boxed, c)
         elif isinstance(f, Exists):
+            exists = self.exists
             k = c = 0
             for a in self.domain:
                 bk, bc = self.value(f.body, {**rho, f.var: a})
+                if exists is not None:
+                    bk, bc = bk & exists[a], bc & exists[a]
                 k |= bk
                 c |= bc
             result = (k, c)

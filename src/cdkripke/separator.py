@@ -20,24 +20,22 @@ are false everywhere, which keeps heredity trivially intact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .classical import (
-    ClassicalEvaluator,
-    ClassicalModel,
-    Valid,
-    decide_propositional,
-)
+from .classical import Valid, decide_propositional
 from .errors import ConstructionError, UsageError
 from .kripke import (
+    CdBatch,
     Failure,
-    KripkeEvaluator,
     KripkeModel,
+    cd_model_batches,
     kripke_model_to_json,
     model_validity,
     validate_kripke_model,
 )
+from .lanes import Lanes
 from .syntax import (
     Atom,
     Conn,
@@ -644,25 +642,40 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     return report
 
 
+@functools.lru_cache(maxsize=64)
+def _valuations(symbols: tuple) -> CdBatch:
+    """Every valuation of the symbols, one lane each: the one-world,
+    one-element models over them as propositional symbols."""
+    batch, = cd_model_batches(dict.fromkeys(symbols, 0), 1, 1, cap=2 ** len(symbols))
+    return batch
+
+
 def cell_evaluator(countermodel: KripkeModel, sig: Signature):
     """row(world, valuation) gives the cell function cell(f, kind) of one
     expected-table row: a Kripke row is read at its world of the
     countermodel, a classical row (world None) on the one-element model
-    of its ((symbol, bit), ...) valuation. cell(f, "value") is f's value;
+    of its ((symbol, bit), ...) valuation, one lane of a batch of every
+    valuation of its symbols. cell(f, "value") is f's value;
     cell(f, "args") is the tuple of the argument values of f's top
     connective, or None when f is not a connective."""
-    kripke = KripkeEvaluator(countermodel, sig)
+    kripke = Lanes.for_model(countermodel, sig)
+    windex = {w: i for i, w in enumerate(countermodel.worlds)}
+    batches: dict = {}
 
     def row(world: Optional[str], valuation: Sequence = ()):
         if world is not None:
-            def evaluate(g):
-                return kripke.value(g, world, {})
+            lanes, lane = kripke, windex[world]
         else:
-            interp = {(sym, ()): bit for sym, bit in valuation}
-            classical = ClassicalEvaluator(ClassicalModel(("a1",), interp), sig)
+            bits = dict(valuation)
+            symbols = tuple(sorted(bits))
+            lanes = batches.get(symbols)
+            if lanes is None:
+                lanes = batches[symbols] = Lanes.for_batch(_valuations(symbols), sig)
+            # a valuation's lane is its bits in symbol order, read in binary
+            lane = int("".join(str(bits[sym]) for sym in symbols) or "0", 2)
 
-            def evaluate(g):
-                return classical.value(g, {})
+        def evaluate(g):
+            return lanes.value(g, {})[0] >> lane & 1
 
         def cell(f: Formula, kind: str):
             if kind == "value":

@@ -180,14 +180,25 @@ def predicates(obj) -> dict:
     """
     formulas = [obj] if isinstance(obj, Formula) else sorted(obj.formulas, key=print_formula)
     out: dict = {}
-    for f in formulas:
-        for g in subformulas(f):
-            if isinstance(g, Atom):
-                arity = len(g.args)
-                if out.setdefault(g.pred, arity) != arity:
-                    raise UsageError(
-                        f"predicate {g.pred!r} used with arities {out[g.pred]} and {arity}"
-                    )
+    # the pre-order of subformulas, each distinct node walked once: a
+    # node seen before adds no atom that was not met the first time
+    seen: set = set()
+    stack = formulas[::-1]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, Atom):
+            arity = len(g.args)
+            if out.setdefault(g.pred, arity) != arity:
+                raise UsageError(
+                    f"predicate {g.pred!r} used with arities {out[g.pred]} and {arity}"
+                )
+        elif isinstance(g, Conn):
+            stack.extend(g.args[::-1])
+        elif isinstance(g, (Forall, Exists)):
+            stack.append(g.body)
     return out
 
 

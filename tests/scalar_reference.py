@@ -1,0 +1,319 @@
+"""The scalar evaluators the lane core replaced, kept as a differential
+oracle for the tests.
+
+KripkeEvaluator computes one whole world profile at a time, memoized per
+(subformula, assignment restricted to its free variables); growing
+domains leave None at the worlds where an assigned value does not exist.
+ClassicalEvaluator evaluates on one classical model. model_validity and
+check_heredity are the scalar loops over them. None of this shares code
+with cdkripke.lanes.
+"""
+
+import itertools
+from typing import Mapping, Optional
+
+from cdkripke.classical import ClassicalModel
+from cdkripke.errors import UsageError
+from cdkripke.kripke import Failure, KripkeModel, Valid
+from cdkripke.syntax import Atom, Conn, Exists, Forall, Formula, Sequent, free_vars
+from cdkripke.truthfn import Signature
+
+
+class KripkeEvaluator:
+    """Memoized evaluation of formulas on one model.
+
+    Values are computed one whole world-profile at a time and memoized
+    per (subformula, assignment restricted to its free variables), which
+    turns the future-world clause into tuple indexing. On models with
+    growing domains an assignment may be meaningless at some worlds (a
+    value missing from the domain there); those profile entries are None
+    and are never consulted, because the clauses only descend to worlds
+    where the relevant values exist.
+
+    For constant-domain models the universal clause may equivalently be
+    computed at the present world only; when ``check_cd_universal`` is on
+    (the default under __debug__) both computations run and must agree.
+    Diagnostics that run on possibly-invalid models should switch the
+    check off, since it relies on heredity.
+    """
+
+    def __init__(self, model: KripkeModel, sig: Signature, check_cd_universal: Optional[bool] = None):
+        self.model = model
+        self.sig = sig
+        if check_cd_universal is None:
+            check_cd_universal = __debug__
+        self._check_cd = bool(check_cd_universal) and model.constant_domain
+        self._cd = model.constant_domain
+        worlds = model.worlds
+        self._worlds = worlds
+        self._windex = {w: i for i, w in enumerate(worlds)}
+        self._future_idx = tuple(
+            tuple(self._windex[v] for v in model.future[w]) for w in worlds
+        )
+        self._tables = dict(sig.connectives)
+        # per element: at which worlds it exists (only needed when domains grow)
+        self._elem_worlds = {}
+        if not self._cd:
+            for i, w in enumerate(worlds):
+                for a in model.domains[w]:
+                    self._elem_worlds.setdefault(a, set()).add(i)
+        self._memo: dict = {}
+        self._keep: dict = {}
+
+    def value(self, f: Formula, w: str, rho: Mapping) -> int:
+        result = self.profile(f, rho)[self._windex[w]]
+        if result is None:
+            raise UsageError(
+                f"assignment {dict(rho)!r} is not defined at world {w!r}"
+            )
+        return result
+
+    def profile(self, f: Formula, rho: Mapping) -> tuple:
+        """Value of f at every world, in model world order."""
+        fvs = f.fvs
+        if not fvs:
+            key = id(f)
+        elif len(fvs) == 1:
+            key = (id(f), rho[fvs[0]])
+        else:
+            key = (id(f), tuple(rho[x] for x in fvs))
+        memo = self._memo
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        self._keep[id(f)] = f
+        result = self._compute(f, rho)
+        memo[key] = result
+        return result
+
+    def _alive(self, rho: Mapping, fvs) -> Optional[set]:
+        """World indices where every assigned value exists, or None for all."""
+        if self._cd or not fvs:
+            return None
+        alive = None
+        for x in fvs:
+            ws = self._elem_worlds.get(rho[x], set())
+            alive = set(ws) if alive is None else alive & ws
+        return alive
+
+    def _compute(self, f: Formula, rho: Mapping) -> tuple:
+        model = self.model
+        worlds = self._worlds
+        alive = self._alive(rho, f.fvs)
+        if isinstance(f, Atom):
+            args = tuple(rho[x] for x in f.args)
+            interp = model.interp
+            return tuple(
+                interp.get((w, f.pred, args), 0)
+                if alive is None or i in alive
+                else None
+                for i, w in enumerate(worlds)
+            )
+        if isinstance(f, Conn):
+            table = self._tables.get(f.name)
+            if table is None:
+                table = self.sig.table(f.name)  # raises UsageError
+            outs = table.outputs
+            profiles = [self.profile(g, rho) for g in f.args]
+            future = self._future_idx
+            vals = []
+            if len(profiles) == 2:
+                pa, pb = profiles
+                for i in range(len(worlds)):
+                    if alive is not None and i not in alive:
+                        vals.append(None)
+                        continue
+                    v = 1
+                    for j in future[i]:
+                        if outs[(pa[j] << 1) | pb[j]] == 0:
+                            v = 0
+                            break
+                    vals.append(v)
+            else:
+                for i in range(len(worlds)):
+                    if alive is not None and i not in alive:
+                        vals.append(None)
+                        continue
+                    v = 1
+                    for j in future[i]:
+                        idx = 0
+                        for p in profiles:
+                            idx = (idx << 1) | p[j]
+                        if outs[idx] == 0:
+                            v = 0
+                            break
+                    vals.append(v)
+            return tuple(vals)
+        if isinstance(f, Forall):
+            body, var = f.body, f.var
+            cache: dict = {}
+
+            def body_profile(a):
+                p = cache.get(a)
+                if p is None:
+                    p = cache[a] = self.profile(body, {**rho, var: a})
+                return p
+
+            future = self._future_idx
+            domains = model.domains
+            vals = []
+            for i, w in enumerate(worlds):
+                if alive is not None and i not in alive:
+                    vals.append(None)
+                    continue
+                v = 1
+                for j in future[i]:
+                    for a in domains[worlds[j]]:
+                        if body_profile(a)[j] != 1:
+                            v = 0
+                            break
+                    if v == 0:
+                        break
+                vals.append(v)
+            if self._check_cd:
+                domain = domains[worlds[0]]
+                present = tuple(
+                    1 if all(body_profile(a)[i] == 1 for a in domain) else 0
+                    for i in range(len(worlds))
+                )
+                assert present == tuple(vals), (
+                    f"universal clause mismatch: future-worlds {tuple(vals)}, "
+                    f"present-world {present} for {f}"
+                )
+            return tuple(vals)
+        if isinstance(f, Exists):
+            body, var = f.body, f.var
+            cache = {}
+
+            def body_profile(a):
+                p = cache.get(a)
+                if p is None:
+                    p = cache[a] = self.profile(body, {**rho, var: a})
+                return p
+
+            domains = model.domains
+            vals = []
+            for i, w in enumerate(worlds):
+                if alive is not None and i not in alive:
+                    vals.append(None)
+                    continue
+                v = 0
+                for a in domains[w]:
+                    if body_profile(a)[i] == 1:
+                        v = 1
+                        break
+                vals.append(v)
+            return tuple(vals)
+        raise UsageError(f"not a formula: {f!r}")
+
+    def sequent_value(self, s: Sequent, w: str, rho: Mapping) -> int:
+        if all(self.value(f, w, rho) == 1 for f in s.antecedent) and all(
+            self.value(f, w, rho) == 0 for f in s.succedent
+        ):
+            return 0
+        return 1
+
+
+class ClassicalEvaluator:
+    """Memoized evaluation of formulas on one model.
+
+    Memo keys restrict the assignment to the formula's free variables, so
+    a subformula shared by many formulas is evaluated once per relevant
+    assignment.
+    """
+
+    def __init__(self, model: ClassicalModel, sig: Signature):
+        self.model = model
+        self.sig = sig
+        self._tables = dict(sig.connectives)
+        self._memo: dict = {}
+        self._keep: dict = {}
+
+    def value(self, f: Formula, rho: Mapping) -> int:
+        fvs = f.fvs
+        if not fvs:
+            key = id(f)
+        elif len(fvs) == 1:
+            key = (id(f), rho[fvs[0]])
+        else:
+            key = (id(f), tuple(rho[x] for x in fvs))
+        memo = self._memo
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        self._keep[id(f)] = f
+        if isinstance(f, Atom):
+            result = self.model.interp.get(
+                (f.pred, tuple(rho[x] for x in f.args)), 0
+            )
+        elif isinstance(f, Conn):
+            table = self._tables.get(f.name)
+            if table is None:
+                table = self.sig.table(f.name)  # raises UsageError
+            args = f.args
+            if len(args) == 2:
+                result = table.outputs[
+                    (self.value(args[0], rho) << 1) | self.value(args[1], rho)
+                ]
+            else:
+                idx = 0
+                for g in args:
+                    idx = (idx << 1) | self.value(g, rho)
+                result = table.outputs[idx]
+        elif isinstance(f, Forall):
+            result = 1
+            for a in self.model.domain:
+                if not self.value(f.body, {**rho, f.var: a}):
+                    result = 0
+                    break
+        elif isinstance(f, Exists):
+            result = 0
+            for a in self.model.domain:
+                if self.value(f.body, {**rho, f.var: a}):
+                    result = 1
+                    break
+        else:
+            raise UsageError(f"not a formula: {f!r}")
+        memo[key] = result
+        return result
+
+    def sequent_value(self, s: Sequent, rho: Mapping) -> int:
+        if all(self.value(f, rho) == 1 for f in s.antecedent) and all(
+            self.value(f, rho) == 0 for f in s.succedent
+        ):
+            return 0
+        return 1
+
+
+def model_validity(model: KripkeModel, s: Sequent, sig: Signature):
+    """Check s at every world and assignment; first failure wins.
+
+    Worlds are visited in model order; assignments enumerate the
+    sequent's free variables (sorted) over the world's domain in domain
+    order, lexicographically.
+    """
+    fv = sorted(free_vars(s))
+    evaluator = KripkeEvaluator(model, sig)
+    for w in model.worlds:
+        for values in itertools.product(model.domains[w], repeat=len(fv)):
+            rho = dict(zip(fv, values))
+            if evaluator.sequent_value(s, w, rho) == 0:
+                return Failure(w, rho)
+    return Valid()
+
+
+def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature) -> bool:
+    """True iff the formula's value never drops along the order.
+
+    Only pairs w <= v where rho's values all lie in D(w) are compared.
+    Runs with the constant-domain cross-check off, so it can diagnose
+    models that bypassed validation.
+    """
+    evaluator = KripkeEvaluator(model, sig, check_cd_universal=False)
+    for w, v in sorted(model.order):
+        dom_w = set(model.domains[w])
+        if any(rho[x] not in dom_w for x in f.fv):
+            continue
+        if evaluator.value(f, w, rho) > evaluator.value(f, v, rho):
+            return False
+    return True

@@ -17,7 +17,6 @@ import pytest
 
 from cdkripke import classical, kripke
 from cdkripke.classical import (
-    ClassicalEvaluator,
     ClassicalModel,
     Countermodel,
     NoCountermodelUpTo,
@@ -38,6 +37,7 @@ from cdkripke.syntax import (
     parse_sequent,
     predicates,
 )
+from scalar_reference import ClassicalEvaluator
 
 SIGNATURES = pytest.mark.parametrize(
     "sig", [MIXED_SIGNATURE, MONOTONE_SIGNATURE], ids=["mixed", "monotone"])

@@ -339,6 +339,20 @@ class TestInputBoundary:
     def test_integer_literal_too_long_to_convert(self, files, capsys):
         self._model_file_error(files, capsys, '{"domain": ["a1"], "value": 1' + "0" * 5000 + "}")
 
+    def test_repeated_world_name(self, files, capsys):
+        self._model_file_error(files, capsys, dict(KSTAR, worlds=["w0", "w1", "w0"]))
+
+    def test_repeated_element_in_domain(self, files, capsys):
+        self._model_file_error(files, capsys, dict(KSTAR, domain=["a1", "a2", "a1"]))
+
+    def test_repeated_element_in_a_domains_list(self, files, capsys):
+        model = {key: value for key, value in KSTAR.items() if key != "domain"}
+        model["domains"] = {"w0": ["a1"], "w1": ["a1", "a2", "a2"]}
+        self._model_file_error(files, capsys, model)
+
+    def test_repeated_element_in_classical_model(self, files, capsys):
+        self._model_file_error(files, capsys, {"domain": ["a1", "a1"], "interp": []})
+
     def test_unknown_world(self, files, capsys):
         self._input_error(
             ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", KSTAR),

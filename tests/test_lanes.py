@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cdkripke.classical import ClassicalEvaluator, Valid, decide_propositional
+from cdkripke.classical import Valid, decide_propositional
 from cdkripke.collapse import (
     check_collapse,
     enumerate_formulas,
@@ -21,12 +21,10 @@ from cdkripke.errors import EnumerationCapError
 from cdkripke.kripke import (
     CdCountermodel,
     Failure,
-    KripkeEvaluator,
     NoCountermodelUpTo,
     bounded_cd_countermodel_search,
     cd_model_batches,
     enumerate_cd_models,
-    model_validity,
     validate_kripke_model,
 )
 from cdkripke.lanes import Lanes
@@ -47,6 +45,7 @@ from cdkripke.syntax import (
     predicates,
 )
 from cdkripke.truthfn import standard_signature
+from scalar_reference import ClassicalEvaluator, KripkeEvaluator, model_validity
 
 PREDS = {"p": 0, "q": 0, "P": 1}
 ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
