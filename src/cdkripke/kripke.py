@@ -291,8 +291,13 @@ def model_validity(model: KripkeModel, s: Sequent, sig: Signature):
     sequent's free variables (sorted) over the world's domain in domain
     order, lexicographically.
     """
+    return _first_failure(Lanes.for_model(model, sig), model, s)
+
+
+def _first_failure(lanes: Lanes, model: KripkeModel, s: Sequent):
+    """model_validity read from lanes, Lanes.for_model of the model,
+    so that a caller may share them with other checks."""
     fv = sorted(free_vars(s))
-    lanes = Lanes.for_model(model, sig)
     for i, w in enumerate(model.worlds):
         for values in itertools.product(model.domains[w], repeat=len(fv)):
             rho = dict(zip(fv, values))
@@ -546,25 +551,35 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     fv = sorted(free_vars(s))
     for batch in cd_model_batches(preds, max_worlds, max_domain, cap=cap):
         lanes = Lanes.for_batch(batch, sig)
-        rhos = [dict(zip(fv, values))
-                for values in itertools.product(batch.domain, repeat=len(fv))]
-        failing, union = [], 0
-        for rho in rhos:
-            fail = _refuted(lanes, s, rho)
-            failing.append(fail)
-            union |= fail
+        found = _batch_refutation(lanes, batch, s, fv)
         lanes.clear()
-        if not union:
-            continue
-        # fold the world blocks: bit i is set iff model i fails somewhere
-        width, block, models = batch.width, (1 << batch.width) - 1, 0
-        for j in range(len(batch.worlds)):
-            models |= (union >> (j * width)) & block
-        index = (models & -models).bit_length() - 1
-        for j, w in enumerate(batch.worlds):
-            for rho, fail in zip(rhos, failing):
-                if fail >> (j * width + index) & 1:
-                    return batch, index, w, rho
+        if found is not None:
+            return (batch, *found)
+    return None
+
+
+def _batch_refutation(lanes: Lanes, batch: CdBatch, s: Sequent, fv: Sequence):
+    """(model index, world, assignment) of the first refutation of s
+    among the models of one batch, read from lanes, Lanes.for_batch of
+    the batch, with fv the sequent's sorted free variables; or None."""
+    rhos = [dict(zip(fv, values))
+            for values in itertools.product(batch.domain, repeat=len(fv))]
+    failing, union = [], 0
+    for rho in rhos:
+        fail = _refuted(lanes, s, rho)
+        failing.append(fail)
+        union |= fail
+    if not union:
+        return None
+    # fold the world blocks: bit i is set iff model i fails somewhere
+    width, block, models = batch.width, (1 << batch.width) - 1, 0
+    for j in range(len(batch.worlds)):
+        models |= (union >> (j * width)) & block
+    index = (models & -models).bit_length() - 1
+    for j, w in enumerate(batch.worlds):
+        for rho, fail in zip(rhos, failing):
+            if fail >> (j * width + index) & 1:
+                return index, w, rho
     return None
 
 

@@ -27,12 +27,14 @@ from typing import Mapping, Optional, Sequence
 from .classical import Valid, decide_propositional
 from .errors import ConstructionError, UsageError
 from .kripke import (
+    MAX_BATCH_WIDTH,
     CdBatch,
     Failure,
     KripkeModel,
+    _batch_refutation,
+    _first_failure,
     cd_model_batches,
     kripke_model_to_json,
-    model_validity,
     validate_kripke_model,
 )
 from .lanes import Lanes
@@ -41,8 +43,7 @@ from .syntax import (
     Conn,
     Formula,
     Sequent,
-    is_propositional_sequent,
-    predicates,
+    predicate_shape,
     print_formula,
     print_sequent,
     substitute_symbol,
@@ -217,7 +218,7 @@ def _layer_tables(
     )
 
 
-def build_case_d(table: TruthTable) -> SeparationResult:
+def _case_d(table: TruthTable) -> tuple:
     """f(0...0) = f(1...1) = 1: the sequent => phi, refuted at w0 of the
     p/q chain. Subcase 1 or 2 by the value of f on the relative
     inversion of the witness pair."""
@@ -253,7 +254,7 @@ def build_case_d(table: TruthTable) -> SeparationResult:
     return _checked(result)
 
 
-def build_case_c(table: TruthTable) -> SeparationResult:
+def _case_c(table: TruthTable) -> tuple:
     """f(0...0) = 1 and f(1...1) = 0: double c-negation of p is classically
     equivalent to p but fails at the root of the chain, where p only holds
     later."""
@@ -292,7 +293,7 @@ def build_case_c(table: TruthTable) -> SeparationResult:
     return _checked(result)
 
 
-def build_case_b(table: TruthTable) -> SeparationResult:
+def _case_b(table: TruthTable) -> tuple:
     """f(0...0) = 0 and f(1...1) = 1, yet non-monotonic. Subcase 1
     (f on the inversion of a is 1) refutes phi => chi; subcase 2 reuses
     the case-d stack with its tau slots replaced by r and refutes
@@ -352,7 +353,7 @@ def build_case_b(table: TruthTable) -> SeparationResult:
     return _case_b_subcase2(table, a, b)
 
 
-def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
+def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> tuple:
     rel = relative_invert(a, b)
     name = table.name
     psi = Conn(name, tuple(R if x else Q for x in a))
@@ -417,14 +418,16 @@ def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
     other = "QQ" if preferred == "PP" else "PP"
     reports = {v: verify_separation(r) for v, r in candidates.items()}
     if reports[preferred].passed:
-        chosen = candidates[preferred]
+        variant = preferred
     elif reports[other].passed:
-        chosen = candidates[other]
+        variant = other
     else:
         raise ConstructionError(
             f"neither candidate verifies for {table.name} ({table.bits()}): "
             f"PP: {reports['PP'].summary()}; QQ: {reports['QQ'].summary()}"
         )
+    chosen = candidates[variant]
+    # the notes are not verified, so the candidate's report stands
     return replace(
         chosen,
         notes=chosen.notes
@@ -433,10 +436,10 @@ def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
             f"PP_verified={reports['PP'].passed}",
             f"QQ_verified={reports['QQ'].passed}",
         ),
-    )
+    ), reports[variant]
 
 
-def build_case_a(table: TruthTable) -> SeparationResult:
+def _case_a(table: TruthTable) -> tuple:
     """f(0...0) = f(1...1) = 0 with f(a) = 1 somewhere: phi => p is
     classically valid but the chain satisfies phi at w0 while p fails."""
     if classify_case(table) != "a":
@@ -484,32 +487,59 @@ def build_case_a(table: TruthTable) -> SeparationResult:
     return _checked(result)
 
 
+def build_case_a(table: TruthTable) -> SeparationResult:
+    """The verified case-a result; see _case_a."""
+    return _case_a(table)[0]
+
+
+def build_case_b(table: TruthTable) -> SeparationResult:
+    """The verified case-b result; see _case_b."""
+    return _case_b(table)[0]
+
+
+def build_case_c(table: TruthTable) -> SeparationResult:
+    """The verified case-c result; see _case_c."""
+    return _case_c(table)[0]
+
+
+def build_case_d(table: TruthTable) -> SeparationResult:
+    """The verified case-d result; see _case_d."""
+    return _case_d(table)[0]
+
+
 _CASE_BUILDERS = {
-    "a": build_case_a,
-    "b": build_case_b,
-    "c": build_case_c,
-    "d": build_case_d,
+    "a": _case_a,
+    "b": _case_b,
+    "c": _case_c,
+    "d": _case_d,
 }
 
 
 def separate(sig: Signature):
     """AllMonotone, or a verified SeparationResult for the first
     non-monotonic connective in name order."""
+    return _separated(sig)[0]
+
+
+def _separated(sig: Signature) -> tuple:
+    """(separate(sig), the report that verified it), or (AllMonotone(),
+    None), so that a caller needs no second verification."""
     for name in sig.names():
         table = sig.connectives[name]
         if monotonicity_witness(table) is not None:
             return _CASE_BUILDERS[classify_case(table)](table)
-    return AllMonotone()
+    return AllMonotone(), None
 
 
-def _checked(result: SeparationResult) -> SeparationResult:
+def _checked(result: SeparationResult) -> tuple:
+    """(result, its passing report); ConstructionError if it fails."""
     report = verify_separation(result)
     if not report.passed:
         raise ConstructionError(
             f"separation for {result.connective.name} "
             f"({result.connective.bits()}) failed verification: {report.summary()}"
         )
-    return result
+    return result, report
 
 
 # --- verification ----------------------------------------------------------
@@ -568,43 +598,45 @@ def _resolve(result: SeparationResult, key: str) -> Formula:
 
 def verify_separation(result: SeparationResult) -> VerificationReport:
     """Re-derive everything the result claims; mismatches become failed
-    checks, never exceptions."""
+    checks, never exceptions.
+
+    Each side is evaluated once, on lanes every check shares: the
+    countermodel's lanes give cd-refuted and the Kripke rows, and the
+    lanes of every valuation of the sequent's symbols give
+    classically-valid and the classical rows."""
     report = VerificationReport()
     sig = result.signature()
+    model, sequent = result.countermodel, result.sequent
 
     # the countermodel must itself validate
     try:
-        validate_kripke_model(
-            result.countermodel.worlds,
-            result.countermodel.order,
-            result.countermodel.domains,
-            result.countermodel.interp,
-        )
+        validate_kripke_model(model.worlds, model.order, model.domains, model.interp)
         report.add("countermodel-validates", True)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         report.add("countermodel-validates", False, str(exc))
 
     # shape of the sequent
-    report.add(
-        "sequent-propositional",
-        is_propositional_sequent(result.sequent),
-        print_sequent(result.sequent),
-    )
     try:
-        symbols = set(predicates(result.sequent))
-        report.add(
-            "sequent-symbols",
-            symbols <= set(ALLOWED_SYMBOLS),
-            f"symbols {sorted(symbols)}",
-        )
+        arities, propositional = predicate_shape(sequent)
+        symbols_check = (arities.keys() <= ALLOWED_SYMBOLS, f"symbols {sorted(arities)}")
     except UsageError as exc:
-        report.add("sequent-symbols", False, str(exc))
-        symbols = set()
+        # an arity clash needs an atom with arguments: not propositional
+        arities, propositional, symbols_check = {}, False, (False, str(exc))
+    report.add("sequent-propositional", propositional, print_sequent(sequent))
+    report.add("sequent-symbols", *symbols_check)
+    symbols = tuple(sorted(arities))
 
     # classical half: exhaustive enumeration over the occurring symbols
+    batch = _valuations(symbols) if propositional else None
+    classical = None if batch is None else Lanes.for_batch(batch, sig)
     try:
-        verdict = decide_propositional(sig, result.sequent)
-        report.classical_symbols = tuple(sorted(symbols))
+        if classical is not None and _batch_refutation(classical, batch, sequent, ()) is None:
+            verdict = Valid()
+        else:
+            # refuted, quantified or too wide for one batch: the decider
+            # names the first refuting valuation, or why it cannot decide
+            verdict = decide_propositional(sig, sequent)
+        report.classical_symbols = symbols
         report.classical_valuations = 2 ** len(symbols)
         report.add(
             "classically-valid",
@@ -615,7 +647,8 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("classically-valid", False, str(exc))
 
     # constant-domain half: the countermodel refutes it at the stated world
-    verdict = model_validity(result.countermodel, result.sequent, sig)
+    kripke = Lanes.for_model(model, sig)
+    verdict = _first_failure(kripke, model, sequent)
     if isinstance(verdict, Failure):
         report.add(
             "cd-refuted",
@@ -626,7 +659,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("cd-refuted", False, "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    row_evaluator = cell_evaluator(result.countermodel, sig)
+    row_evaluator = _cell_reader(kripke, model.worlds, sig, symbols, classical)
     for table in result.tables:
         for row in table.rows:
             cell_value = row_evaluator(row.world, row.valuation)
@@ -643,9 +676,12 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _valuations(symbols: tuple) -> CdBatch:
+def _valuations(symbols: tuple) -> Optional[CdBatch]:
     """Every valuation of the symbols, one lane each: the one-world,
-    one-element models over them as propositional symbols."""
+    one-element models over them as propositional symbols. None when
+    there are more than MAX_BATCH_WIDTH, too many for one batch."""
+    if 2 ** len(symbols) > MAX_BATCH_WIDTH:
+        return None
     batch, = cd_model_batches(dict.fromkeys(symbols, 0), 1, 1, cap=2 ** len(symbols))
     return batch
 
@@ -658,21 +694,37 @@ def cell_evaluator(countermodel: KripkeModel, sig: Signature):
     valuation of its symbols. cell(f, "value") is f's value;
     cell(f, "args") is the tuple of the argument values of f's top
     connective, or None when f is not a connective."""
-    kripke = Lanes.for_model(countermodel, sig)
-    windex = {w: i for i, w in enumerate(countermodel.worlds)}
-    batches: dict = {}
+    return _cell_reader(Lanes.for_model(countermodel, sig), countermodel.worlds, sig)
+
+
+def _cell_reader(kripke: Lanes, worlds: tuple, sig: Signature,
+                 symbols: tuple = (), valuations: Optional[Lanes] = None):
+    """cell_evaluator reading Kripke rows from kripke, Lanes.for_model of
+    the countermodel whose worlds are given. A classical row that names
+    only the given symbols is read from valuations, when given, the
+    lanes of _valuations(symbols), with the symbols it does not name at
+    0; any other row from a batch of its own symbols, or from the one
+    lane of its valuation when there are too many for one batch."""
+    windex = {w: i for i, w in enumerate(worlds)}
+    shared = frozenset(symbols)
+    batches: dict = {} if valuations is None else {symbols: valuations}
 
     def row(world: Optional[str], valuation: Sequence = ()):
         if world is not None:
             lanes, lane = kripke, windex[world]
         else:
             bits = dict(valuation)
-            symbols = tuple(sorted(bits))
-            lanes = batches.get(symbols)
+            names = symbols if bits.keys() <= shared else tuple(sorted(bits))
+            if names not in batches:
+                batch = _valuations(names)
+                batches[names] = None if batch is None else Lanes.for_batch(batch, sig)
+            lanes = batches[names]
             if lanes is None:
-                lanes = batches[symbols] = Lanes.for_batch(_valuations(symbols), sig)
-            # a valuation's lane is its bits in symbol order, read in binary
-            lane = int("".join(str(bits[sym]) for sym in symbols) or "0", 2)
+                atoms = {(sym, ()): 1 for sym, bit in bits.items() if bit}
+                lanes, lane = Lanes(sig, [(0,)], 1, ("a1",), atoms), 0
+            else:
+                # a valuation's lane is its bits in symbol order, read in binary
+                lane = int("".join(str(bits.get(sym, 0)) for sym in names) or "0", 2)
 
         def evaluate(g):
             return lanes.value(g, {})[0] >> lane & 1

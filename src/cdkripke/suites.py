@@ -26,6 +26,7 @@ from .kripke import (
     Failure,
     KripkeModel,
     check_heredity,
+    close_preorder,
     model_validity,
     validate_kripke_model,
 )
@@ -56,8 +57,8 @@ def random_kripke_model(
         if i != j and rng.random() < 0.5
     ]
     # future sets under the closure, needed to close things upward
-    probe = validate_kripke_model(worlds, pairs, {w: ("a1",) for w in worlds}, {})
-    future = probe.future
+    order = close_preorder(worlds, pairs)
+    future = {w: [v for v in worlds if (w, v) in order] for w in worlds}
 
     pool = [f"a{i + 1}" for i in range(max_domain)]
     domains = {w: {"a1"} for w in worlds}

@@ -178,12 +178,30 @@ def predicates(obj) -> dict:
 
     Raises UsageError if the same name occurs with two arities.
     """
-    formulas = [obj] if isinstance(obj, Formula) else sorted(obj.formulas, key=print_formula)
+    return predicate_shape(obj)[0]
+
+
+def predicate_shape(obj) -> tuple:
+    """(predicates(obj), whether obj is propositional) from one walk over
+    a formula or sequent; propositional means every atom is 0-ary and no
+    quantifier occurs. Raises predicates' UsageError on an arity clash."""
+    if isinstance(obj, Formula):
+        return _walk((obj,))
+    try:
+        return _walk(obj.formulas)
+    except UsageError:
+        # name the clash met first with the formulas in printed order
+        return _walk(sorted(obj.formulas, key=print_formula))
+
+
+def _walk(formulas) -> tuple:
+    """predicate_shape over the formulas, in the pre-order of their
+    subformulas, each distinct node walked once: a node seen before adds
+    no atom that was not met the first time."""
     out: dict = {}
-    # the pre-order of subformulas, each distinct node walked once: a
-    # node seen before adds no atom that was not met the first time
+    propositional = True
     seen: set = set()
-    stack = formulas[::-1]
+    stack = list(formulas)[::-1]
     while stack:
         g = stack.pop()
         if id(g) in seen:
@@ -195,11 +213,13 @@ def predicates(obj) -> dict:
                 raise UsageError(
                     f"predicate {g.pred!r} used with arities {out[g.pred]} and {arity}"
                 )
+            propositional = propositional and not arity
         elif isinstance(g, Conn):
             stack.extend(g.args[::-1])
         elif isinstance(g, (Forall, Exists)):
+            propositional = False
             stack.append(g.body)
-    return out
+    return out, propositional
 
 
 def connective_names(obj) -> set:

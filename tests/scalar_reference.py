@@ -7,15 +7,37 @@ domains leave None at the worlds where an assigned value does not exist.
 ClassicalEvaluator evaluates on one classical model. model_validity and
 check_heredity are the scalar loops over them. None of this shares code
 with cdkripke.lanes.
+
+verify_separation is the separator's verifier as it was before its
+checks shared lanes: each check runs on its own, through a fresh
+decide_propositional, model_validity and cell_evaluator of cdkripke.
 """
 
 import itertools
 from typing import Mapping, Optional
 
-from cdkripke.classical import ClassicalModel
+from cdkripke.classical import ClassicalModel, decide_propositional
 from cdkripke.errors import UsageError
-from cdkripke.kripke import Failure, KripkeModel, Valid
-from cdkripke.syntax import Atom, Conn, Exists, Forall, Formula, Sequent, free_vars
+from cdkripke.kripke import Failure, KripkeModel, Valid, validate_kripke_model
+from cdkripke.kripke import model_validity as lane_model_validity
+from cdkripke.separator import (
+    ALLOWED_SYMBOLS,
+    VerificationReport,
+    _resolve,
+    cell_evaluator,
+)
+from cdkripke.syntax import (
+    Atom,
+    Conn,
+    Exists,
+    Forall,
+    Formula,
+    Sequent,
+    free_vars,
+    is_propositional_sequent,
+    predicates,
+    print_sequent,
+)
 from cdkripke.truthfn import Signature
 
 
@@ -317,3 +339,78 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
         if evaluator.value(f, w, rho) > evaluator.value(f, v, rho):
             return False
     return True
+
+
+def verify_separation(result) -> VerificationReport:
+    """cdkripke.separator.verify_separation, each check on fresh lanes."""
+    report = VerificationReport()
+    sig = result.signature()
+
+    # the countermodel must itself validate
+    try:
+        validate_kripke_model(
+            result.countermodel.worlds,
+            result.countermodel.order,
+            result.countermodel.domains,
+            result.countermodel.interp,
+        )
+        report.add("countermodel-validates", True)
+    except Exception as exc:  # noqa: BLE001 - recorded, not raised
+        report.add("countermodel-validates", False, str(exc))
+
+    # shape of the sequent
+    report.add(
+        "sequent-propositional",
+        is_propositional_sequent(result.sequent),
+        print_sequent(result.sequent),
+    )
+    try:
+        symbols = set(predicates(result.sequent))
+        report.add(
+            "sequent-symbols",
+            symbols <= set(ALLOWED_SYMBOLS),
+            f"symbols {sorted(symbols)}",
+        )
+    except UsageError as exc:
+        report.add("sequent-symbols", False, str(exc))
+        symbols = set()
+
+    # classical half: exhaustive enumeration over the occurring symbols
+    try:
+        verdict = decide_propositional(sig, result.sequent)
+        report.classical_symbols = tuple(sorted(symbols))
+        report.classical_valuations = 2 ** len(symbols)
+        report.add(
+            "classically-valid",
+            isinstance(verdict, Valid),
+            "valid" if isinstance(verdict, Valid) else f"refuted by {verdict}",
+        )
+    except UsageError as exc:
+        report.add("classically-valid", False, str(exc))
+
+    # constant-domain half: the countermodel refutes it at the stated world
+    verdict = lane_model_validity(result.countermodel, result.sequent, sig)
+    if isinstance(verdict, Failure):
+        report.add(
+            "cd-refuted",
+            verdict.world == result.failing_world and not verdict.assignment,
+            f"failure at {verdict.world}",
+        )
+    else:
+        report.add("cd-refuted", False, "countermodel does not refute the sequent")
+
+    # every embedded expected table cell
+    row_evaluator = cell_evaluator(result.countermodel, sig)
+    for table in result.tables:
+        for row in table.rows:
+            cell_value = row_evaluator(row.world, row.valuation)
+            for cell in row.cells:
+                f = _resolve(result, cell.formula)
+                where = f"table:{table.name}/{row.label}/{cell.formula}"
+                actual = cell_value(f, cell.kind)
+                if actual is None:
+                    report.add(where, False, "args cell on a non-connective")
+                else:
+                    expected = cell.expected if cell.kind == "value" else tuple(cell.expected)
+                    report.add(where, actual == expected, f"expected {expected}, got {actual}")
+    return report
