@@ -15,7 +15,7 @@ import sys
 import time
 from collections import Counter
 
-from cdkripke.separator import AllMonotone, render_separation, separate
+from cdkripke.separator import AllMonotone, _separated, render_separation
 from cdkripke.syntax import print_sequent
 from cdkripke.truthfn import Signature, all_tables
 
@@ -32,13 +32,14 @@ def main() -> int:
     start = time.monotonic()
     for arity in range(1, args.max_arity + 1):
         for table in all_tables(arity):
-            result = separate(Signature.of(table))
+            # the report that verified the result renders it below
+            result, report = _separated(Signature.of(table))
             if isinstance(result, AllMonotone):
                 counts[("monotone", arity)] += 1
                 continue
             key = (result.case, result.subcase)
             counts[(key, arity)] += 1
-            examples.setdefault(key, result)
+            examples.setdefault(key, (result, report))
             print(
                 f"arity {arity} bits {table.bits()}: case {result.case}"
                 f"{result.subcase or ''} -> {print_sequent(result.sequent)}"
@@ -53,7 +54,7 @@ def main() -> int:
         for key in sorted(examples, key=str):
             print()
             print(f"=== example for case {key} ===")
-            print(render_separation(examples[key]))
+            print(render_separation(*examples[key]))
     return 0
 
 

@@ -329,10 +329,27 @@ def enumerate_preorders(n: int, up_to_iso: bool = False) -> list:
 
     Generated as reflexive-transitive closures of every digraph on n
     nodes, deduplicated by the matrix itself and sorted by its row-major
-    bit string. With up_to_iso=True, matrices are further deduplicated by
-    the minimum row-major code over all point permutations, keeping that
-    minimal representative.
+    bit string. With up_to_iso=True, only the first matrix of each class
+    of matrices equal up to a permutation of the points is kept, which
+    is the class's minimum row-major code.
     """
+    matrices = _preorder_matrices(n)
+    if not up_to_iso:
+        return list(matrices)
+    kept, covered = [], set()
+    for mat in matrices:
+        if mat not in covered:
+            kept.append(mat)
+            covered.update(
+                tuple(tuple(mat[p[i]][p[j]] for j in range(n)) for i in range(n))
+                for p in itertools.permutations(range(n))
+            )
+    return kept
+
+
+@functools.lru_cache(maxsize=None)
+def _preorder_matrices(n: int) -> tuple:
+    """enumerate_preorders(n), computed once per process."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     seen = set()
     for picks in itertools.product((False, True), repeat=len(pairs)):
@@ -347,16 +364,7 @@ def enumerate_preorders(n: int, up_to_iso: bool = False) -> list:
                         if reach[k][j]:
                             reach[i][j] = True
         seen.add(tuple(tuple(row) for row in reach))
-    if up_to_iso:
-        canonical = set()
-        for mat in seen:
-            best = min(
-                tuple(tuple(mat[p[i]][p[j]] for j in range(n)) for i in range(n))
-                for p in itertools.permutations(range(n))
-            )
-            canonical.add(best)
-        seen = canonical
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def monotone_world_vectors(matrix) -> list:
@@ -474,6 +482,59 @@ class CdBatch:
 MAX_BATCH_WIDTH = 2 ** 14
 
 
+def _world_count_cells(preds: Mapping, n: int, max_domain: int, up_to_iso: bool) -> list:
+    """(frame, domain, slots, model count) per frame of n worlds and
+    domain size, in enumerate_cd_models order."""
+    sizes = []
+    for size in range(1, max_domain + 1):
+        domain = tuple(f"a{i + 1}" for i in range(size))
+        sizes.append((domain, interpretation_slots(preds, domain)))
+    return [(frame, domain, slots, len(frame[3]) ** len(slots))
+            for frame in _frames(n, up_to_iso) for domain, slots in sizes]
+
+
+def _cell_batches(cells: list, produced: int = 0, ceiling: Optional[int] = None,
+                  bounds: tuple = ()):
+    """The CdBatches of the cells in order, splitting the models of a
+    cell that number more than MAX_BATCH_WIDTH on their leading slots.
+    With a ceiling, raises EnumerationCapError before the cell that
+    takes the model count, produced before the cells, past it; bounds
+    is (max_worlds, max_domain) for its message."""
+    for (worlds, order, future, vectors), domain, slots, count in cells:
+        produced += count
+        if ceiling is not None and produced > ceiling:
+            max_worlds, max_domain = bounds
+            # one world: the models are classical, name no world bound
+            within = (f"constant-domain models within worlds<={max_worlds}, "
+                      if max_worlds > 1 else "models within ")
+            raise EnumerationCapError(
+                f"bound infeasible: more than {ceiling} {within}domain<={max_domain}"
+            )
+        lead = 0
+        while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
+            lead += 1
+        for fixed in itertools.product(vectors, repeat=lead):
+            yield CdBatch(worlds, order, dict(future), domain, slots[lead:],
+                          vectors, list(zip(slots, fixed)))
+
+
+def _cd_world_counts(preds: Mapping, max_worlds: int, max_domain: int,
+                     up_to_iso: bool, cap: Optional[int]):
+    """(n, fits, batches) per world count n from 1 to max_worlds: batches
+    yields the CdBatches of n worlds as cd_model_batches does, and fits
+    tells whether the cumulative model count through n worlds stays
+    within the cap, so that a caller may leave batches unread without
+    passing over an EnumerationCapError."""
+    ceiling = enum_cap(cap)
+    produced = 0
+    for n in range(1, max_worlds + 1):
+        cells = _world_count_cells(preds, n, max_domain, up_to_iso)
+        total = produced + sum(cell[3] for cell in cells)
+        yield n, total <= ceiling, _cell_batches(cells, produced, ceiling,
+                                                 (max_worlds, max_domain))
+        produced = total
+
+
 def cd_model_batches(
     preds: Mapping,
     max_worlds: int,
@@ -487,27 +548,8 @@ def cd_model_batches(
     slots. Raises EnumerationCapError before the models of the frame
     and domain size that would take the cumulative model count, over
     all frames and domain sizes, past the cap."""
-    ceiling = enum_cap(cap)
-    produced = 0
-    for n in range(1, max_worlds + 1):
-        for worlds, order, future, vectors in _frames(n, up_to_iso):
-            for size in range(1, max_domain + 1):
-                domain = tuple(f"a{i + 1}" for i in range(size))
-                slots = interpretation_slots(preds, domain)
-                produced += len(vectors) ** len(slots)
-                if produced > ceiling:
-                    # one world: the models are classical, name no world bound
-                    within = (f"constant-domain models within worlds<={max_worlds}, "
-                              if max_worlds > 1 else "models within ")
-                    raise EnumerationCapError(
-                        f"bound infeasible: more than {ceiling} {within}domain<={max_domain}"
-                    )
-                lead = 0
-                while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
-                    lead += 1
-                for fixed in itertools.product(vectors, repeat=lead):
-                    yield CdBatch(worlds, order, dict(future), domain, slots[lead:],
-                                  vectors, list(zip(slots, fixed)))
+    for _, _, batches in _cd_world_counts(preds, max_worlds, max_domain, up_to_iso, cap):
+        yield from batches
 
 
 def enumerate_cd_models(
@@ -547,14 +589,27 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
                       max_worlds: int, max_domain: int, cap: Optional[int]):
     """(batch, model index, world, assignment) of the first refutation of
     s over preds in the order of bounded_cd_countermodel_search, or None.
-    That search and, with one world, the classical deciders share it."""
+    That search and, with one world, the classical deciders share it.
+
+    Whether some model of a frame refutes s does not change under
+    relabeling the frame's worlds, and in enumerate_preorders order the
+    representative of an isomorphism class comes before every other
+    frame of the class. So the first labeled frame that refutes s is a
+    representative, and a world count n >= 2 is searched on the
+    representatives alone, with the same first refutation. A world
+    count whose labeled models would pass the cap is searched on every
+    labeled frame, so that the cap is met where the labeled search
+    meets it."""
     fv = sorted(free_vars(s))
-    for batch in cd_model_batches(preds, max_worlds, max_domain, cap=cap):
-        lanes = Lanes.for_batch(batch, sig)
-        found = _batch_refutation(lanes, batch, s, fv)
-        lanes.clear()
-        if found is not None:
-            return (batch, *found)
+    for n, fits, batches in _cd_world_counts(preds, max_worlds, max_domain, False, cap):
+        if n > 1 and fits:
+            batches = _cell_batches(_world_count_cells(preds, n, max_domain, True))
+        for batch in batches:
+            lanes = Lanes.for_batch(batch, sig)
+            found = _batch_refutation(lanes, batch, s, fv)
+            lanes.clear()
+            if found is not None:
+                return (batch, *found)
     return None
 
 
@@ -597,7 +652,9 @@ def bounded_cd_countermodel_search(
     every interpretation of a frame and domain size in one lane pass.
     The refutation returned is the first in (model, world, assignment)
     order, models in enumerate_cd_models order and worlds and
-    assignments in model_validity order; only that model is built.
+    assignments in model_validity order; only that model is built. From
+    two worlds on, the frames searched are one per isomorphism class,
+    which holds the same first refutation (see _first_refutation).
     Otherwise a bound report is returned. The bound report is a
     semi-check only: it never certifies validity beyond the searched
     space.

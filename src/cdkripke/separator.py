@@ -662,10 +662,18 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     row_evaluator = _cell_reader(kripke, model.worlds, sig, symbols, classical)
     for table in result.tables:
         for row in table.rows:
+            label = f"table:{table.name}/{row.label}"
+            if row.world is not None and row.world not in model.worlds:
+                report.add(label, False, f"countermodel has no world {row.world!r}")
+                continue
             cell_value = row_evaluator(row.world, row.valuation)
             for cell in row.cells:
-                f = _resolve(result, cell.formula)
-                where = f"table:{table.name}/{row.label}/{cell.formula}"
+                where = f"{label}/{cell.formula}"
+                try:
+                    f = _resolve(result, cell.formula)
+                except UsageError as exc:
+                    report.add(where, False, str(exc))
+                    continue
                 actual = cell_value(f, cell.kind)
                 if actual is None:
                     report.add(where, False, "args cell on a non-connective")

@@ -1,0 +1,38 @@
+"""The sweeps in scripts/, run in-process."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from cdkripke import separator
+from cdkripke.truthfn import all_tables, monotonicity_witness
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_separate_sweep_verifies_each_table_once(monkeypatch, capsys):
+    # --show-examples renders each example with the report that verified it
+    script = load_script("separate_all_small_tables")
+    calls = []
+    verify = separator.verify_separation
+
+    def counted(result):
+        calls.append(result)
+        return verify(result)
+
+    monkeypatch.setattr(separator, "verify_separation", counted)
+    monkeypatch.setattr(sys, "argv", ["separate_all_small_tables.py", "--max-arity", "2",
+                                      "--show-examples"])
+    assert script.main() == 0
+    separated = [t for n in (1, 2) for t in all_tables(n) if monotonicity_witness(t) is not None]
+    assert len(separated) == 11
+    assert len(calls) == len(separated)
+    out = capsys.readouterr().out
+    assert out.count("=== example for case") == out.count("verification: PASS") > 0

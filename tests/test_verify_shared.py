@@ -166,6 +166,47 @@ class TestTampered:
         assert_same_report(dataclasses.replace(base, tables=base.tables + (table,)))
 
 
+def replace_first_row(result, kripke_row, change):
+    """result with the first row of the first Kripke (or classical)
+    table changed by change(row); also that table and the new row."""
+    tables = list(result.tables)
+    t, table = next((i, t) for i, t in enumerate(tables)
+                    if (t.rows[0].world is not None) == kripke_row)
+    row = change(table.rows[0])
+    tables[t] = dataclasses.replace(table, rows=(row,) + table.rows[1:])
+    return dataclasses.replace(result, tables=tuple(tables)), table, row
+
+
+class TestUnreadableCells:
+    """A row or cell the verifier cannot read is a failed check of its
+    own; every other check still runs."""
+
+    def test_row_names_a_world_the_countermodel_lacks(self, base):
+        result, table, row = replace_first_row(
+            base, True, lambda row: dataclasses.replace(row, world="w9"))
+        report = verify_separation(result)
+        label = f"table:{table.name}/{row.label}"
+        assert failed(report) == {label}
+        assert {c.name: c.detail for c in report.checks}[label] == (
+            "countermodel has no world 'w9'")
+        # the row's cells give way to the one check naming the row
+        assert len(report.checks) == len(verify_separation(base).checks) - len(row.cells) + 1
+
+    @pytest.mark.parametrize("kripke_row", [False, True])
+    def test_cell_names_an_unknown_formula(self, base, kripke_row):
+        def rename(row):
+            return dataclasses.replace(
+                row, cells=(dataclasses.replace(row.cells[0], formula="nosuch"),) + row.cells[1:])
+
+        result, table, row = replace_first_row(base, kripke_row, rename)
+        report = verify_separation(result)
+        where = f"table:{table.name}/{row.label}/nosuch"
+        assert failed(report) == {where}
+        assert {c.name: c.detail for c in report.checks}[where] == (
+            "expected-table cell names unknown formula 'nosuch'")
+        assert len(report.checks) == len(verify_separation(base).checks)
+
+
 class TestWide:
     """More valuations than one batch holds are evaluated exactly, never
     raised on; the reference's cell_evaluator takes the same guard."""
