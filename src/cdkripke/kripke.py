@@ -482,59 +482,6 @@ class CdBatch:
 MAX_BATCH_WIDTH = 2 ** 14
 
 
-def _world_count_cells(preds: Mapping, n: int, max_domain: int, up_to_iso: bool) -> list:
-    """(frame, domain, slots, model count) per frame of n worlds and
-    domain size, in enumerate_cd_models order."""
-    sizes = []
-    for size in range(1, max_domain + 1):
-        domain = tuple(f"a{i + 1}" for i in range(size))
-        sizes.append((domain, interpretation_slots(preds, domain)))
-    return [(frame, domain, slots, len(frame[3]) ** len(slots))
-            for frame in _frames(n, up_to_iso) for domain, slots in sizes]
-
-
-def _cell_batches(cells: list, produced: int = 0, ceiling: Optional[int] = None,
-                  bounds: tuple = ()):
-    """The CdBatches of the cells in order, splitting the models of a
-    cell that number more than MAX_BATCH_WIDTH on their leading slots.
-    With a ceiling, raises EnumerationCapError before the cell that
-    takes the model count, produced before the cells, past it; bounds
-    is (max_worlds, max_domain) for its message."""
-    for (worlds, order, future, vectors), domain, slots, count in cells:
-        produced += count
-        if ceiling is not None and produced > ceiling:
-            max_worlds, max_domain = bounds
-            # one world: the models are classical, name no world bound
-            within = (f"constant-domain models within worlds<={max_worlds}, "
-                      if max_worlds > 1 else "models within ")
-            raise EnumerationCapError(
-                f"bound infeasible: more than {ceiling} {within}domain<={max_domain}"
-            )
-        lead = 0
-        while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
-            lead += 1
-        for fixed in itertools.product(vectors, repeat=lead):
-            yield CdBatch(worlds, order, dict(future), domain, slots[lead:],
-                          vectors, list(zip(slots, fixed)))
-
-
-def _cd_world_counts(preds: Mapping, max_worlds: int, max_domain: int,
-                     up_to_iso: bool, cap: Optional[int]):
-    """(n, fits, batches) per world count n from 1 to max_worlds: batches
-    yields the CdBatches of n worlds as cd_model_batches does, and fits
-    tells whether the cumulative model count through n worlds stays
-    within the cap, so that a caller may leave batches unread without
-    passing over an EnumerationCapError."""
-    ceiling = enum_cap(cap)
-    produced = 0
-    for n in range(1, max_worlds + 1):
-        cells = _world_count_cells(preds, n, max_domain, up_to_iso)
-        total = produced + sum(cell[3] for cell in cells)
-        yield n, total <= ceiling, _cell_batches(cells, produced, ceiling,
-                                                 (max_worlds, max_domain))
-        produced = total
-
-
 def cd_model_batches(
     preds: Mapping,
     max_worlds: int,
@@ -548,8 +495,48 @@ def cd_model_batches(
     slots. Raises EnumerationCapError before the models of the frame
     and domain size that would take the cumulative model count, over
     all frames and domain sizes, past the cap."""
-    for _, _, batches in _cd_world_counts(preds, max_worlds, max_domain, up_to_iso, cap):
-        yield from batches
+    return _cd_batches(preds, max_worlds, max_domain, up_to_iso, cap, False)
+
+
+@functools.lru_cache(maxsize=None)
+def _representatives(n: int) -> frozenset:
+    """The orders of _frames(n, True): one per isomorphism class."""
+    return frozenset(order for _, order, _, _ in _frames(n, True))
+
+
+def _cd_batches(preds: Mapping, max_worlds: int, max_domain: int,
+                up_to_iso: bool, cap: Optional[int], classes_only: bool):
+    """cd_model_batches; with classes_only, a frame of two or more
+    worlds that does not represent its isomorphism class yields no
+    batches, though its models still count against the cap."""
+    ceiling = enum_cap(cap)
+    produced = 0
+    sizes = []  # (domain, slots) per domain size, listed by the first frame
+    for n in range(1, max_worlds + 1):
+        reps = _representatives(n) if classes_only and n > 1 else None
+        for worlds, order, future, vectors in _frames(n, up_to_iso):
+            searched = reps is None or order in reps
+            for size in range(1, max_domain + 1):
+                if len(sizes) < size:
+                    domain = tuple(f"a{i + 1}" for i in range(size))
+                    sizes.append((domain, interpretation_slots(preds, domain)))
+                domain, slots = sizes[size - 1]
+                produced += len(vectors) ** len(slots)
+                if produced > ceiling:
+                    # one world: the models are classical, name no world bound
+                    within = (f"constant-domain models within worlds<={max_worlds}, "
+                              if max_worlds > 1 else "models within ")
+                    raise EnumerationCapError(
+                        f"bound infeasible: more than {ceiling} {within}domain<={max_domain}"
+                    )
+                if not searched:
+                    continue
+                lead = 0
+                while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
+                    lead += 1
+                for fixed in itertools.product(vectors, repeat=lead):
+                    yield CdBatch(worlds, order, dict(future), domain, slots[lead:],
+                                  vectors, list(zip(slots, fixed)))
 
 
 def enumerate_cd_models(
@@ -595,21 +582,16 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     relabeling the frame's worlds, and in enumerate_preorders order the
     representative of an isomorphism class comes before every other
     frame of the class. So the first labeled frame that refutes s is a
-    representative, and a world count n >= 2 is searched on the
-    representatives alone, with the same first refutation. A world
-    count whose labeled models would pass the cap is searched on every
-    labeled frame, so that the cap is met where the labeled search
-    meets it."""
+    representative, and only representatives are searched; the other
+    frames still count against the cap, which is met where the labeled
+    search meets it."""
     fv = sorted(free_vars(s))
-    for n, fits, batches in _cd_world_counts(preds, max_worlds, max_domain, False, cap):
-        if n > 1 and fits:
-            batches = _cell_batches(_world_count_cells(preds, n, max_domain, True))
-        for batch in batches:
-            lanes = Lanes.for_batch(batch, sig)
-            found = _batch_refutation(lanes, batch, s, fv)
-            lanes.clear()
-            if found is not None:
-                return (batch, *found)
+    for batch in _cd_batches(preds, max_worlds, max_domain, False, cap, True):
+        lanes = Lanes.for_batch(batch, sig)
+        found = _batch_refutation(lanes, batch, s, fv)
+        lanes.clear()
+        if found is not None:
+            return (batch, *found)
     return None
 
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cdkripke.classical import Valid, decide_propositional
+from cdkripke.classical import Countermodel, Valid, bounded_fo_validity, decide_propositional
 from cdkripke.collapse import (
     check_collapse,
     enumerate_formulas,
@@ -211,7 +211,7 @@ def random_sequent(rng, sig, free):
 
 
 class TestCdSearchAgainstScalar:
-    @pytest.mark.parametrize("bounds", [(3, 1), (2, 2)])
+    @pytest.mark.parametrize("bounds", [(3, 1), (2, 2), (3, 2)])
     @pytest.mark.parametrize("free", [False, True])
     @pytest.mark.parametrize("sig", [MIXED_SIGNATURE, MONOTONE_SIGNATURE],
                              ids=["mixed", "monotone"])
@@ -256,6 +256,22 @@ class TestCdSearchAgainstScalar:
             assert verdict == scalar_cd_search(MIXED_SIGNATURE, s, 3, 1), str(s)
             sizes.add(len(verdict.model.worlds) if isinstance(verdict, CdCountermodel) else 0)
         assert {0, 2, 3} <= sizes
+
+    @pytest.mark.parametrize("bounds", [(3, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("sig", [MIXED_SIGNATURE, MONOTONE_SIGNATURE],
+                             ids=["mixed", "monotone"])
+    def test_classically_valid_first_order_sequents(self, sig, bounds):
+        # only these reach the frames of two or more worlds, which the
+        # search walks one per isomorphism class
+        rng = random.Random(9_800 + 10 * bounds[0] + bounds[1])
+        checked = 0
+        while checked < 6:
+            s = random_sequent(rng, sig, rng.random() < 0.5)
+            if isinstance(bounded_fo_validity(sig, s, bounds[1]), Countermodel):
+                continue
+            checked += 1
+            assert bounded_cd_countermodel_search(sig, s, *bounds) == (
+                scalar_cd_search(sig, s, *bounds)), str(s)
 
 
 class TestSplitBatches:
