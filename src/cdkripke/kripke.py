@@ -20,6 +20,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, ModelValidationError, UsageError
@@ -67,6 +68,23 @@ class KripkeModel:
 
 def close_preorder(worlds: Sequence[str], pairs: Iterable) -> frozenset:
     """Reflexive-transitive closure of the given relation."""
+    return closed_frame(worlds, pairs)[0]
+
+
+def closed_frame(worlds: Sequence[str], pairs: Iterable) -> tuple:
+    """(order, future) of a frame: the reflexive-transitive closure of
+    the pairs, ignoring pairs that name unknown worlds, and a read-only
+    map from each world to the worlds above it, in ``worlds`` order.
+
+    Each distinct frame is closed once per process and the result is
+    shared by every caller, so neither part may be mutated; pairs may
+    be any 2-sequences, lists included.
+    """
+    return _closed_frame(tuple(worlds), frozenset(tuple(p) for p in pairs))
+
+
+@functools.lru_cache(maxsize=1024)
+def _closed_frame(worlds: tuple, pairs: frozenset) -> tuple:
     index = {w: i for i, w in enumerate(worlds)}
     n = len(worlds)
     reach = [[False] * n for _ in range(n)]
@@ -83,9 +101,11 @@ def close_preorder(worlds: Sequence[str], pairs: Iterable) -> frozenset:
                 for j in range(n):
                     if rk[j]:
                         ri[j] = True
-    return frozenset(
+    order = frozenset(
         (worlds[i], worlds[j]) for i in range(n) for j in range(n) if reach[i][j]
     )
+    future = {w: tuple(v for v in worlds if (w, v) in order) for w in worlds}
+    return order, MappingProxyType(future)
 
 
 def assemble_kripke_model(
@@ -100,14 +120,11 @@ def assemble_kripke_model(
     this raw assembler exists so tests can inject broken models.
     """
     worlds = tuple(worlds)
-    order = close_preorder(worlds, order_pairs)
+    order, future = closed_frame(worlds, order_pairs)
     domains = {w: tuple(domains[w]) for w in worlds if w in domains}
-    future = {
-        w: tuple(v for v in worlds if (w, v) in order) for w in worlds
-    }
     domain_sets = [frozenset(d) for d in domains.values()]
     constant = len(worlds) > 0 and len(domains) == len(worlds) and len(set(domain_sets)) <= 1
-    return KripkeModel(worlds, order, domains, dict(interp), constant, future)
+    return KripkeModel(worlds, order, domains, dict(interp), constant, dict(future))
 
 
 def _repeats(names: Sequence) -> list:
@@ -313,7 +330,8 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     Runs with the constant-domain cross-check off, so it can diagnose
     models that bypassed validation.
     """
-    lanes = KripkeEvaluator(model, sig, check_cd_universal=False)._lanes
+    lanes = Lanes.for_model(model, sig)
+    lanes.cross_check = False
     value = lanes.value(f, rho)[0]
     # the worlds where f holds but fails at some world above
     drops = value & ~lanes.box(value)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .classical import Valid, decide_propositional
@@ -112,16 +113,31 @@ class SeparationResult:
 
 def chain_countermodel(with_r: bool) -> KripkeModel:
     """The two-world chain with p rising 0 -> 1, q constant 0, and r
-    constant 1 when requested."""
+    constant 1 when requested.
+
+    Each of the two models is built once per process and shared, so
+    its domains, interpretation and future sets are read-only.
+    """
+    return _chain_countermodel(with_r)
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_countermodel(with_r: bool) -> KripkeModel:
     interp = {("w1", "p", ()): 1}
     if with_r:
         interp[("w0", "r", ())] = 1
         interp[("w1", "r", ())] = 1
-    return validate_kripke_model(
+    model = validate_kripke_model(
         ["w0", "w1"],
         [("w0", "w1")],
         {"w0": ("a1",), "w1": ("a1",)},
         interp,
+    )
+    return replace(
+        model,
+        domains=MappingProxyType(model.domains),
+        interp=MappingProxyType(model.interp),
+        future=MappingProxyType(model.future),
     )
 
 

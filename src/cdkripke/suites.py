@@ -26,7 +26,7 @@ from .kripke import (
     Failure,
     KripkeModel,
     check_heredity,
-    close_preorder,
+    closed_frame,
     model_validity,
     validate_kripke_model,
 )
@@ -57,8 +57,7 @@ def random_kripke_model(
         if i != j and rng.random() < 0.5
     ]
     # future sets under the closure, needed to close things upward
-    order = close_preorder(worlds, pairs)
-    future = {w: [v for v in worlds if (w, v) in order] for w in worlds}
+    future = closed_frame(worlds, pairs)[1]
 
     pool = [f"a{i + 1}" for i in range(max_domain)]
     domains = {w: {"a1"} for w in worlds}

@@ -8,13 +8,17 @@ ClassicalEvaluator evaluates on one classical model. model_validity and
 check_heredity are the scalar loops over them. None of this shares code
 with cdkripke.lanes.
 
+close_preorder and assemble_kripke_model close a frame from scratch on
+every call and build each world's future by scanning the closed order,
+as before frames were closed once per process.
+
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
 decide_propositional, model_validity and cell_evaluator of cdkripke.
 """
 
 import itertools
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from cdkripke.classical import ClassicalModel, decide_propositional
 from cdkripke.errors import UsageError
@@ -39,6 +43,47 @@ from cdkripke.syntax import (
     print_sequent,
 )
 from cdkripke.truthfn import Signature
+
+
+def close_preorder(worlds: Sequence[str], pairs: Iterable) -> frozenset:
+    """Reflexive-transitive closure of the given relation."""
+    index = {w: i for i, w in enumerate(worlds)}
+    n = len(worlds)
+    reach = [[False] * n for _ in range(n)]
+    for i in range(n):
+        reach[i][i] = True
+    for w, v in pairs:
+        if w in index and v in index:
+            reach[index[w]][index[v]] = True
+    for k in range(n):
+        rk = reach[k]
+        for i in range(n):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+    return frozenset(
+        (worlds[i], worlds[j]) for i in range(n) for j in range(n) if reach[i][j]
+    )
+
+
+def assemble_kripke_model(
+    worlds: Sequence[str],
+    order_pairs: Iterable,
+    domains: Mapping,
+    interp: Mapping,
+) -> KripkeModel:
+    """Close the order and package a model without checking invariants."""
+    worlds = tuple(worlds)
+    order = close_preorder(worlds, order_pairs)
+    domains = {w: tuple(domains[w]) for w in worlds if w in domains}
+    future = {
+        w: tuple(v for v in worlds if (w, v) in order) for w in worlds
+    }
+    domain_sets = [frozenset(d) for d in domains.values()]
+    constant = len(worlds) > 0 and len(domains) == len(worlds) and len(set(domain_sets)) <= 1
+    return KripkeModel(worlds, order, domains, dict(interp), constant, future)
 
 
 class KripkeEvaluator:

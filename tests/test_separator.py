@@ -366,3 +366,15 @@ class TestChainModel:
         model = chain_countermodel(with_r=True)
         assert model.value_at("w0", "r", ()) == 1
         assert model.value_at("w1", "r", ()) == 1
+
+    @pytest.mark.parametrize("with_r", [False, True])
+    def test_built_once_and_read_only(self, with_r):
+        model = chain_countermodel(with_r)
+        assert chain_countermodel(with_r=with_r) is model
+        assert not kripke_violations(model)
+        with pytest.raises(TypeError):
+            model.domains["w0"] = ()
+        with pytest.raises(TypeError):
+            model.interp[("w0", "p", ())] = 1
+        with pytest.raises(TypeError):
+            model.future["w1"] = ("w0",)
