@@ -26,7 +26,7 @@ from .kripke import (
     _repeats,
 )
 from .lanes import Lanes
-from .syntax import Formula, Sequent, free_vars, is_propositional_sequent, predicates
+from .syntax import Formula, Sequent, free_vars, predicate_shape, predicates
 from .truthfn import Signature
 
 
@@ -120,9 +120,12 @@ def decide_propositional(sig: Signature, s: Sequent):
     falsifying valuation packaged as a one-element-domain Countermodel.
     The enumeration cap does not apply: the decision is exact.
     """
-    if not is_propositional_sequent(s):
+    try:
+        preds, propositional = predicate_shape(s)
+    except UsageError:
+        propositional = False  # only an atom with arguments can clash
+    if not propositional:
         raise UsageError("decide_propositional expects a propositional sequent")
-    preds = predicates(s)
     verdict = _refutation(sig, s, preds, 1, 2 ** len(preds))
     return Valid() if verdict is None else verdict
 

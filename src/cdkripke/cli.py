@@ -11,10 +11,10 @@ Exit codes are a stable contract:
     4  internal verification failure (a construction bug, never expected)
 
 The environment variable CDKRIPKE_MAX_ENUM caps how many models the
-bounded searches (classical-bounded, cd-search) may enumerate across all
-frames and domain sizes (a positive integer, default 2**24); the exact
-classical-prop decision is not capped. Unreadable, non-UTF-8 or
-malformed input files exit 2.
+bounded searches (classical-bounded, cd-search) may enumerate, counted
+over every labeled frame and domain size (a positive integer, default
+2**24); the exact classical-prop decision is not capped. Unreadable,
+non-UTF-8 or malformed input files exit 2.
 """
 
 from __future__ import annotations

@@ -219,7 +219,8 @@ def run_collapse_sweep(
     size 1..max_domain, and every hereditary interpretation of one unary
     predicate P and two propositional symbols p, q. Formulas: every
     formula of depth <= depth over the signature, the atoms p, q, P(x),
-    and quantifiers over x.
+    and quantifiers over x. The cap counts labeled models, as in
+    cd_model_batches, also where one frame per class is walked.
     """
     preds = {"p": 0, "q": 0, "P": 1}
     atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]

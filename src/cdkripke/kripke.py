@@ -56,14 +56,8 @@ class KripkeModel:
     constant_domain: bool
     future: Mapping
 
-    def dom(self, w: str) -> tuple:
-        return self.domains[w]
-
     def value_at(self, w: str, pred: str, args: tuple) -> int:
         return self.interp.get((w, pred, args), 0)
-
-    def leq(self, w: str, v: str) -> bool:
-        return (w, v) in self.order
 
 
 def close_preorder(worlds: Sequence[str], pairs: Iterable) -> frozenset:
@@ -343,46 +337,12 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
 
 
 def enumerate_preorders(n: int, up_to_iso: bool = False) -> list:
-    """All preorders on n labeled points, as closed boolean matrices.
-
-    Generated as reflexive-transitive closures of every digraph on n
-    nodes, deduplicated by the matrix itself and sorted by its row-major
-    bit string. With up_to_iso=True, only the first matrix of each class
-    of matrices equal up to a permutation of the points is kept, which
-    is the class's minimum row-major code.
-    """
-    matrices = _preorder_matrices(n)
-    if not up_to_iso:
-        return list(matrices)
-    kept, covered = [], set()
-    for mat in matrices:
-        if mat not in covered:
-            kept.append(mat)
-            covered.update(
-                tuple(tuple(mat[p[i]][p[j]] for j in range(n)) for i in range(n))
-                for p in itertools.permutations(range(n))
-            )
-    return kept
-
-
-@functools.lru_cache(maxsize=None)
-def _preorder_matrices(n: int) -> tuple:
-    """enumerate_preorders(n), computed once per process."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    seen = set()
-    for picks in itertools.product((False, True), repeat=len(pairs)):
-        reach = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), on in zip(pairs, picks):
-            if on:
-                reach[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                if reach[i][k]:
-                    for j in range(n):
-                        if reach[k][j]:
-                            reach[i][j] = True
-        seen.add(tuple(tuple(row) for row in reach))
-    return tuple(sorted(seen))
+    """All preorders on n labeled points, as boolean matrices sorted by
+    their row-major bit string. With up_to_iso=True, only the first
+    matrix of each class of matrices equal up to a permutation of the
+    points is kept, which is the class's minimum row-major code."""
+    return [matrix for matrix, *_, representative in _frames(n)
+            if representative or not up_to_iso]
 
 
 def monotone_world_vectors(matrix) -> list:
@@ -434,21 +394,38 @@ class Valid:
 
 
 @functools.lru_cache(maxsize=None)
-def _frames(n: int, up_to_iso: bool) -> tuple:
-    """(worlds, order, future, vectors) per preorder on n worlds, in
-    enumerate_preorders order, future as (world, worlds above it) pairs.
-    Computed once per process, so every value is immutable."""
+def _frames(n: int) -> tuple:
+    """(matrix, worlds, order, future, vectors, representative) per
+    preorder on n worlds, in enumerate_preorders order: future a
+    read-only map from each world to the worlds above it, vectors its
+    monotone_world_vectors, and representative true for the first frame
+    of each isomorphism class.
+
+    The preorders are the reflexive relations that are transitive. Each
+    row is a bit mask, the first world most significant, and the rows
+    count up in row-major order, which lists each preorder once and
+    already sorted. Computed once per process, so every value is
+    immutable."""
     worlds = tuple(f"w{i}" for i in range(n))
-    frames = []
-    for matrix in enumerate_preorders(n, up_to_iso=up_to_iso):
-        order = frozenset(
-            (worlds[i], worlds[j]) for i in range(n) for j in range(n) if matrix[i][j]
-        )
-        future = tuple(
-            (worlds[i], tuple(worlds[j] for j in range(n) if matrix[i][j]))
-            for i in range(n)
-        )
-        frames.append((worlds, order, future, tuple(monotone_world_vectors(matrix))))
+    points = range(n)
+    bit = [1 << (n - 1 - j) for j in points]
+    reflexive = [[row for row in range(1 << n) if row & bit[i]] for i in points]
+    perms = list(itertools.permutations(points))
+    frames, covered = [], set()
+    for rows in itertools.product(*reflexive):
+        # transitive: every row holds the rows of the worlds it reaches
+        if any(rows[k] & ~row for row in rows for k in points if row & bit[k]):
+            continue
+        matrix = tuple(tuple(bool(row & bit[j]) for j in points) for row in rows)
+        representative = matrix not in covered
+        if representative:
+            covered.update(tuple(tuple(matrix[p[i]][p[j]] for j in points) for i in points)
+                           for p in perms)
+        order = frozenset((worlds[i], worlds[j]) for i in points for j in points if matrix[i][j])
+        future = MappingProxyType(
+            {worlds[i]: tuple(worlds[j] for j in points if matrix[i][j]) for i in points})
+        frames.append((matrix, worlds, order, future,
+                       tuple(monotone_world_vectors(matrix)), representative))
     return tuple(frames)
 
 
@@ -510,30 +487,18 @@ def cd_model_batches(
     """Yield the models of each (frame, domain size) as CdBatches in
     enumerate_cd_models order, splitting the models of a frame and
     domain size that number more than MAX_BATCH_WIDTH on their leading
-    slots. Raises EnumerationCapError before the models of the frame
-    and domain size that would take the cumulative model count, over
-    all frames and domain sizes, past the cap."""
-    return _cd_batches(preds, max_worlds, max_domain, up_to_iso, cap, False)
+    slots. With up_to_iso=True, a frame that does not represent its
+    isomorphism class yields no batches.
 
-
-@functools.lru_cache(maxsize=None)
-def _representatives(n: int) -> frozenset:
-    """The orders of _frames(n, True): one per isomorphism class."""
-    return frozenset(order for _, order, _, _ in _frames(n, True))
-
-
-def _cd_batches(preds: Mapping, max_worlds: int, max_domain: int,
-                up_to_iso: bool, cap: Optional[int], classes_only: bool):
-    """cd_model_batches; with classes_only, a frame of two or more
-    worlds that does not represent its isomorphism class yields no
-    batches, though its models still count against the cap."""
+    Raises EnumerationCapError before the models of the frame and domain
+    size that would take the cumulative model count past the cap. The
+    count runs over every labeled frame and domain size, yielded or
+    not, so a bound meets the cap where the labeled walk meets it."""
     ceiling = enum_cap(cap)
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
     for n in range(1, max_worlds + 1):
-        reps = _representatives(n) if classes_only and n > 1 else None
-        for worlds, order, future, vectors in _frames(n, up_to_iso):
-            searched = reps is None or order in reps
+        for _, worlds, order, future, vectors, representative in _frames(n):
             for size in range(1, max_domain + 1):
                 if len(sizes) < size:
                     domain = tuple(f"a{i + 1}" for i in range(size))
@@ -547,13 +512,13 @@ def _cd_batches(preds: Mapping, max_worlds: int, max_domain: int,
                     raise EnumerationCapError(
                         f"bound infeasible: more than {ceiling} {within}domain<={max_domain}"
                     )
-                if not searched:
+                if up_to_iso and not representative:
                     continue
                 lead = 0
                 while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
                     lead += 1
                 for fixed in itertools.product(vectors, repeat=lead):
-                    yield CdBatch(worlds, order, dict(future), domain, slots[lead:],
+                    yield CdBatch(worlds, order, future, domain, slots[lead:],
                                   vectors, list(zip(slots, fixed)))
 
 
@@ -571,7 +536,7 @@ def enumerate_cd_models(
     order; domain size ascending; interpretations as the product of
     per-slot monotone world vectors, slots in interpretation_slots order,
     earlier slots varying slowest. Raises EnumerationCapError when the
-    cumulative model count would exceed the cap.
+    cumulative count of labeled models would exceed the cap.
     """
     for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap):
         yield from batch.models()
@@ -604,7 +569,7 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     frames still count against the cap, which is met where the labeled
     search meets it."""
     fv = sorted(free_vars(s))
-    for batch in _cd_batches(preds, max_worlds, max_domain, False, cap, True):
+    for batch in cd_model_batches(preds, max_worlds, max_domain, True, cap):
         lanes = Lanes.for_batch(batch, sig)
         found = _batch_refutation(lanes, batch, s, fv)
         lanes.clear()

@@ -47,7 +47,6 @@ from .syntax import (
     predicate_shape,
     print_formula,
     print_sequent,
-    substitute_symbol,
 )
 from .truthfn import (
     Signature,
@@ -187,6 +186,18 @@ def _kripke_row(world: str, cells: Sequence) -> ExpectedRow:
     return ExpectedRow(world, tuple(cells), world=world)
 
 
+def _layer_stack(name: str, a: tuple, b: tuple, subcase: int, top: Formula) -> tuple:
+    """(sigma, psi, phi): the three-layer stack of case d, top in the
+    (1, 1) slots of every layer. Case d puts tau there; case b subcase
+    2 puts r, which is the case-d stack with tau replaced by r."""
+    sigma = Conn(name, _slots(a, b, Q, P, top))
+    if subcase == 1:
+        psi = Conn(name, _slots(a, b, P, sigma, top))
+        return sigma, psi, Conn(name, _slots(a, b, P, psi, top))
+    psi = Conn(name, _slots(a, b, sigma, Q, top))
+    return sigma, psi, Conn(name, _slots(a, b, psi, P, top))
+
+
 def _layer_tables(
     subcase: int,
     a: tuple,
@@ -247,14 +258,7 @@ def _case_d(table: TruthTable) -> tuple:
     rel = relative_invert(a, b)
     subcase = 1 if eval_table(table, rel) == 1 else 2
     tau = build_tau(table)
-    name = table.name
-    sigma = Conn(name, _slots(a, b, Q, P, tau))
-    if subcase == 1:
-        psi = Conn(name, _slots(a, b, P, sigma, tau))
-        phi = Conn(name, _slots(a, b, P, psi, tau))
-    else:
-        psi = Conn(name, _slots(a, b, sigma, Q, tau))
-        phi = Conn(name, _slots(a, b, psi, P, tau))
+    sigma, psi, phi = _layer_stack(table.name, a, b, subcase, tau)
     result = SeparationResult(
         connective=table,
         case="d",
@@ -373,19 +377,9 @@ def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> tuple:
     rel = relative_invert(a, b)
     name = table.name
     psi = Conn(name, tuple(R if x else Q for x in a))
-    tau = build_negation(table, S)
     candidates = {}
     for variant, layer_subcase in (("PP", 1), ("QQ", 2)):
-        sigma_t = Conn(name, _slots(a, b, Q, P, tau))
-        if layer_subcase == 1:
-            psi_t = Conn(name, _slots(a, b, P, sigma_t, tau))
-            phi_t = Conn(name, _slots(a, b, P, psi_t, tau))
-        else:
-            psi_t = Conn(name, _slots(a, b, sigma_t, Q, tau))
-            phi_t = Conn(name, _slots(a, b, psi_t, P, tau))
-        sigma_r = substitute_symbol(sigma_t, tau, R)
-        psi_r = substitute_symbol(psi_t, tau, R)
-        phi_r = substitute_symbol(phi_t, tau, R)
+        sigma_r, psi_r, phi_r = _layer_stack(name, a, b, layer_subcase, R)
         layer_cls, layer_kr = _layer_tables(
             layer_subcase,
             a,

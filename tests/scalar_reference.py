@@ -12,6 +12,10 @@ close_preorder and assemble_kripke_model close a frame from scratch on
 every call and build each world's future by scanning the closed order,
 as before frames were closed once per process.
 
+preorders lists the preorders on n points as the closures of every
+digraph, deduplicated and sorted, as before the frame table kept the
+transitive reflexive relations.
+
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
 decide_propositional, model_validity and cell_evaluator of cdkripke.
@@ -66,6 +70,26 @@ def close_preorder(worlds: Sequence[str], pairs: Iterable) -> frozenset:
     return frozenset(
         (worlds[i], worlds[j]) for i in range(n) for j in range(n) if reach[i][j]
     )
+
+
+def preorders(n: int) -> list:
+    """The reflexive-transitive closures of every digraph on n points, as
+    boolean matrices, each once, sorted by their row-major bit string."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    seen = set()
+    for picks in itertools.product((False, True), repeat=len(pairs)):
+        reach = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), on in zip(pairs, picks):
+            if on:
+                reach[i][j] = True
+        for k in range(n):
+            for i in range(n):
+                if reach[i][k]:
+                    for j in range(n):
+                        if reach[k][j]:
+                            reach[i][j] = True
+        seen.add(tuple(tuple(row) for row in reach))
+    return sorted(seen)
 
 
 def assemble_kripke_model(

@@ -18,7 +18,7 @@ from cdkripke.classical import (
     eval_sequent_classical,
 )
 from cdkripke.errors import EnumerationCapError, ModelValidationError, UsageError
-from cdkripke.syntax import Atom, Conn, Sequent, parse_formula, parse_sequent, predicates
+from cdkripke.syntax import Atom, Conn, Forall, Sequent, parse_formula, parse_sequent, predicates
 
 from cdkripke.truthfn import standard_signature
 
@@ -125,6 +125,13 @@ class TestDecidePropositional:
     def test_rejects_quantified(self):
         with pytest.raises(UsageError):
             decide_propositional(SIG, parse_sequent("=> forall x. P(x)", SIG))
+
+    def test_rejects_quantified_arity_clash_as_quantified(self):
+        # the parser refuses the clash, so build the sequent by hand: the
+        # shape check, not the clash, names the error
+        clash = Sequent((Forall("x", Atom("P", ("x",))),), (Atom("P"),))
+        with pytest.raises(UsageError, match="^decide_propositional expects a propositional sequent$"):
+            decide_propositional(SIG, clash)
 
     def test_matches_oracle_on_random_sequents(self):
         rng = random.Random(5)

@@ -110,3 +110,33 @@ def test_one_batch_per_class(monkeypatch):
     assert verdict == NoCountermodelUpTo(3, 1)
     assert len(calls) == 13
     assert [len(b.worlds) for b in calls] == [1] + [2] * 3 + [3] * 9
+
+
+def walked(preds, max_worlds, max_domain, up_to_iso, cap):
+    """(the batches cd_model_batches yields, as comparable tuples, and the
+    cap error's message or None)."""
+    batches = []
+    try:
+        for b in cd_model_batches(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
+            batches.append((b.worlds, b.order, b.domain, tuple(b.slots), tuple(b.fixed), b.width))
+    except EnumerationCapError as exc:
+        return batches, str(exc)
+    return batches, None
+
+
+def test_cap_parity_across_walks():
+    # every cap up to one past the 674 labeled models: the walk over one
+    # frame per class meets the cap where the labeled walk meets it, with
+    # the same message, and until then yields the labeled batches of the
+    # representatives, in the labeled order
+    preds = {"p": 0, "q": 0}
+    representatives = {
+        frozenset((f"w{i}", f"w{j}") for i in range(n) for j in range(n) if matrix[i][j])
+        for n in (1, 2, 3) for matrix in enumerate_preorders(n, up_to_iso=True)
+    }
+    for cap in range(1, 676):
+        labeled, labeled_error = walked(preds, 3, 1, False, cap)
+        classes, classes_error = walked(preds, 3, 1, True, cap)
+        assert classes_error == labeled_error, cap
+        assert classes == [b for b in labeled if b[1] in representatives], cap
+    assert labeled_error is None and len(classes) == 1 + 3 + 9

@@ -35,6 +35,8 @@ from cdkripke.syntax import (
 )
 from cdkripke.truthfn import standard_signature
 
+import scalar_reference
+
 SIG = standard_signature("and", "or", "implies", "nand", "xor", "not")
 
 
@@ -254,6 +256,11 @@ class TestPreorders:
         assert len(enumerate_preorders(1, up_to_iso=True)) == 1
         assert len(enumerate_preorders(2, up_to_iso=True)) == 3
         assert len(enumerate_preorders(3, up_to_iso=True)) == 9
+
+    def test_matches_closures_of_every_digraph(self):
+        for n in range(5):
+            assert enumerate_preorders(n) == scalar_reference.preorders(n)
+        assert [len(enumerate_preorders(n, up_to_iso=True)) for n in range(5)] == [1, 1, 3, 9, 33]
 
     def test_matrices_are_reflexive_transitive(self):
         for matrix in enumerate_preorders(3):
