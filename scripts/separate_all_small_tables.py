@@ -5,9 +5,12 @@ For each non-monotonic table this builds the separating sequent, runs the
 full verification (classical validity by enumeration, refutation in the
 two-world chain, expected-table re-derivation), and tallies cases: a
 quick demonstration that the synthesis covers the whole small-arity
-space, with per-case example output.
+space, with per-case example output. It exits 1 when the count of
+monotone tables of some arity up to 4 is not the Dedekind number
+(OEIS A000372) of that arity.
 
     python scripts/separate_all_small_tables.py --max-arity 3 --show-examples
+    python scripts/separate_all_small_tables.py --max-arity 4 --quiet
 """
 
 import argparse
@@ -19,12 +22,17 @@ from cdkripke.separator import AllMonotone, _separated, render_separation
 from cdkripke.syntax import print_sequent
 from cdkripke.truthfn import Signature, all_tables
 
+# monotone boolean functions of n arguments, OEIS A000372
+DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168}
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-arity", type=int, default=3)
     parser.add_argument("--show-examples", action="store_true",
                         help="print one full rendering per case/subcase")
+    parser.add_argument("--quiet", action="store_true",
+                        help="leave out the line per separated table")
     args = parser.parse_args()
 
     counts = Counter()
@@ -40,10 +48,11 @@ def main() -> int:
             key = (result.case, result.subcase)
             counts[(key, arity)] += 1
             examples.setdefault(key, (result, report))
-            print(
-                f"arity {arity} bits {table.bits()}: case {result.case}"
-                f"{result.subcase or ''} -> {print_sequent(result.sequent)}"
-            )
+            if not args.quiet:
+                print(
+                    f"arity {arity} bits {table.bits()}: case {result.case}"
+                    f"{result.subcase or ''} -> {print_sequent(result.sequent)}"
+                )
     elapsed = time.monotonic() - start
 
     print()
@@ -55,7 +64,13 @@ def main() -> int:
             print()
             print(f"=== example for case {key} ===")
             print(render_separation(*examples[key]))
-    return 0
+    wrong = [(arity, counts[("monotone", arity)], DEDEKIND[arity])
+             for arity in range(1, args.max_arity + 1)
+             if arity in DEDEKIND and counts[("monotone", arity)] != DEDEKIND[arity]]
+    for arity, found, expected in wrong:
+        print(f"error: arity {arity}: {found} monotone tables, expected {expected}",
+              file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from typing import Mapping, Optional
 
 from .errors import ModelValidationError, UsageError
 from .kripke import (
+    NoCountermodelUpTo,
     Valid,
     _check_assignment,
     _first_refutation,
@@ -94,11 +95,6 @@ class Countermodel:
     assignment: Mapping = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class NoCountermodelUpTo:
-    max_domain: int
-
-
 def _refutation(sig: Signature, s: Sequent, preds: Mapping, max_domain: int,
                 cap: Optional[int]) -> Optional[Countermodel]:
     """The first one-world refutation of s, as a classical model whose
@@ -141,13 +137,13 @@ def bounded_fo_validity(
     then assignments to the sequent's free variables, variables sorted,
     values in domain order. This is the one-world case of the
     constant-domain search order, and the cap counts interpretations
-    across all domain sizes. A NoCountermodelUpTo result is only a bound
-    report, not a validity certificate.
+    across all domain sizes. A NoCountermodelUpTo result, with one world,
+    is only a bound report, not a validity certificate.
     """
     if max_domain < 1:
         raise UsageError("max_domain must be >= 1")
     verdict = _refutation(sig, s, predicates(s), max_domain, cap)
-    return NoCountermodelUpTo(max_domain) if verdict is None else verdict
+    return NoCountermodelUpTo(1, max_domain) if verdict is None else verdict
 
 
 # --- model files ---------------------------------------------------------

@@ -30,7 +30,6 @@ from . import golden, suites
 from .classical import (
     ClassicalEvaluator,
     Countermodel,
-    NoCountermodelUpTo,
     Valid,
     bounded_fo_validity,
     classical_model_from_json,
@@ -44,11 +43,11 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .kripke import NoCountermodelUpTo as CdNoCountermodelUpTo
 from .kripke import (
     CdCountermodel,
     Failure,
     KripkeEvaluator,
+    NoCountermodelUpTo,
     bounded_cd_countermodel_search,
     kripke_model_from_json,
     kripke_model_to_json,
@@ -256,7 +255,7 @@ _VALID_MODES = {
                     "model": kripke_model_to_json(v.model),
                 },
             ),
-            CdNoCountermodelUpTo: (
+            NoCountermodelUpTo: (
                 EXIT_OK,
                 lambda v: f"NoCountermodelUpTo(worlds={v.max_worlds}, domain={v.max_domain})",
                 lambda v: {

@@ -128,6 +128,8 @@ def _repeats(names: Sequence) -> list:
 
 def kripke_violations(model: KripkeModel) -> list:
     """All invariant violations of an assembled model, with witnesses."""
+    if _holds_invariants(model):
+        return []
     out = []
     if not model.worlds:
         out.append(Violation("empty-worlds", {}))
@@ -185,6 +187,37 @@ def kripke_violations(model: KripkeModel) -> list:
                         )
                     )
     return out
+
+
+def _holds_invariants(model: KripkeModel) -> bool:
+    """Whether kripke_violations finds nothing: each of its tests in
+    one unsorted pass, without building a witness."""
+    worlds, domains, interp = model.worlds, model.domains, model.interp
+    if not worlds or len(set(worlds)) < len(worlds):
+        return False
+    domain_sets = {}
+    for w in worlds:
+        d = domains.get(w)
+        if not d:
+            return False
+        domain_sets[w] = dset = set(d)
+        if len(dset) < len(d):
+            return False
+    for w, v in model.order:
+        if w != v and not (w in domain_sets and v in domain_sets
+                           and domain_sets[v].issuperset(domains[w])):
+            return False
+    future = model.future
+    for (w, pred, args), value in interp.items():
+        if w not in domain_sets or value not in (0, 1):
+            return False
+        if args and not domain_sets[w].issuperset(args):
+            return False
+        if value == 1:
+            for v in future[w]:
+                if v != w and interp.get((v, pred, args), 0) == 0:
+                    return False
+    return True
 
 
 def validate_kripke_model(
@@ -345,19 +378,6 @@ def enumerate_preorders(n: int, up_to_iso: bool = False) -> list:
             if representative or not up_to_iso]
 
 
-def monotone_world_vectors(matrix) -> list:
-    """All 0/1 world vectors that never drop along the given preorder,
-    ordered as binary numbers (first world most significant)."""
-    n = len(matrix)
-    out = []
-    for bits in itertools.product((0, 1), repeat=n):
-        if all(
-            bits[i] <= bits[j] for i in range(n) for j in range(n) if matrix[i][j]
-        ):
-            out.append(bits)
-    return out
-
-
 # ceiling on the number of models a bounded search may enumerate
 DEFAULT_ENUM_CAP = 2 ** 24
 ENUM_CAP_ENV = "CDKRIPKE_MAX_ENUM"
@@ -397,36 +417,69 @@ class Valid:
 def _frames(n: int) -> tuple:
     """(matrix, worlds, order, future, vectors, representative) per
     preorder on n worlds, in enumerate_preorders order: future a
-    read-only map from each world to the worlds above it, vectors its
-    monotone_world_vectors, and representative true for the first frame
-    of each isomorphism class.
+    read-only map from each world to the worlds above it, vectors the
+    0/1 world vectors that never drop along the order, as binary numbers
+    in increasing order (first world most significant), and
+    representative true for the first frame of each isomorphism class.
 
-    The preorders are the reflexive relations that are transitive. Each
-    row is a bit mask, the first world most significant, and the rows
-    count up in row-major order, which lists each preorder once and
-    already sorted. Computed once per process, so every value is
-    immutable."""
+    Computed once per process, so every value is immutable."""
     worlds = tuple(f"w{i}" for i in range(n))
     points = range(n)
-    bit = [1 << (n - 1 - j) for j in points]
-    reflexive = [[row for row in range(1 << n) if row & bit[i]] for i in points]
-    perms = list(itertools.permutations(points))
+    masks = range(1 << n)
+    # for each row mask: its bits as a world vector, as a matrix row, and
+    # the worlds it holds
+    bits = [tuple(row >> (n - 1 - j) & 1 for j in points) for row in masks]
+    matrix_rows = [tuple(map(bool, b)) for b in bits]
+    held = [tuple(w for w, x in zip(worlds, b) if x) for b in bits]
+    # the row mask of every permutation's image of every row mask
+    perms = [(p, [sum(b[p[j]] << (n - 1 - j) for j in points) for b in bits])
+             for p in itertools.permutations(points)]
     frames, covered = [], set()
-    for rows in itertools.product(*reflexive):
-        # transitive: every row holds the rows of the worlds it reaches
-        if any(rows[k] & ~row for row in rows for k in points if row & bit[k]):
-            continue
-        matrix = tuple(tuple(bool(row & bit[j]) for j in points) for row in rows)
-        representative = matrix not in covered
+    for rows in _preorder_rows(n):
+        representative = rows not in covered
         if representative:
-            covered.update(tuple(tuple(matrix[p[i]][p[j]] for j in points) for i in points)
-                           for p in perms)
-        order = frozenset((worlds[i], worlds[j]) for i in points for j in points if matrix[i][j])
-        future = MappingProxyType(
-            {worlds[i]: tuple(worlds[j] for j in points if matrix[i][j]) for i in points})
-        frames.append((matrix, worlds, order, future,
-                       tuple(monotone_world_vectors(matrix)), representative))
+            covered.update(tuple(image[rows[p[i]]] for i in points) for p, image in perms)
+        future = MappingProxyType({w: held[row] for w, row in zip(worlds, rows)})
+        order = frozenset((w, v) for w in worlds for v in future[w])
+        # up-sets: need[v] is every world reached from the worlds of v
+        need = [0] * (1 << n)
+        for v in masks[1:]:
+            low = v & -v
+            need[v] = need[v ^ low] | rows[n - low.bit_length()]
+        vectors = tuple(bits[v] for v in masks if need[v] == v)
+        frames.append((tuple(matrix_rows[row] for row in rows), worlds, order, future,
+                       vectors, representative))
     return tuple(frames)
+
+
+def _preorder_rows(n: int) -> list:
+    """Every preorder on n points as a tuple of row masks, the first
+    point most significant, in row-major order: the reflexive relations
+    in which each row holds the rows of the points it reaches.
+
+    Rows are chosen in order, each in increasing order of its mask, which
+    lists the preorders sorted. A row is dropped as soon as it breaks
+    transitivity with a row chosen before it, so no intransitive prefix
+    is extended."""
+    bit = [1 << (n - 1 - j) for j in range(n)]
+    out: list = []
+    rows: list = []
+
+    def extend(m: int):
+        if m == n:
+            out.append(tuple(rows))
+            return
+        for row in range(1 << n):
+            if not row & bit[m] or any(
+                    row & bit[k] and rows[k] & ~row or rows[k] & bit[m] and row & ~rows[k]
+                    for k in range(m)):
+                continue
+            rows.append(row)
+            extend(m + 1)
+            rows.pop()
+
+    extend(0)
+    return out
 
 
 class CdBatch:
@@ -434,7 +487,8 @@ class CdBatch:
     hold the world vectors of ``fixed`` (slot, vector) pairs, and the
     models are the product of per-slot monotone world vectors over the
     other ``slots``, in interpretation_slots order, earlier slots varying
-    slowest; ``width`` counts them.
+    slowest; ``width`` counts them. ``lane_masks`` is filled in by the
+    first Lanes.for_batch of the batch.
 
     A plain class rather than a dataclass, because every CLI call pays
     the package import and a dataclass takes most of a millisecond to
@@ -450,6 +504,7 @@ class CdBatch:
         self.vectors = vectors
         self.fixed = fixed
         self.width = len(vectors) ** len(slots)
+        self.lane_masks = None
 
     def slot_vectors(self, index: int) -> list:
         """(slot, world vector) pairs of the index-th model, 0 <= index <
@@ -551,6 +606,9 @@ class CdCountermodel:
 
 @dataclass(frozen=True)
 class NoCountermodelUpTo:
+    """No countermodel within the bounds: the report of a bounded search.
+    The classical searches report one world."""
+
     max_worlds: int
     max_domain: int
 

@@ -6,7 +6,8 @@ value at that world of the interp_index-th of M models sharing one frame
 and one domain. The classical side is the value in the world's
 projection. Both sides read the same atomic masks; a connective applies
 its truth table lane by lane, as the OR over the table's 1-rows of the
-ANDed argument masks, complemented where the row bit is 0. The Kripke
+ANDed argument masks, complemented where the row bit is 0 (or the
+complement of that OR over its 0-rows, when they are fewer). The Kripke
 side of a connective or of a universal is then boxed: its block at world
 i is the AND of the blocks at every world above i. Existentials are the
 OR over the domain on both sides. Where no world sees another (one
@@ -73,24 +74,42 @@ class Lanes:
     def for_model(cls, model: KripkeModel, sig: Signature) -> Lanes:
         """One model: M = 1, so lane i is world i. Growing domains get
         existence masks, the elements in order of first appearance."""
+        return cls(sig, *cls.layout(model))
+
+    @staticmethod
+    def layout(model: KripkeModel) -> tuple:
+        """The arguments after sig that Lanes.for_model passes to Lanes;
+        none of them is mutated later, so one layout may serve many
+        Lanes of a model that does not change."""
         windex = {w: i for i, w in enumerate(model.worlds)}
         atoms: dict = {}
         for (w, pred, args), value in model.interp.items():
             if value and w in windex:
                 atoms[(pred, args)] = atoms.get((pred, args), 0) | (1 << windex[w])
-        future = [tuple(windex[v] for v in model.future[w]) for w in model.worlds]
+        future = tuple(tuple(windex[v] for v in model.future[w]) for w in model.worlds)
         if model.constant_domain:
-            return cls(sig, future, 1, model.domains[model.worlds[0]], atoms)
+            return future, 1, model.domains[model.worlds[0]], atoms
         exists: dict = {}
         for i, w in enumerate(model.worlds):
             for a in model.domains[w]:
                 exists[a] = exists.get(a, 0) | (1 << i)
-        return cls(sig, future, 1, tuple(exists), atoms, exists)
+        return future, 1, tuple(exists), atoms, exists
 
     @classmethod
     def for_batch(cls, batch: CdBatch, sig: Signature) -> Lanes:
         """Every interpretation of a CdBatch, interp_index in the batch's
-        model order; a fixed slot has the same value on every model."""
+        model order; a fixed slot has the same value on every model.
+        The atom masks and the future lists are kept on the batch, so
+        Lanes of a batch built again, for another signature say, reuse
+        them."""
+        if batch.lane_masks is None:
+            batch.lane_masks = cls._batch_masks(batch)
+        future, atoms = batch.lane_masks
+        return cls(sig, future, batch.width, batch.domain, atoms)
+
+    @staticmethod
+    def _batch_masks(batch: CdBatch) -> tuple:
+        """(future, atoms) of Lanes.for_batch; neither is mutated later."""
         worlds, vectors, width = batch.worlds, batch.vectors, batch.width
         nvec, nslots = len(vectors), len(batch.slots)
         atoms = {}
@@ -112,8 +131,7 @@ class Lanes:
         for slot, vec in batch.fixed:
             atoms[slot] = sum(((1 << width) - 1) << (j * width) for j, val in enumerate(vec) if val)
         windex = {w: i for i, w in enumerate(worlds)}
-        future = [tuple(windex[v] for v in batch.future[w]) for w in worlds]
-        return cls(sig, future, width, batch.domain, atoms)
+        return tuple(tuple(windex[v] for v in batch.future[w]) for w in worlds), atoms
 
     def clear(self):
         self._memo.clear()
@@ -144,10 +162,13 @@ class Lanes:
         table = self._tables.get(name)
         if table is None:
             raise UsageError(f"unknown connective {name!r}")
-        rows = table.true_rows
+        rows, negated = table.true_rows, 0
+        if len(rows) << 1 > len(table.outputs):
+            # more 1-rows than 0-rows: complement the OR over the 0-rows
+            rows, negated = table.false_rows, self.full
         out = 0
         if self._lanes < len(rows):
-            # fewer lanes than 1-rows: look each lane's row up
+            # fewer lanes than rows: look each lane's row index up
             outputs = table.outputs
             for lane in range(self._lanes):
                 row = 0
@@ -161,7 +182,12 @@ class Lanes:
             for bit, mask in zip(bits, masks):
                 term &= mask if bit else full ^ mask
             out |= term
-        return out
+        return out ^ negated
+
+    def mask(self, f: Formula) -> int:
+        """The Kripke mask of the closed formula f."""
+        cached = self._memo.get(f)
+        return (self.value(f, {}) if cached is None else cached)[0]
 
     def value(self, f: Formula, rho: Mapping) -> tuple:
         """(kripke, classical) masks of f under the assignment rho."""
@@ -180,15 +206,19 @@ class Lanes:
             mask = self._atoms.get((f.pred, tuple(rho[x] for x in f.args)), 0)
             result = (mask, mask)
         elif isinstance(f, Conn):
-            pairs = [self.value(g, rho) for g in f.args]
-            ks = [k for k, _ in pairs]
-            kripke = self._table(f.name, ks)
+            value = self.value
             if not self._boxed:
                 # no world sees another: both sides are the same masks
+                kripke = self._table(f.name, [value(g, rho)[0] for g in f.args])
                 result = (kripke, kripke)
             else:
+                ks, cs = [], []
+                for g in f.args:
+                    k, c = value(g, rho)
+                    ks.append(k)
+                    cs.append(c)
+                kripke = self._table(f.name, ks)
                 # the classical side is the unboxed table of its own masks
-                cs = [c for _, c in pairs]
                 result = (self.box(kripke), kripke if ks == cs else self._table(f.name, cs))
         elif isinstance(f, Forall):
             full, exists = self.full, self.exists

@@ -117,11 +117,12 @@ def chain_countermodel(with_r: bool) -> KripkeModel:
     Each of the two models is built once per process and shared, so
     its domains, interpretation and future sets are read-only.
     """
-    return _chain_countermodel(with_r)
+    return _chain(with_r)[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_countermodel(with_r: bool) -> KripkeModel:
+@functools.lru_cache(maxsize=2)
+def _chain(with_r: bool) -> tuple:
+    """(chain_countermodel(with_r), its Lanes.layout)."""
     interp = {("w1", "p", ()): 1}
     if with_r:
         interp[("w0", "r", ())] = 1
@@ -132,12 +133,13 @@ def _chain_countermodel(with_r: bool) -> KripkeModel:
         {"w0": ("a1",), "w1": ("a1",)},
         interp,
     )
-    return replace(
+    model = replace(
         model,
         domains=MappingProxyType(model.domains),
         interp=MappingProxyType(model.interp),
         future=MappingProxyType(model.future),
     )
+    return model, Lanes.layout(model)
 
 
 def build_negation(table: TruthTable, f: Formula) -> Formula:
@@ -169,10 +171,17 @@ def _slots(a: tuple, b: tuple, on_zz: Formula, on_zo: Formula, on_one: Formula) 
     return tuple(out)
 
 
+# Expected cells and tables are immutable, and the same ones recur from
+# connective to connective, so each is built once and shared, in bounded
+# caches. Their arguments are strings and tuples of 0/1 ints.
+
+
+@functools.lru_cache(maxsize=1024)
 def _vec(formula_key: str, expected: tuple) -> ExpectedCell:
     return ExpectedCell(formula_key, "args", tuple(expected))
 
 
+@functools.lru_cache(maxsize=256)
 def _val(formula_key: str, expected: int) -> ExpectedCell:
     return ExpectedCell(formula_key, "value", expected)
 
@@ -198,6 +207,7 @@ def _layer_stack(name: str, a: tuple, b: tuple, subcase: int, top: Formula) -> t
     return sigma, psi, Conn(name, _slots(a, b, psi, P, top))
 
 
+@functools.lru_cache(maxsize=512)
 def _layer_tables(
     subcase: int,
     a: tuple,
@@ -555,7 +565,7 @@ def _checked(result: SeparationResult) -> tuple:
 # --- verification ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     name: str
     ok: bool
@@ -606,6 +616,29 @@ def _resolve(result: SeparationResult, key: str) -> Formula:
     raise UsageError(f"expected-table cell names unknown formula {key!r}")
 
 
+# The names and details of the cell checks repeat from table to table,
+# so they are formatted once each, in bounded caches. A detail is looked
+# up only for int values: a key of equal values may carry the text of
+# another type (1 == True).
+
+
+@functools.lru_cache(maxsize=4096)
+def _cell_name(table: str, row: str, formula: str) -> str:
+    return f"table:{table}/{row}/{formula}"
+
+
+@functools.lru_cache(maxsize=1024)
+def _cell_detail(expected, actual) -> str:
+    return f"expected {expected}, got {actual}"
+
+
+_INT = {int}
+
+# a result is verified while it is built and usually once more by its
+# caller: the text of its sequent, a check's detail, is printed once
+_sequent_text = functools.lru_cache(maxsize=64)(print_sequent)
+
+
 def verify_separation(result: SeparationResult) -> VerificationReport:
     """Re-derive everything the result claims; mismatches become failed
     checks, never exceptions.
@@ -632,7 +665,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     except UsageError as exc:
         # an arity clash needs an atom with arguments: not propositional
         arities, propositional, symbols_check = {}, False, (False, str(exc))
-    report.add("sequent-propositional", propositional, print_sequent(sequent))
+    report.add("sequent-propositional", propositional, _sequent_text(sequent))
     report.add("sequent-symbols", *symbols_check)
     symbols = tuple(sorted(arities))
 
@@ -657,7 +690,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("classically-valid", False, str(exc))
 
     # constant-domain half: the countermodel refutes it at the stated world
-    kripke = Lanes.for_model(model, sig)
+    kripke = _model_lanes(model, sig)
     verdict = _first_failure(kripke, model, sequent)
     if isinstance(verdict, Failure):
         report.add(
@@ -669,27 +702,40 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("cd-refuted", False, "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    row_evaluator = _cell_reader(kripke, model.worlds, sig, symbols, classical)
+    checks = report.checks
+    formulas = result.formulas
+    read_row = _row_lanes(kripke, model.worlds, sig, symbols, classical)
     for table in result.tables:
         for row in table.rows:
-            label = f"table:{table.name}/{row.label}"
             if row.world is not None and row.world not in model.worlds:
-                report.add(label, False, f"countermodel has no world {row.world!r}")
+                checks.append(Check(f"table:{table.name}/{row.label}", False,
+                                    f"countermodel has no world {row.world!r}"))
                 continue
-            cell_value = row_evaluator(row.world, row.valuation)
+            lanes, lane = read_row(row.world, row.valuation)
+            mask = lanes.mask
             for cell in row.cells:
-                where = f"{label}/{cell.formula}"
-                try:
-                    f = _resolve(result, cell.formula)
-                except UsageError as exc:
-                    report.add(where, False, str(exc))
-                    continue
-                actual = cell_value(f, cell.kind)
-                if actual is None:
-                    report.add(where, False, "args cell on a non-connective")
+                key, expected = cell.formula, cell.expected
+                where = _cell_name(table.name, row.label, key)
+                f = formulas.get(key)
+                if f is None:
+                    try:
+                        f = _resolve(result, key)
+                    except UsageError as exc:
+                        checks.append(Check(where, False, str(exc)))
+                        continue
+                if cell.kind == "value":
+                    actual = mask(f) >> lane & 1
+                    exact = type(expected) is int
+                elif isinstance(f, Conn):
+                    actual = tuple([mask(g) >> lane & 1 for g in f.args])
+                    expected = tuple(expected)
+                    exact = {*map(type, expected)} <= _INT
                 else:
-                    expected = cell.expected if cell.kind == "value" else tuple(cell.expected)
-                    report.add(where, actual == expected, f"expected {expected}, got {actual}")
+                    checks.append(Check(where, False, "args cell on a non-connective"))
+                    continue
+                checks.append(Check(where, bool(actual == expected),
+                                    _cell_detail(expected, actual) if exact
+                                    else f"expected {expected}, got {actual}"))
     return report
 
 
@@ -704,6 +750,16 @@ def _valuations(symbols: tuple) -> Optional[CdBatch]:
     return batch
 
 
+def _model_lanes(model: KripkeModel, sig: Signature) -> Lanes:
+    """Lanes.for_model(model, sig), from the layout kept with a chain
+    countermodel when model is one."""
+    for with_r in (False, True):
+        chain, layout = _chain(with_r)
+        if model is chain:
+            return Lanes(sig, *layout)
+    return Lanes.for_model(model, sig)
+
+
 def cell_evaluator(countermodel: KripkeModel, sig: Signature):
     """row(world, valuation) gives the cell function cell(f, kind) of one
     expected-table row: a Kripke row is read at its world of the
@@ -712,12 +768,28 @@ def cell_evaluator(countermodel: KripkeModel, sig: Signature):
     valuation of its symbols. cell(f, "value") is f's value;
     cell(f, "args") is the tuple of the argument values of f's top
     connective, or None when f is not a connective."""
-    return _cell_reader(Lanes.for_model(countermodel, sig), countermodel.worlds, sig)
+    read_row = _row_lanes(_model_lanes(countermodel, sig), countermodel.worlds, sig)
+
+    def row(world: Optional[str], valuation: Sequence = ()):
+        return functools.partial(_read_cell, *read_row(world, valuation))
+
+    return row
 
 
-def _cell_reader(kripke: Lanes, worlds: tuple, sig: Signature,
-                 symbols: tuple = (), valuations: Optional[Lanes] = None):
-    """cell_evaluator reading Kripke rows from kripke, Lanes.for_model of
+def _read_cell(lanes: Lanes, lane: int, f: Formula, kind: str):
+    """cell(f, kind) of cell_evaluator, read at one lane. verify_separation
+    reads its cells the same way, inline."""
+    if kind == "value":
+        return lanes.mask(f) >> lane & 1
+    if isinstance(f, Conn):
+        return tuple([lanes.mask(g) >> lane & 1 for g in f.args])
+    return None
+
+
+def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
+               symbols: tuple = (), valuations: Optional[Lanes] = None):
+    """row(world, valuation) gives the (lanes, lane) that an expected-table
+    row is read at. A Kripke row is read from kripke, Lanes.for_model of
     the countermodel whose worlds are given. A classical row that names
     only the given symbols is read from valuations, when given, the
     lanes of _valuations(symbols), with the symbols it does not name at
@@ -729,32 +801,21 @@ def _cell_reader(kripke: Lanes, worlds: tuple, sig: Signature,
 
     def row(world: Optional[str], valuation: Sequence = ()):
         if world is not None:
-            lanes, lane = kripke, windex[world]
-        else:
-            bits = dict(valuation)
-            names = symbols if bits.keys() <= shared else tuple(sorted(bits))
-            if names not in batches:
-                batch = _valuations(names)
-                batches[names] = None if batch is None else Lanes.for_batch(batch, sig)
-            lanes = batches[names]
-            if lanes is None:
-                atoms = {(sym, ()): 1 for sym, bit in bits.items() if bit}
-                lanes, lane = Lanes(sig, [(0,)], 1, ("a1",), atoms), 0
-            else:
-                # a valuation's lane is its bits in symbol order, read in binary
-                lane = int("".join(str(bits.get(sym, 0)) for sym in names) or "0", 2)
-
-        def evaluate(g):
-            return lanes.value(g, {})[0] >> lane & 1
-
-        def cell(f: Formula, kind: str):
-            if kind == "value":
-                return evaluate(f)
-            if isinstance(f, Conn):
-                return tuple(evaluate(g) for g in f.args)
-            return None
-
-        return cell
+            return kripke, windex[world]
+        bits = dict(valuation)
+        names = symbols if bits.keys() <= shared else tuple(sorted(bits))
+        if names not in batches:
+            batch = _valuations(names)
+            batches[names] = None if batch is None else Lanes.for_batch(batch, sig)
+        lanes = batches[names]
+        if lanes is None:
+            atoms = {(sym, ()): 1 for sym, bit in bits.items() if bit}
+            return Lanes(sig, [(0,)], 1, ("a1",), atoms), 0
+        # a valuation's lane is its bits in symbol order, read in binary
+        lane = 0
+        for sym in names:
+            lane = lane << 1 | bits.get(sym, 0)
+        return lanes, lane
 
     return row
 

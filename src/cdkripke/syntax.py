@@ -453,23 +453,32 @@ def parse_sequent(text: str, sig: Signature) -> Sequent:
 
 
 def print_formula(f: Formula) -> str:
+    return _printed(f, {})
+
+
+def _printed(f: Formula, memo: dict) -> str:
+    """print_formula, each subformula node printed once: memo maps the
+    id of each node printed so far to its text."""
+    text = memo.get(id(f))
+    if text is not None:
+        return text
     if isinstance(f, Atom):
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(f.args)})"
-    if isinstance(f, Conn):
-        if not f.args:
-            return f.name
-        return f"{f.name}({', '.join(print_formula(g) for g in f.args)})"
-    if isinstance(f, Forall):
-        return f"forall {f.var}. {print_formula(f.body)}"
-    if isinstance(f, Exists):
-        return f"exists {f.var}. {print_formula(f.body)}"
-    raise UsageError(f"not a formula: {f!r}")
+        text = f"{f.pred}({', '.join(f.args)})" if f.args else f.pred
+    elif isinstance(f, Conn):
+        text = f"{f.name}({', '.join([_printed(g, memo) for g in f.args])})" if f.args else f.name
+    elif isinstance(f, Forall):
+        text = f"forall {f.var}. {_printed(f.body, memo)}"
+    elif isinstance(f, Exists):
+        text = f"exists {f.var}. {_printed(f.body, memo)}"
+    else:
+        raise UsageError(f"not a formula: {f!r}")
+    memo[id(f)] = text
+    return text
 
 
 def print_sequent(s: Sequent) -> str:
     # sides are sets; print in sorted text order for a stable rendering
-    left = ", ".join(sorted(print_formula(f) for f in s.antecedent))
-    right = ", ".join(sorted(print_formula(f) for f in s.succedent))
+    memo: dict = {}
+    left = ", ".join(sorted([_printed(f, memo) for f in s.antecedent]))
+    right = ", ".join(sorted([_printed(f, memo) for f in s.succedent]))
     return f"{left} => {right}".strip()

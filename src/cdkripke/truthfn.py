@@ -105,14 +105,19 @@ class TruthTable:
         return self.outputs[vector_index(args)]
 
     def rows(self):
-        """Yield (argument vector, output) pairs in row order."""
-        for i, out in enumerate(self.outputs):
-            yield index_vector(i, self.arity), out
+        """An iterator of (argument vector, output) pairs in row order."""
+        # product counts up in binary, the first argument most significant
+        return zip(itertools.product((0, 1), repeat=self.arity), self.outputs)
 
     @cached_property
     def true_rows(self) -> tuple:
         """The argument vectors mapped to 1, in row order."""
         return tuple(bits for bits, out in self.rows() if out)
+
+    @cached_property
+    def false_rows(self) -> tuple:
+        """The argument vectors mapped to 0, in row order."""
+        return tuple(bits for bits, out in self.rows() if not out)
 
 
 def eval_table(table: TruthTable, args: Sequence[int]) -> int:
@@ -130,17 +135,14 @@ def monotonicity_witness(table: TruthTable) -> Optional[tuple]:
     Otherwise returns the first pair (a, b) with a <= b, f(a) = 1, f(b) = 0,
     smallest in lexicographic order of (row index of a, row index of b).
     """
-    n = table.arity
-    for i in range(2 ** n):
-        if table.outputs[i] != 1:
-            continue
-        a = index_vector(i, n)
-        for j in range(2 ** n):
-            if table.outputs[j] != 0:
-                continue
-            b = index_vector(j, n)
-            if leq_vec(a, b):
-                return a, b
+    outputs = table.outputs
+    zero_rows = [j for j, out in enumerate(outputs) if not out]
+    for i, out in enumerate(outputs):
+        if out:
+            for j in zero_rows:
+                # a <= b iff every bit of a's row index is set in b's
+                if not i & ~j:
+                    return index_vector(i, table.arity), index_vector(j, table.arity)
     return None
 
 

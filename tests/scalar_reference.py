@@ -14,7 +14,12 @@ as before frames were closed once per process.
 
 preorders lists the preorders on n points as the closures of every
 digraph, deduplicated and sorted, as before the frame table kept the
-transitive reflexive relations.
+transitive reflexive relations; monotone_world_vectors lists a
+preorder's up-sets by testing every pair of points of every vector.
+
+kripke_violations is the invariant scan as it was before valid models
+were passed by cheap checks first: it sorts the order and the
+interpretation and builds every witness on every call.
 
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
@@ -26,7 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from cdkripke.classical import ClassicalModel, decide_propositional
 from cdkripke.errors import UsageError
-from cdkripke.kripke import Failure, KripkeModel, Valid, validate_kripke_model
+from cdkripke.kripke import Failure, KripkeModel, Valid, Violation, validate_kripke_model
 from cdkripke.kripke import model_validity as lane_model_validity
 from cdkripke.separator import (
     ALLOWED_SYMBOLS,
@@ -90,6 +95,85 @@ def preorders(n: int) -> list:
                             reach[i][j] = True
         seen.add(tuple(tuple(row) for row in reach))
     return sorted(seen)
+
+
+def monotone_world_vectors(matrix) -> list:
+    """All 0/1 world vectors that never drop along the given preorder,
+    ordered as binary numbers (first world most significant)."""
+    n = len(matrix)
+    out = []
+    for bits in itertools.product((0, 1), repeat=n):
+        if all(
+            bits[i] <= bits[j] for i in range(n) for j in range(n) if matrix[i][j]
+        ):
+            out.append(bits)
+    return out
+
+
+def _repeats(names: Sequence) -> list:
+    """The names occurring more than once, sorted."""
+    return sorted({a for a in names if names.count(a) > 1})
+
+
+def kripke_violations(model: KripkeModel) -> list:
+    """All invariant violations of an assembled model, with witnesses."""
+    out = []
+    if not model.worlds:
+        out.append(Violation("empty-worlds", {}))
+        return out
+    world_set = set(model.worlds)
+    # lanes and the world index are keyed by name: a repeat would merge
+    if len(world_set) < len(model.worlds):
+        out += [Violation("repeated-world", {"world": w}) for w in _repeats(model.worlds)]
+    domain_sets = {w: set(d) for w, d in model.domains.items()}
+    for w in model.worlds:
+        if w not in model.domains:
+            out.append(Violation("missing-domain", {"world": w}))
+        elif not model.domains[w]:
+            out.append(Violation("empty-domain", {"world": w}))
+        elif len(domain_sets[w]) < len(model.domains[w]):
+            out += [Violation("repeated-element", {"world": w, "element": a})
+                    for a in _repeats(model.domains[w])]
+    if any(v.code in ("missing-domain",) for v in out):
+        return out
+    # domain monotonicity along the closed order
+    for w, v in sorted(model.order):
+        if w == v:
+            continue
+        missing = [a for a in model.domains[w] if a not in domain_sets[v]]
+        if missing:
+            out.append(
+                Violation(
+                    "domain-monotonicity",
+                    {"from": w, "to": v, "missing": tuple(missing)},
+                )
+            )
+    # interpretation sanity plus atomic heredity; absent entries read 0,
+    # so only explicit 1-entries can break heredity
+    for (w, pred, args), value in sorted(model.interp.items()):
+        if w not in world_set:
+            out.append(Violation("interp-unknown-world", {"world": w, "pred": pred}))
+            continue
+        if value not in (0, 1):
+            out.append(
+                Violation("bad-value", {"world": w, "pred": pred, "args": args, "value": value})
+            )
+            continue
+        if any(a not in domain_sets[w] for a in args):
+            out.append(
+                Violation("interp-out-of-domain", {"world": w, "pred": pred, "args": args})
+            )
+            continue
+        if value == 1:
+            for v in model.future[w]:
+                if v != w and model.value_at(v, pred, args) == 0:
+                    out.append(
+                        Violation(
+                            "heredity",
+                            {"from": w, "to": v, "pred": pred, "args": args},
+                        )
+                    )
+    return out
 
 
 def assemble_kripke_model(

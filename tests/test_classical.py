@@ -147,7 +147,7 @@ class TestDecidePropositional:
 class TestBoundedValidity:
     def test_existential_weakening_has_no_countermodel(self):
         s = parse_sequent("P(x) => exists y. P(y)", SIG)
-        assert bounded_fo_validity(SIG, s, 2) == NoCountermodelUpTo(2)
+        assert bounded_fo_validity(SIG, s, 2) == NoCountermodelUpTo(1, 2)
 
     def test_exists_to_forall_countermodel(self):
         s = parse_sequent("exists x. P(x) => forall x. P(x)", SIG)

@@ -68,7 +68,7 @@ def scalar_bounded_fo_validity(sig, s, max_domain):
                 rho = dict(zip(fv, values))
                 if evaluator.sequent_value(s, rho) == 0:
                     return Countermodel(model, rho)
-    return NoCountermodelUpTo(max_domain)
+    return NoCountermodelUpTo(1, max_domain)
 
 
 FO_ATOMS = (Atom("P", ("x",)), Atom("P", ("y",)), Atom("R", ("x", "y")), Atom("R", ("y", "x")))
@@ -148,7 +148,15 @@ class TestBoundedFoValidityAgainstScalar:
         verdict = bounded_fo_validity(MIXED_SIGNATURE, s, 3)
         assert verdict == scalar_bounded_fo_validity(MIXED_SIGNATURE, s, 3)
         assert len(verdict.model.domain) == 3
-        assert bounded_fo_validity(MIXED_SIGNATURE, s, 2) == NoCountermodelUpTo(2)
+        assert bounded_fo_validity(MIXED_SIGNATURE, s, 2) == NoCountermodelUpTo(1, 2)
+
+    def test_bound_report_is_the_one_world_search_report(self):
+        # one type for both searches: a filter on either name sees both
+        assert classical.NoCountermodelUpTo is kripke.NoCountermodelUpTo
+        s = parse_sequent("P(x) => exists y. P(y)", MIXED_SIGNATURE)
+        verdict = bounded_fo_validity(MIXED_SIGNATURE, s, 2)
+        assert verdict == bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 1, 2)
+        assert (verdict.max_worlds, verdict.max_domain) == (1, 2)
 
     def test_countermodel_with_assignment(self):
         s = parse_sequent("P(x) => forall y. P(y)", MIXED_SIGNATURE)

@@ -10,6 +10,7 @@ from cdkripke.kripke import (
     Failure,
     KripkeEvaluator,
     NoCountermodelUpTo,
+    _frames,
     assemble_kripke_model,
     bounded_cd_countermodel_search,
     check_heredity,
@@ -22,7 +23,6 @@ from cdkripke.kripke import (
     kripke_model_to_json,
     kripke_violations,
     model_validity,
-    monotone_world_vectors,
     validate_kripke_model,
 )
 from cdkripke.syntax import (
@@ -33,6 +33,7 @@ from cdkripke.syntax import (
     parse_formula,
     parse_sequent,
 )
+from cdkripke.suites import random_kripke_model
 from cdkripke.truthfn import standard_signature
 
 import scalar_reference
@@ -133,6 +134,59 @@ class TestValidation:
             )
         codes = {v.code for v in err.value.violations}
         assert codes == {"domain-monotonicity", "heredity"}
+
+
+# one assembled model breaking each invariant, by violation code
+BROKEN_MODELS = {
+    "empty-worlds": ([], [], {}, {}),
+    "repeated-world": (["w0", "w0"], [], {"w0": ("a1",)}, {}),
+    "missing-domain": (["w0", "w1"], [("w0", "w1")], {"w0": ("a1",)}, {}),
+    "empty-domain": (["w0", "w1"], [], {"w0": ("a1",), "w1": ()}, {}),
+    "repeated-element": (["w0"], [], {"w0": ("a1", "a2", "a1")}, {}),
+    "domain-monotonicity": (
+        ["w0", "w1"], [("w0", "w1")], {"w0": ("a1", "a2"), "w1": ("a1",)}, {}),
+    "interp-unknown-world": (["w0"], [], {"w0": ("a1",)}, {("w9", "p", ()): 1}),
+    "bad-value": (["w0"], [], {"w0": ("a1",)}, {("w0", "p", ()): 2}),
+    "interp-out-of-domain": (["w0"], [], {"w0": ("a1",)}, {("w0", "P", ("a9",)): 1}),
+    "heredity": (
+        ["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2")],
+        {w: ("a1",) for w in ("w0", "w1", "w2")}, {("w0", "p", ()): 1, ("w1", "p", ()): 1}),
+}
+
+
+class TestViolationsAgainstScalar:
+    """kripke_violations passes a valid model by cheap checks and scans
+    for witnesses only when one fails; the scan alone is the reference."""
+
+    @pytest.mark.parametrize("code", sorted(BROKEN_MODELS))
+    def test_each_violation_code(self, code):
+        model = assemble_kripke_model(*BROKEN_MODELS[code])
+        violations = kripke_violations(model)
+        assert code in {v.code for v in violations}
+        assert violations == scalar_reference.kripke_violations(model)
+
+    def test_random_models(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            model = random_kripke_model(rng, 3, 2, constant_domain=rng.random() < 0.5)
+            assert kripke_violations(model) == scalar_reference.kripke_violations(model) == []
+
+    def test_random_models_broken_by_one_entry(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(300):
+            model = random_kripke_model(rng, 3, 2)
+            interp, domains = dict(model.interp), dict(model.domains)
+            w = rng.choice(model.worlds)
+            if rng.random() < 0.5:
+                interp[(w, rng.choice("pq"), ())] = rng.choice((0, 1, 1, 2))
+            else:
+                domains[w] = domains[w][:-1] or domains[w] + domains[w]
+            broken = assemble_kripke_model(model.worlds, model.order, domains, interp)
+            violations = kripke_violations(broken)
+            assert violations == scalar_reference.kripke_violations(broken)
+            seen.update(v.code for v in violations)
+        assert {"heredity", "bad-value", "domain-monotonicity"} <= seen
 
 
 class TestEval:
@@ -262,6 +316,19 @@ class TestPreorders:
             assert enumerate_preorders(n) == scalar_reference.preorders(n)
         assert [len(enumerate_preorders(n, up_to_iso=True)) for n in range(5)] == [1, 1, 3, 9, 33]
 
+    def test_five_worlds(self):
+        # OEIS A000798 and A001930
+        assert len(enumerate_preorders(5)) == 6942
+        assert len(enumerate_preorders(5, up_to_iso=True)) == 139
+
+    def test_frame_vectors_are_the_monotone_world_vectors(self):
+        for n in range(5):
+            for matrix, worlds, order, future, vectors, _ in _frames(n):
+                assert vectors == tuple(scalar_reference.monotone_world_vectors(matrix))
+                assert order == close_preorder(worlds, order)
+                assert all(future[w] == tuple(v for v in worlds if (w, v) in order)
+                           for w in worlds)
+
     def test_matrices_are_reflexive_transitive(self):
         for matrix in enumerate_preorders(3):
             n = len(matrix)
@@ -275,7 +342,7 @@ class TestPreorders:
 
     def test_monotone_vectors_on_chain(self):
         chain = ((True, True), (False, True))
-        assert monotone_world_vectors(chain) == [(0, 0), (0, 1), (1, 1)]
+        assert scalar_reference.monotone_world_vectors(chain) == [(0, 0), (0, 1), (1, 1)]
 
 
 class TestCdSearch:
@@ -307,11 +374,11 @@ class TestCdSearch:
             assert not kripke_violations(model)
             count += 1
         assert count == sum(
-            len(monotone_world_vectors(m)) ** (1 + d)
+            len(scalar_reference.monotone_world_vectors(m)) ** (1 + d)
             for m in enumerate_preorders(1)
             for d in (1, 2)
         ) + sum(
-            len(monotone_world_vectors(m)) ** (1 + d)
+            len(scalar_reference.monotone_world_vectors(m)) ** (1 + d)
             for m in enumerate_preorders(2)
             for d in (1, 2)
         )

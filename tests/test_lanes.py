@@ -44,7 +44,7 @@ from cdkripke.syntax import (
     parse_sequent,
     predicates,
 )
-from cdkripke.truthfn import standard_signature
+from cdkripke.truthfn import Signature, TruthTable, all_tables, standard_signature
 from scalar_reference import ClassicalEvaluator, KripkeEvaluator, model_validity
 
 PREDS = {"p": 0, "q": 0, "P": 1}
@@ -333,3 +333,21 @@ class TestSplitBatches:
         with pytest.raises(EnumerationCapError):
             bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1, cap=84)
         assert bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1, cap=99) == whole
+
+
+@pytest.mark.parametrize("worlds,width", [(1, 1), (2, 1), (1, 8), (2, 8), (1, 16)])
+def test_tables_apply_row_by_row(worlds, width):
+    """Each lane of a connective's mask is the table's output on the
+    row its argument masks spell there, whichever of the per-lane, 1-row
+    and complemented 0-row readings the lane count picks."""
+    rng = random.Random(worlds * 100 + width)
+    tables = [t for n in (1, 2, 3) for t in all_tables(n)]
+    tables += [TruthTable.from_bits("c", 4, format(rng.getrandbits(16), "016b"))
+               for _ in range(40)]
+    for table in tables:
+        lanes = Lanes(Signature.of(table), [(i,) for i in range(worlds)], width, ("a1",), {})
+        masks = [rng.getrandbits(worlds * width) for _ in range(table.arity)]
+        expected = sum(
+            table.value(tuple(mask >> lane & 1 for mask in masks)) << lane
+            for lane in range(worlds * width))
+        assert lanes._table("c", masks) == expected

@@ -186,6 +186,23 @@ class TestMonotonicity:
             assert (monotonicity_witness(table) is None) == preserved
 
 
+    def test_witness_matches_oracle_arity_4_sample(self):
+        import random
+
+        rng = random.Random(43)
+        for code in rng.sample(range(2 ** 16), 300):
+            table = TruthTable.from_bits("c", 4, format(code, "016b"))
+            assert monotonicity_witness(table) == witness_oracle(table)
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    def test_rows_by_output(self, arity):
+        for table in all_tables(arity):
+            rows = [(index_vector(i, arity), out) for i, out in enumerate(table.outputs)]
+            assert list(table.rows()) == rows
+            assert table.true_rows == tuple(v for v, out in rows if out)
+            assert table.false_rows == tuple(v for v, out in rows if not out)
+
+
 class TestClassify:
     def test_examples(self):
         assert classify_case(standard_table("xor")) == "a"

@@ -24,7 +24,8 @@ from cdkripke.separator import (
     ExpectedCell,
     ExpectedRow,
     ExpectedTable,
-    _cell_reader,
+    _read_cell,
+    _row_lanes,
     _valuations,
     cell_evaluator,
     separate,
@@ -150,6 +151,24 @@ class TestTampered:
         report = assert_same_report(dataclasses.replace(base, tables=tuple(tables)))
         assert failed(report) == {f"table:{table.name}/{row.label}/{cell.formula}"}
 
+    @pytest.mark.parametrize("kripke_row", [False, True])
+    def test_bool_expected_values_keep_their_text(self, base, kripke_row):
+        # True == 1, but the details print the values given: the int
+        # detail already formatted must not stand in for the bool one
+        assert_same_report(base)
+
+        def as_bools(row):
+            cells = tuple(dataclasses.replace(
+                cell, expected=bool(cell.expected) if cell.kind == "value"
+                else tuple(map(bool, cell.expected))) for cell in row.cells)
+            return dataclasses.replace(row, cells=cells)
+
+        result, _, row = replace_first_row(base, kripke_row, as_bools)
+        report = assert_same_report(result)
+        details = [c.detail for c in report.checks if c.name.endswith(f"/{row.cells[0].formula}")]
+        assert any("True" in d or "False" in d for d in details)
+        assert report.passed
+
     def test_heredity_breaking_model(self, base):
         interp = dict(base.countermodel.interp)
         interp[("w0", "q", ())] = 1  # q stays 0 at w1 above
@@ -245,13 +264,14 @@ def test_shared_valuation_lanes_read_unnamed_symbols_as_zero():
     sig = result.signature()
     symbols = tuple(sorted(predicates(result.sequent)))
     assert symbols == ("p", "q", "r")
-    shared = _cell_reader(Lanes.for_model(result.countermodel, sig), result.countermodel.worlds,
-                          sig, symbols, Lanes.for_batch(_valuations(symbols), sig))
+    shared = _row_lanes(Lanes.for_model(result.countermodel, sig), result.countermodel.worlds,
+                        sig, symbols, Lanes.for_batch(_valuations(symbols), sig))
     fresh = cell_evaluator(result.countermodel, sig)
     for valuation in ((("q", 1), ("r", 0)), (("p", 1),), (("q", 1), ("r", 1)), ()):
+        lanes, lane = shared(None, valuation)
         for f in result.formulas.values():
             for kind in ("value", "args"):
-                assert shared(None, valuation)(f, kind) == fresh(None, valuation)(f, kind)
+                assert _read_cell(lanes, lane, f, kind) == fresh(None, valuation)(f, kind)
 
 
 class TestPredicateShape:
