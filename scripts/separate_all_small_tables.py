@@ -10,7 +10,7 @@ monotone tables of some arity up to 4 is not the Dedekind number
 (OEIS A000372) of that arity.
 
     python scripts/separate_all_small_tables.py --max-arity 3 --show-examples
-    python scripts/separate_all_small_tables.py --max-arity 4 --quiet
+    python scripts/separate_all_small_tables.py --max-arity 4 | tail -n 23
 """
 
 import argparse
@@ -31,8 +31,6 @@ def main() -> int:
     parser.add_argument("--max-arity", type=int, default=3)
     parser.add_argument("--show-examples", action="store_true",
                         help="print one full rendering per case/subcase")
-    parser.add_argument("--quiet", action="store_true",
-                        help="leave out the line per separated table")
     args = parser.parse_args()
 
     counts = Counter()
@@ -48,11 +46,10 @@ def main() -> int:
             key = (result.case, result.subcase)
             counts[(key, arity)] += 1
             examples.setdefault(key, (result, report))
-            if not args.quiet:
-                print(
-                    f"arity {arity} bits {table.bits()}: case {result.case}"
-                    f"{result.subcase or ''} -> {print_sequent(result.sequent)}"
-                )
+            print(
+                f"arity {arity} bits {table.bits()}: case {result.case}"
+                f"{result.subcase or ''} -> {print_sequent(result.sequent)}"
+            )
     elapsed = time.monotonic() - start
 
     print()

@@ -21,7 +21,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, ModelValidationError, UsageError
 from .lanes import Lanes
@@ -128,96 +128,57 @@ def _repeats(names: Sequence) -> list:
 
 def kripke_violations(model: KripkeModel) -> list:
     """All invariant violations of an assembled model, with witnesses."""
-    if _holds_invariants(model):
+    # a valid model, the usual case, passes one scan in its own order; a
+    # failing one is scanned again, sorted, to list every witness stably
+    if next(_violations(model, iter), None) is None:
         return []
-    out = []
-    if not model.worlds:
-        out.append(Violation("empty-worlds", {}))
-        return out
-    world_set = set(model.worlds)
+    return list(_violations(model, sorted))
+
+
+def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
+    """The violations of kripke_violations, reading the closed order and
+    the interpretation entries in the order of ordered(...)."""
+    worlds, domains, interp = model.worlds, model.domains, model.interp
+    if not worlds:
+        yield Violation("empty-worlds", {})
+        return
+    world_set = set(worlds)
     # lanes and the world index are keyed by name: a repeat would merge
-    if len(world_set) < len(model.worlds):
-        out += [Violation("repeated-world", {"world": w}) for w in _repeats(model.worlds)]
-    domain_sets = {w: set(d) for w, d in model.domains.items()}
-    for w in model.worlds:
-        if w not in model.domains:
-            out.append(Violation("missing-domain", {"world": w}))
-        elif not model.domains[w]:
-            out.append(Violation("empty-domain", {"world": w}))
-        elif len(domain_sets[w]) < len(model.domains[w]):
-            out += [Violation("repeated-element", {"world": w, "element": a})
-                    for a in _repeats(model.domains[w])]
-    if any(v.code in ("missing-domain",) for v in out):
-        return out
+    if len(world_set) < len(worlds):
+        for w in _repeats(worlds):
+            yield Violation("repeated-world", {"world": w})
+    domain_sets = {w: set(d) for w, d in domains.items()}
+    complete = True
+    for w in worlds:
+        if w not in domains:
+            complete = False
+            yield Violation("missing-domain", {"world": w})
+        elif not domains[w]:
+            yield Violation("empty-domain", {"world": w})
+        elif len(domain_sets[w]) < len(domains[w]):
+            for a in _repeats(domains[w]):
+                yield Violation("repeated-element", {"world": w, "element": a})
+    if not complete:
+        return
     # domain monotonicity along the closed order
-    for w, v in sorted(model.order):
-        if w == v:
-            continue
-        missing = [a for a in model.domains[w] if a not in domain_sets[v]]
-        if missing:
-            out.append(
-                Violation(
-                    "domain-monotonicity",
-                    {"from": w, "to": v, "missing": tuple(missing)},
-                )
-            )
+    for w, v in ordered(model.order):
+        if w != v and not domain_sets[v].issuperset(domains[w]):
+            missing = tuple(a for a in domains[w] if a not in domain_sets[v])
+            yield Violation("domain-monotonicity", {"from": w, "to": v, "missing": missing})
     # interpretation sanity plus atomic heredity; absent entries read 0,
     # so only explicit 1-entries can break heredity
-    for (w, pred, args), value in sorted(model.interp.items()):
-        if w not in world_set:
-            out.append(Violation("interp-unknown-world", {"world": w, "pred": pred}))
-            continue
-        if value not in (0, 1):
-            out.append(
-                Violation("bad-value", {"world": w, "pred": pred, "args": args, "value": value})
-            )
-            continue
-        if any(a not in domain_sets[w] for a in args):
-            out.append(
-                Violation("interp-out-of-domain", {"world": w, "pred": pred, "args": args})
-            )
-            continue
-        if value == 1:
-            for v in model.future[w]:
-                if v != w and model.value_at(v, pred, args) == 0:
-                    out.append(
-                        Violation(
-                            "heredity",
-                            {"from": w, "to": v, "pred": pred, "args": args},
-                        )
-                    )
-    return out
-
-
-def _holds_invariants(model: KripkeModel) -> bool:
-    """Whether kripke_violations finds nothing: each of its tests in
-    one unsorted pass, without building a witness."""
-    worlds, domains, interp = model.worlds, model.domains, model.interp
-    if not worlds or len(set(worlds)) < len(worlds):
-        return False
-    domain_sets = {}
-    for w in worlds:
-        d = domains.get(w)
-        if not d:
-            return False
-        domain_sets[w] = dset = set(d)
-        if len(dset) < len(d):
-            return False
-    for w, v in model.order:
-        if w != v and not (w in domain_sets and v in domain_sets
-                           and domain_sets[v].issuperset(domains[w])):
-            return False
     future = model.future
-    for (w, pred, args), value in interp.items():
-        if w not in domain_sets or value not in (0, 1):
-            return False
-        if args and not domain_sets[w].issuperset(args):
-            return False
-        if value == 1:
+    for (w, pred, args), value in ordered(interp.items()):
+        if w not in world_set:
+            yield Violation("interp-unknown-world", {"world": w, "pred": pred})
+        elif value not in (0, 1):
+            yield Violation("bad-value", {"world": w, "pred": pred, "args": args, "value": value})
+        elif args and not domain_sets[w].issuperset(args):
+            yield Violation("interp-out-of-domain", {"world": w, "pred": pred, "args": args})
+        elif value == 1:
             for v in future[w]:
                 if v != w and interp.get((v, pred, args), 0) == 0:
-                    return False
-    return True
+                    yield Violation("heredity", {"from": w, "to": v, "pred": pred, "args": args})
 
 
 def validate_kripke_model(

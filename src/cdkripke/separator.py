@@ -616,15 +616,10 @@ def _resolve(result: SeparationResult, key: str) -> Formula:
     raise UsageError(f"expected-table cell names unknown formula {key!r}")
 
 
-# The names and details of the cell checks repeat from table to table,
-# so they are formatted once each, in bounded caches. A detail is looked
-# up only for int values: a key of equal values may carry the text of
-# another type (1 == True).
-
-
-@functools.lru_cache(maxsize=4096)
-def _cell_name(table: str, row: str, formula: str) -> str:
-    return f"table:{table}/{row}/{formula}"
+# The details of the cell checks repeat from table to table, so each is
+# formatted once, in a bounded cache. A detail is looked up only for int
+# values: a key of equal values may carry the text of another type
+# (1 == True).
 
 
 @functools.lru_cache(maxsize=1024)
@@ -703,36 +698,31 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
 
     # every embedded expected table cell
     checks = report.checks
-    formulas = result.formulas
     read_row = _row_lanes(kripke, model.worlds, sig, symbols, classical)
     for table in result.tables:
         for row in table.rows:
+            label = f"table:{table.name}/{row.label}"
             if row.world is not None and row.world not in model.worlds:
-                checks.append(Check(f"table:{table.name}/{row.label}", False,
-                                    f"countermodel has no world {row.world!r}"))
+                checks.append(Check(label, False, f"countermodel has no world {row.world!r}"))
                 continue
             lanes, lane = read_row(row.world, row.valuation)
-            mask = lanes.mask
             for cell in row.cells:
-                key, expected = cell.formula, cell.expected
-                where = _cell_name(table.name, row.label, key)
-                f = formulas.get(key)
-                if f is None:
-                    try:
-                        f = _resolve(result, key)
-                    except UsageError as exc:
-                        checks.append(Check(where, False, str(exc)))
-                        continue
-                if cell.kind == "value":
-                    actual = mask(f) >> lane & 1
-                    exact = type(expected) is int
-                elif isinstance(f, Conn):
-                    actual = tuple([mask(g) >> lane & 1 for g in f.args])
-                    expected = tuple(expected)
-                    exact = {*map(type, expected)} <= _INT
-                else:
+                where = f"{label}/{cell.formula}"
+                try:
+                    f = _resolve(result, cell.formula)
+                except UsageError as exc:
+                    checks.append(Check(where, False, str(exc)))
+                    continue
+                actual = _read_cell(lanes, lane, f, cell.kind)
+                if actual is None:
                     checks.append(Check(where, False, "args cell on a non-connective"))
                     continue
+                if cell.kind == "value":
+                    expected = cell.expected
+                    exact = type(expected) is int
+                else:
+                    expected = tuple(cell.expected)
+                    exact = {*map(type, expected)} <= _INT
                 checks.append(Check(where, bool(actual == expected),
                                     _cell_detail(expected, actual) if exact
                                     else f"expected {expected}, got {actual}"))
@@ -777,8 +767,8 @@ def cell_evaluator(countermodel: KripkeModel, sig: Signature):
 
 
 def _read_cell(lanes: Lanes, lane: int, f: Formula, kind: str):
-    """cell(f, kind) of cell_evaluator, read at one lane. verify_separation
-    reads its cells the same way, inline."""
+    """cell(f, kind) of cell_evaluator, read at one lane: verify_separation
+    reads its cells with it too."""
     if kind == "value":
         return lanes.mask(f) >> lane & 1
     if isinstance(f, Conn):

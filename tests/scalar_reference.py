@@ -17,9 +17,9 @@ digraph, deduplicated and sorted, as before the frame table kept the
 transitive reflexive relations; monotone_world_vectors lists a
 preorder's up-sets by testing every pair of points of every vector.
 
-kripke_violations is the invariant scan as it was before valid models
-were passed by cheap checks first: it sorts the order and the
-interpretation and builds every witness on every call.
+kripke_violations is the invariant scan as it was before a valid model
+was passed by one unsorted scan that stops at the first violation: it
+sorts the order and the interpretation on every call.
 
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh

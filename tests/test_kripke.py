@@ -155,8 +155,9 @@ BROKEN_MODELS = {
 
 
 class TestViolationsAgainstScalar:
-    """kripke_violations passes a valid model by cheap checks and scans
-    for witnesses only when one fails; the scan alone is the reference."""
+    """kripke_violations passes a valid model by one unsorted scan and
+    lists the witnesses by a sorted scan only when that one finds a
+    violation; the old sorted scan alone is the reference."""
 
     @pytest.mark.parametrize("code", sorted(BROKEN_MODELS))
     def test_each_violation_code(self, code):

@@ -40,11 +40,9 @@ def test_separate_sweep_verifies_each_table_once(monkeypatch, capsys):
 
 def test_separate_sweep_checks_the_dedekind_numbers(monkeypatch, capsys):
     script = load_script("separate_all_small_tables")
-    monkeypatch.setattr(sys, "argv", ["separate_all_small_tables.py", "--max-arity", "2",
-                                      "--quiet"])
+    monkeypatch.setattr(sys, "argv", ["separate_all_small_tables.py", "--max-arity", "2"])
     assert script.main() == 0
-    out = capsys.readouterr().out
-    assert "arity 2 bits" not in out
+    capsys.readouterr()
     monkeypatch.setitem(script.DEDEKIND, 2, 7)
     assert script.main() == 1
     assert capsys.readouterr().err == "error: arity 2: 6 monotone tables, expected 7\n"
