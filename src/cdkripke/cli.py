@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import golden, suites
@@ -64,34 +63,13 @@ EXIT_ALL_MONOTONE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    sig_path: Optional[str] = None
-    model_path: Optional[str] = None
-    formula: Optional[str] = None
-    sequent: Optional[str] = None
-    world: Optional[str] = None
-    all_worlds: bool = False
-    mode: Optional[str] = None
-    max_domain: int = 3
-    max_worlds: int = 3
-    trials: int = 10_000
-    seed: int = 0
-    format: str = "human"
-
-    def __post_init__(self):
-        if self.max_domain < 1 or self.max_worlds < 1 or self.trials < 1:
-            raise UsageError("bounds and trial counts must be >= 1")
-
-
 def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(config: RunConfig, human: Callable[[], str], payload: Callable[[], dict]):
+def _emit(args: argparse.Namespace, human: Callable[[], str], payload: Callable[[], dict]):
     """Print the requested format, built by calling human() or payload()."""
-    print(_json(payload()) if config.format == "json" else human())
+    print(_json(payload()) if args.format == "json" else human())
 
 
 def _load_model_file(path: str):
@@ -115,8 +93,8 @@ def _text_or_file(value: str) -> str:
     return value
 
 
-def cmd_check_mono(config: RunConfig) -> int:
-    sig = load_signature(config.sig_path)
+def cmd_check_mono(args: argparse.Namespace) -> int:
+    sig = load_signature(args.sig)
     rows = []
     all_monotone = True
     for name in sig.names():
@@ -149,41 +127,43 @@ def cmd_check_mono(config: RunConfig) -> int:
         lines.append("all monotone" if all_monotone else "non-monotone connective present")
         return "\n".join(lines)
 
-    _emit(config, human, lambda: {"connectives": rows, "all_monotone": all_monotone})
+    _emit(args, human, lambda: {"connectives": rows, "all_monotone": all_monotone})
     return EXIT_OK if all_monotone else EXIT_NEGATIVE
 
 
-def cmd_eval(config: RunConfig) -> int:
-    sig = load_signature(config.sig_path)
-    model, flavor = _load_model_file(config.model_path)
-    f = parse_formula(_text_or_file(config.formula), sig)
+def cmd_eval(args: argparse.Namespace) -> int:
+    sig = load_signature(args.sig)
+    if args.model is None:
+        raise UsageError("eval needs --model")
+    model, flavor = _load_model_file(args.model)
+    f = parse_formula(_text_or_file(args.formula), sig)
     if free_vars(f):
         raise UsageError(
             f"formula has free variables {sorted(free_vars(f))}; eval takes closed formulas"
         )
     if flavor == "classical":
         value = ClassicalEvaluator(model, sig).value(f, {})
-        _emit(config, lambda: str(value), lambda: {"value": value})
+        _emit(args, lambda: str(value), lambda: {"value": value})
         return EXIT_OK
     evaluator = KripkeEvaluator(model, sig)
-    if config.all_worlds:
+    if args.all_worlds:
         values = {w: evaluator.value(f, w, {}) for w in model.worlds}
-        _emit(config, lambda: "\n".join(f"{w}: {values[w]}" for w in model.worlds),
+        _emit(args, lambda: "\n".join(f"{w}: {values[w]}" for w in model.worlds),
               lambda: {"values": values})
         return EXIT_OK
-    if config.world is None:
+    if args.world is None:
         raise UsageError("Kripke evaluation needs --world or --all-worlds")
-    if config.world not in model.worlds:
-        raise UsageError(f"--world {config.world!r} is not a world of the model")
-    value = evaluator.value(f, config.world, {})
-    _emit(config, lambda: str(value), lambda: {"value": value, "world": config.world})
+    if args.world not in model.worlds:
+        raise UsageError(f"--world {args.world!r} is not a world of the model")
+    value = evaluator.value(f, args.world, {})
+    _emit(args, lambda: str(value), lambda: {"value": value, "world": args.world})
     return EXIT_OK
 
 
-def _kripke_model_validity(config: RunConfig, sig, s):
-    if config.model_path is None:
+def _kripke_model_validity(args: argparse.Namespace, sig, s):
+    if args.model is None:
         raise UsageError("kripke-model mode needs --model")
-    model, flavor = _load_model_file(config.model_path)
+    model, flavor = _load_model_file(args.model)
     if flavor != "kripke":
         raise UsageError("kripke-model mode needs a Kripke model file")
     return model_validity(model, s, sig)
@@ -196,7 +176,7 @@ _VALID_ROW = (EXIT_OK, lambda v: "Valid", lambda v: {"verdict": "valid"})
 # the requested --format prints is built
 _VALID_MODES = {
     "classical-prop": (
-        lambda config, sig, s: decide_propositional(sig, s),
+        lambda args, sig, s: decide_propositional(sig, s),
         {
             Valid: _VALID_ROW,
             Countermodel: (
@@ -207,7 +187,7 @@ _VALID_MODES = {
         },
     ),
     "classical-bounded": (
-        lambda config, sig, s: bounded_fo_validity(sig, s, config.max_domain),
+        lambda args, sig, s: bounded_fo_validity(sig, s, args.max_domain),
         {
             NoCountermodelUpTo: (
                 EXIT_OK,
@@ -239,8 +219,8 @@ _VALID_MODES = {
         },
     ),
     "cd-search": (
-        lambda config, sig, s: bounded_cd_countermodel_search(
-            sig, s, config.max_worlds, config.max_domain
+        lambda args, sig, s: bounded_cd_countermodel_search(
+            sig, s, args.max_worlds, args.max_domain
         ),
         {
             CdCountermodel: (
@@ -269,39 +249,39 @@ _VALID_MODES = {
 }
 
 
-def cmd_valid(config: RunConfig) -> int:
-    sig = load_signature(config.sig_path)
-    s = parse_sequent(_text_or_file(config.sequent), sig)
-    if config.mode not in _VALID_MODES:
-        raise UsageError(f"unknown mode {config.mode!r}")
-    check, verdicts = _VALID_MODES[config.mode]
-    verdict = check(config, sig, s)
+def cmd_valid(args: argparse.Namespace) -> int:
+    sig = load_signature(args.sig)
+    s = parse_sequent(_text_or_file(args.sequent), sig)
+    if args.mode not in _VALID_MODES:
+        raise UsageError(f"unknown mode {args.mode!r}")
+    check, verdicts = _VALID_MODES[args.mode]
+    verdict = check(args, sig, s)
     code, human, payload = verdicts[type(verdict)]
-    print(_json(payload(verdict)) if config.format == "json" else human(verdict))
+    print(_json(payload(verdict)) if args.format == "json" else human(verdict))
     return code
 
 
-def cmd_separate(config: RunConfig) -> int:
-    sig = load_signature(config.sig_path)
+def cmd_separate(args: argparse.Namespace) -> int:
+    sig = load_signature(args.sig)
     # the report that verified the result while it was built
     result, report = _separated(sig)
     if isinstance(result, AllMonotone):
-        _emit(config, lambda: "all monotone", lambda: {"verdict": "all-monotone"})
+        _emit(args, lambda: "all monotone", lambda: {"verdict": "all-monotone"})
         return EXIT_ALL_MONOTONE
-    _emit(config, lambda: render_separation(result, report),
+    _emit(args, lambda: render_separation(result, report),
           lambda: separation_to_json(result, report))
     return EXIT_OK
 
 
-def cmd_verify_paper(config: RunConfig) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> int:
     report = golden.run_golden_checks()
-    _emit(config, report.render, report.to_json)
+    _emit(args, report.render, report.to_json)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def cmd_fuzz(config: RunConfig) -> int:
-    report = suites.run_fuzz(config.seed, config.trials)
-    _emit(config, report.render, report.to_json)
+def cmd_fuzz(args: argparse.Namespace) -> int:
+    report = suites.run_fuzz(args.seed, args.trials)
+    _emit(args, report.render, report.to_json)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
@@ -375,22 +355,10 @@ _COMMANDS = {
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            sig_path=getattr(args, "sig", None),
-            model_path=getattr(args, "model", None),
-            formula=getattr(args, "formula", None),
-            sequent=getattr(args, "sequent", None),
-            world=getattr(args, "world", None),
-            all_worlds=getattr(args, "all_worlds", False),
-            mode=getattr(args, "mode", None),
-            max_domain=getattr(args, "max_domain", 3),
-            max_worlds=getattr(args, "max_worlds", 3),
-            trials=getattr(args, "trials", 10_000),
-            seed=getattr(args, "seed", 0),
-            format=args.format,
-        )
-        return _COMMANDS[args.command](config)
+        # ahead of any file read
+        if min(getattr(args, key, 1) for key in ("max_domain", "max_worlds", "trials")) < 1:
+            raise UsageError("bounds and trial counts must be >= 1")
+        return _COMMANDS[args.command](args)
     except (ParseError, UsageError, ModelValidationError, EnumerationCapError,
             OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -167,18 +167,24 @@ def enumerate_formulas(
     and the quantifiers binding one fixed variable.
 
     Depth counts nodes on the longest root-to-leaf path, atoms being
-    depth 1. Subformulas are shared between entries, so evaluators that
-    memoize per node evaluate each distinct subformula once.
+    depth 1. Formulas are listed by depth, each once. Subformulas are
+    shared between entries, so evaluators that memoize per node evaluate
+    each distinct subformula once.
     """
     layers = [list(atoms)]
     tables = [sig.table(name) for name in sig.names()]
-    for _ in range(depth - 1):
+    for k in range(1, depth):
+        # layer k holds the formulas with an immediate subformula in
+        # layer k - 1; the constants are of layer 1
         smaller = [f for layer in layers for f in layer]
+        in_last = [False] * (len(smaller) - len(layers[-1])) + [True] * len(layers[-1])
         new: list = []
         for table in tables:
-            for args in itertools.product(smaller, repeat=table.arity):
-                new.append(Conn(table.name, args))
-        for f in smaller:
+            marks = itertools.product(in_last, repeat=table.arity)
+            for args, mark in zip(itertools.product(smaller, repeat=table.arity), marks):
+                if any(mark) if args else k == 1:
+                    new.append(Conn(table.name, args))
+        for f in layers[-1]:
             new.append(Forall(quantifier_var, f))
             new.append(Exists(quantifier_var, f))
         layers.append(new)

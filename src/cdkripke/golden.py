@@ -15,7 +15,8 @@ the witness pair of the concrete connective under test:
 Three cells of the source tables are misprints; they are kept here
 as *expected deviations* with their forced readings, so a run confirms
 both that the implementation matches every table cell and that the
-documented deviations are exactly the known three, no more.
+documented deviations are exactly the known three, no more. The cells
+are judged by the separator's own expected-table loop, judge_cells.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from .errors import ConstructionError
 from .kripke import KripkeEvaluator
-from .separator import SeparationResult, cell_evaluator, separate
+from .separator import (
+    ExpectedCell,
+    ExpectedTable,
+    SeparationResult,
+    _classical_row,
+    _kripke_row,
+    judge_cells,
+    separate,
+)
 from .syntax import Atom
 from .truthfn import Signature, TruthTable, ones, relative_invert, zeros
 
@@ -97,22 +106,6 @@ EXPECTED_CASE = {"d1": ("d", 1), "d2": ("d", 2), "b": ("b", 1), "a": ("a", None)
 
 
 @dataclass
-class TableDiff:
-    group: str
-    table: str
-    row: str
-    cell: str
-    expected: object
-    actual: object
-
-    def __str__(self) -> str:
-        return (
-            f"{self.group}/{self.table}/{self.row}/{self.cell}: "
-            f"expected {self.expected}, got {self.actual}"
-        )
-
-
-@dataclass
 class Deviation:
     key: str
     printed: str
@@ -124,7 +117,7 @@ class Deviation:
 @dataclass
 class GoldenReport:
     cells_checked: int = 0
-    diffs: list = field(default_factory=list)
+    diffs: list = field(default_factory=list)  # "group/table/row/formula.kind: detail"
     deviations: list = field(default_factory=list)
 
     @property
@@ -149,7 +142,7 @@ class GoldenReport:
     def to_json(self) -> dict:
         return {
             "cells_checked": self.cells_checked,
-            "unexpected_diffs": [str(d) for d in self.diffs],
+            "unexpected_diffs": list(self.diffs),
             "expected_deviations": [
                 {
                     "key": d.key,
@@ -179,34 +172,39 @@ def _resolve_symbol(symbol, result: SeparationResult):
     raise ConstructionError(f"unknown vector symbol {symbol!r}")
 
 
-def _check_group(report: GoldenReport, group: str, result: SeparationResult):
-    row_evaluator = cell_evaluator(result.countermodel, result.signature())
+def _check_group(report: GoldenReport, group: str, result: SeparationResult) -> int:
+    """Judge the group's cells, their vector names resolved against the
+    witness pair of result, in the separator's expected-table loop; the
+    diffs go to report, and their number is returned."""
+    tables = []
     for table_name, rows in GOLDEN_TABLES[group]:
+        expected_rows = []
         for setting, row_cells in rows:
+            cells = [
+                ExpectedCell(key, kind,
+                             _resolve_symbol(expected, result) if kind == "args" else expected)
+                for key, kind, expected in row_cells
+            ]
             if table_name == "kripke":
-                row_label = setting
-                cell_value = row_evaluator(setting)
+                expected_rows.append(_kripke_row(setting, cells))
             else:
-                p_val, q_val = setting
-                row_label = f"p={p_val},q={q_val}"
-                cell_value = row_evaluator(None, (("p", p_val), ("q", q_val)))
-            for key, kind, expected in row_cells:
-                actual = cell_value(result.formulas[key], kind)
-                if kind == "args":
-                    expected = _resolve_symbol(expected, result)
-                report.cells_checked += 1
-                if actual != expected:
-                    report.diffs.append(
-                        TableDiff(group, table_name, row_label, f"{key}.{kind}",
-                                  expected, actual)
-                    )
+                expected_rows.append(_classical_row((("p", setting[0]), ("q", setting[1])), cells))
+        tables.append(ExpectedTable(table_name, tuple(expected_rows)))
+    diffs = 0
+    for label, cell, ok, detail in judge_cells(result, tables):
+        report.cells_checked += 1
+        if not ok:
+            where = label if cell is None else f"{label}/{cell.formula}.{cell.kind}"
+            report.diffs.append(f"{group}/{where}: {detail}")
+            diffs += 1
+    return diffs
 
 
 def run_golden_checks() -> GoldenReport:
     """Rebuild the four representative separations, diff every reference
     table cell, and confirm the three documented deviations."""
     report = GoldenReport()
-    results = {}
+    results, diffs = {}, {}
     for group, table in REPRESENTATIVES.items():
         result = separate(Signature.of(table))
         if not isinstance(result, SeparationResult) or (
@@ -217,7 +215,7 @@ def run_golden_checks() -> GoldenReport:
                 f"{getattr(result, 'case', result)}/{getattr(result, 'subcase', None)}"
             )
         results[group] = result
-        _check_group(report, group, result)
+        diffs[group] = _check_group(report, group, result)
 
     # deviation 1: the middle slot condition of the phi layer in the
     # case-d stacks is printed as the unsatisfiable "a[i]=0 and a[i]=1";
@@ -231,9 +229,8 @@ def run_golden_checks() -> GoldenReport:
         has_slot = any(
             x == 0 and y == 1 for x, y in zip(res.witness_a, res.witness_b)
         )
-        group_diffs = [d for d in report.diffs if d.group == group]
-        d_ok = d_ok and has_slot and not group_diffs
-        detail_bits.append(f"{group}: slot exists={has_slot}, diffs={len(group_diffs)}")
+        d_ok = d_ok and has_slot and not diffs[group]
+        detail_bits.append(f"{group}: slot exists={has_slot}, diffs={diffs[group]}")
     report.deviations.append(
         Deviation(
             "case-d-phi-slot-condition",
@@ -247,14 +244,13 @@ def run_golden_checks() -> GoldenReport:
     # deviation 2: the case-a psi slots are printed as "r if b[i] = 1"
     # although case a defines no b; the forced reading is a[i] = 1.
     res_a = results["a"]
-    a_diffs = [d for d in report.diffs if d.group == "a"]
     report.deviations.append(
         Deviation(
             "case-a-psi-slot-condition",
             "r if b[i] = 1 (no b is defined)",
             "r if a[i] = 1",
-            res_a.witness_b is None and not a_diffs,
-            f"case a carries a single witness vector; diffs={len(a_diffs)}",
+            res_a.witness_b is None and not diffs["a"],
+            f"case a carries a single witness vector; diffs={diffs['a']}",
         )
     )
 

@@ -53,7 +53,6 @@ from .truthfn import (
     TruthTable,
     classify_case,
     eval_table,
-    index_vector,
     invert,
     monotonicity_witness,
     ones,
@@ -147,14 +146,6 @@ def build_negation(table: TruthTable, f: Formula) -> Formula:
     if table.arity < 1:
         raise UsageError("negation needs arity >= 1")
     return Conn(table.name, (f,) * table.arity)
-
-
-def build_tau(table: TruthTable) -> Formula:
-    """c(s, ..., s): valid in every Kripke model when f(0...0)=f(1...1)=1,
-    because every argument vector it can see is all-zeros or all-ones."""
-    if classify_case(table) != "d":
-        raise UsageError("tau construction needs f(0...0) = f(1...1) = 1")
-    return Conn(table.name, (S,) * table.arity)
 
 
 def _slots(a: tuple, b: tuple, on_zz: Formula, on_zo: Formula, on_one: Formula) -> tuple:
@@ -255,19 +246,20 @@ def _layer_tables(
     )
 
 
-def _case_d(table: TruthTable) -> tuple:
+# Each case builder takes a non-monotonic table of its case and the
+# table's monotonicity witness (a, b), and returns (result, the report
+# that verified it).
+
+
+def _case_d(table: TruthTable, a: tuple, b: tuple) -> tuple:
     """f(0...0) = f(1...1) = 1: the sequent => phi, refuted at w0 of the
     p/q chain. Subcase 1 or 2 by the value of f on the relative
-    inversion of the witness pair."""
-    if classify_case(table) != "d":
-        raise UsageError("case d needs f(0...0) = f(1...1) = 1")
-    witness = monotonicity_witness(table)
-    if witness is None:
-        raise UsageError("case d construction needs a non-monotonic table")
-    a, b = witness
+    inversion of the witness pair. tau = c(s, ..., s) is valid in every
+    Kripke model, because every argument vector it can see is all-zeros
+    or all-ones."""
     rel = relative_invert(a, b)
     subcase = 1 if eval_table(table, rel) == 1 else 2
-    tau = build_tau(table)
+    tau = Conn(table.name, (S,) * table.arity)
     sigma, psi, phi = _layer_stack(table.name, a, b, subcase, tau)
     result = SeparationResult(
         connective=table,
@@ -284,12 +276,10 @@ def _case_d(table: TruthTable) -> tuple:
     return _checked(result)
 
 
-def _case_c(table: TruthTable) -> tuple:
+def _case_c(table: TruthTable, a: tuple, b: tuple) -> tuple:
     """f(0...0) = 1 and f(1...1) = 0: double c-negation of p is classically
     equivalent to p but fails at the root of the chain, where p only holds
-    later."""
-    if classify_case(table) != "c":
-        raise UsageError("case c needs f(0...0) = 1 and f(1...1) = 0")
+    later. The witness is not used."""
     not_p = build_negation(table, P)
     not_not_p = build_negation(table, not_p)
     tables = (
@@ -323,17 +313,11 @@ def _case_c(table: TruthTable) -> tuple:
     return _checked(result)
 
 
-def _case_b(table: TruthTable) -> tuple:
+def _case_b(table: TruthTable, a: tuple, b: tuple) -> tuple:
     """f(0...0) = 0 and f(1...1) = 1, yet non-monotonic. Subcase 1
     (f on the inversion of a is 1) refutes phi => chi; subcase 2 reuses
     the case-d stack with its tau slots replaced by r and refutes
     psi => phi."""
-    if classify_case(table) != "b":
-        raise UsageError("case b needs f(0...0) = 0 and f(1...1) = 1")
-    witness = monotonicity_witness(table)
-    if witness is None:
-        raise UsageError("case b construction needs a non-monotonic table")
-    a, b = witness
     name = table.name
     if eval_table(table, invert(a)) == 1:
         n = len(a)
@@ -459,18 +443,11 @@ def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> tuple:
     ), reports[variant]
 
 
-def _case_a(table: TruthTable) -> tuple:
-    """f(0...0) = f(1...1) = 0 with f(a) = 1 somewhere: phi => p is
-    classically valid but the chain satisfies phi at w0 while p fails."""
-    if classify_case(table) != "a":
-        raise UsageError("case a needs f(0...0) = f(1...1) = 0")
-    a = None
-    for i in range(2 ** table.arity):
-        if table.outputs[i] == 1:
-            a = index_vector(i, table.arity)
-            break
-    if a is None:
-        raise UsageError("case a construction needs a non-monotonic table")
+def _case_a(table: TruthTable, a: tuple, b: tuple) -> tuple:
+    """f(0...0) = f(1...1) = 0 with f(a) = 1: phi => p is classically
+    valid but the chain satisfies phi at w0 while p fails. Only a is
+    used: the first row where f is 1, as every row lies below the
+    all-ones row, where f is 0."""
     name = table.name
     psi = Conn(name, tuple(R if x else P for x in a))
     phi = Conn(name, tuple(R if x else psi for x in a))
@@ -507,26 +484,6 @@ def _case_a(table: TruthTable) -> tuple:
     return _checked(result)
 
 
-def build_case_a(table: TruthTable) -> SeparationResult:
-    """The verified case-a result; see _case_a."""
-    return _case_a(table)[0]
-
-
-def build_case_b(table: TruthTable) -> SeparationResult:
-    """The verified case-b result; see _case_b."""
-    return _case_b(table)[0]
-
-
-def build_case_c(table: TruthTable) -> SeparationResult:
-    """The verified case-c result; see _case_c."""
-    return _case_c(table)[0]
-
-
-def build_case_d(table: TruthTable) -> SeparationResult:
-    """The verified case-d result; see _case_d."""
-    return _case_d(table)[0]
-
-
 _CASE_BUILDERS = {
     "a": _case_a,
     "b": _case_b,
@@ -546,8 +503,9 @@ def _separated(sig: Signature) -> tuple:
     None), so that a caller needs no second verification."""
     for name in sig.names():
         table = sig.connectives[name]
-        if monotonicity_witness(table) is not None:
-            return _CASE_BUILDERS[classify_case(table)](table)
+        witness = monotonicity_witness(table)
+        if witness is not None:
+            return _CASE_BUILDERS[classify_case(table)](table, *witness)
     return AllMonotone(), None
 
 
@@ -697,36 +655,53 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("cd-refuted", False, "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    checks = report.checks
     read_row = _row_lanes(kripke, model.worlds, sig, symbols, classical)
-    for table in result.tables:
+    report.checks += [
+        Check(f"table:{label}" if cell is None else f"table:{label}/{cell.formula}", ok, detail)
+        for label, cell, ok, detail in judge_cells(result, result.tables, read_row)
+    ]
+    return report
+
+
+def judge_cells(result: SeparationResult, tables: Sequence, read_row=None):
+    """(label, cell, ok, detail) for each cell of the expected tables, in
+    order, read on lanes and judged against result's formulas. label is
+    the table name and the row label, joined by "/"; a row naming a world
+    the countermodel lacks gives one (label, None, False, detail) in place
+    of its cells. read_row is a _row_lanes reader, by default one over
+    the lanes of result's countermodel alone."""
+    if read_row is None:
+        model, sig = result.countermodel, result.signature()
+        read_row = _row_lanes(_model_lanes(model, sig), model.worlds, sig)
+    for table in tables:
         for row in table.rows:
-            label = f"table:{table.name}/{row.label}"
-            if row.world is not None and row.world not in model.worlds:
-                checks.append(Check(label, False, f"countermodel has no world {row.world!r}"))
+            label = f"{table.name}/{row.label}"
+            read = read_row(row.world, row.valuation)
+            if read is None:
+                yield label, None, False, f"countermodel has no world {row.world!r}"
                 continue
-            lanes, lane = read_row(row.world, row.valuation)
+            lanes, lane = read
             for cell in row.cells:
-                where = f"{label}/{cell.formula}"
                 try:
                     f = _resolve(result, cell.formula)
                 except UsageError as exc:
-                    checks.append(Check(where, False, str(exc)))
-                    continue
-                actual = _read_cell(lanes, lane, f, cell.kind)
-                if actual is None:
-                    checks.append(Check(where, False, "args cell on a non-connective"))
+                    yield label, cell, False, str(exc)
                     continue
                 if cell.kind == "value":
+                    actual = lanes.mask(f) >> lane & 1
                     expected = cell.expected
                     exact = type(expected) is int
-                else:
+                elif isinstance(f, Conn):
+                    # the argument values of f's top connective
+                    actual = tuple([lanes.mask(g) >> lane & 1 for g in f.args])
                     expected = tuple(cell.expected)
                     exact = {*map(type, expected)} <= _INT
-                checks.append(Check(where, bool(actual == expected),
-                                    _cell_detail(expected, actual) if exact
-                                    else f"expected {expected}, got {actual}"))
-    return report
+                else:
+                    yield label, cell, False, "args cell on a non-connective"
+                    continue
+                yield (label, cell, bool(actual == expected),
+                       _cell_detail(expected, actual) if exact
+                       else f"expected {expected}, got {actual}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -750,37 +725,12 @@ def _model_lanes(model: KripkeModel, sig: Signature) -> Lanes:
     return Lanes.for_model(model, sig)
 
 
-def cell_evaluator(countermodel: KripkeModel, sig: Signature):
-    """row(world, valuation) gives the cell function cell(f, kind) of one
-    expected-table row: a Kripke row is read at its world of the
-    countermodel, a classical row (world None) on the one-element model
-    of its ((symbol, bit), ...) valuation, one lane of a batch of every
-    valuation of its symbols. cell(f, "value") is f's value;
-    cell(f, "args") is the tuple of the argument values of f's top
-    connective, or None when f is not a connective."""
-    read_row = _row_lanes(_model_lanes(countermodel, sig), countermodel.worlds, sig)
-
-    def row(world: Optional[str], valuation: Sequence = ()):
-        return functools.partial(_read_cell, *read_row(world, valuation))
-
-    return row
-
-
-def _read_cell(lanes: Lanes, lane: int, f: Formula, kind: str):
-    """cell(f, kind) of cell_evaluator, read at one lane: verify_separation
-    reads its cells with it too."""
-    if kind == "value":
-        return lanes.mask(f) >> lane & 1
-    if isinstance(f, Conn):
-        return tuple([lanes.mask(g) >> lane & 1 for g in f.args])
-    return None
-
-
 def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
                symbols: tuple = (), valuations: Optional[Lanes] = None):
     """row(world, valuation) gives the (lanes, lane) that an expected-table
     row is read at. A Kripke row is read from kripke, Lanes.for_model of
-    the countermodel whose worlds are given. A classical row that names
+    the countermodel whose worlds are given, or gives None when its
+    world is not one of them. A classical row that names
     only the given symbols is read from valuations, when given, the
     lanes of _valuations(symbols), with the symbols it does not name at
     0; any other row from a batch of its own symbols, or from the one
@@ -791,7 +741,8 @@ def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
 
     def row(world: Optional[str], valuation: Sequence = ()):
         if world is not None:
-            return kripke, windex[world]
+            lane = windex.get(world)
+            return None if lane is None else (kripke, lane)
         bits = dict(valuation)
         names = symbols if bits.keys() <= shared else tuple(sorted(bits))
         if names not in batches:
@@ -813,11 +764,7 @@ def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
 # --- serialization ---------------------------------------------------------
 
 
-def separation_to_json(
-    result: SeparationResult, report: Optional[VerificationReport] = None
-) -> dict:
-    if report is None:
-        report = verify_separation(result)
+def separation_to_json(result: SeparationResult, report: VerificationReport) -> dict:
     return {
         "connective": {
             "name": result.connective.name,
@@ -837,11 +784,7 @@ def separation_to_json(
     }
 
 
-def render_separation(
-    result: SeparationResult, report: Optional[VerificationReport] = None
-) -> str:
-    if report is None:
-        report = verify_separation(result)
+def render_separation(result: SeparationResult, report: VerificationReport) -> str:
     lines = [
         f"connective {result.connective.name} "
         f"(arity {result.connective.arity}, bits {result.connective.bits()})",

@@ -23,7 +23,8 @@ sorts the order and the interpretation on every call.
 
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
-decide_propositional, model_validity and cell_evaluator of cdkripke.
+decide_propositional and model_validity of cdkripke, and cell_reader
+reads every expected-table cell with the scalar evaluators above.
 """
 
 import itertools
@@ -33,12 +34,7 @@ from cdkripke.classical import ClassicalModel, decide_propositional
 from cdkripke.errors import UsageError
 from cdkripke.kripke import Failure, KripkeModel, Valid, Violation, validate_kripke_model
 from cdkripke.kripke import model_validity as lane_model_validity
-from cdkripke.separator import (
-    ALLOWED_SYMBOLS,
-    VerificationReport,
-    _resolve,
-    cell_evaluator,
-)
+from cdkripke.separator import ALLOWED_SYMBOLS, VerificationReport, _resolve
 from cdkripke.syntax import (
     Atom,
     Conn,
@@ -494,6 +490,38 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     return True
 
 
+def cell_reader(countermodel: KripkeModel, sig: Signature):
+    """row(world, valuation) gives the cell function cell(f, kind) of one
+    expected-table row: a Kripke row is read at its world of the
+    countermodel, a classical row (world None) on the one-element model
+    of its ((symbol, bit), ...) valuation. cell(f, "value") is f's value;
+    cell(f, "args") is the tuple of the argument values of f's top
+    connective, or None when f is not a connective."""
+    kripke = KripkeEvaluator(countermodel, sig)
+
+    def row(world: Optional[str], valuation: Sequence = ()):
+        if world is not None:
+            def value(f):
+                return kripke.value(f, world, {})
+        else:
+            model = ClassicalModel(("a1",), {(sym, ()): 1 for sym, bit in valuation if bit})
+            classical = ClassicalEvaluator(model, sig)
+
+            def value(f):
+                return classical.value(f, {})
+
+        def cell(f: Formula, kind: str):
+            if kind == "value":
+                return value(f)
+            if isinstance(f, Conn):
+                return tuple(value(g) for g in f.args)
+            return None
+
+        return cell
+
+    return row
+
+
 def verify_separation(result) -> VerificationReport:
     """cdkripke.separator.verify_separation, each check on fresh lanes."""
     report = VerificationReport()
@@ -553,7 +581,7 @@ def verify_separation(result) -> VerificationReport:
         report.add("cd-refuted", False, "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    row_evaluator = cell_evaluator(result.countermodel, sig)
+    row_evaluator = cell_reader(result.countermodel, sig)
     for table in result.tables:
         for row in table.rows:
             cell_value = row_evaluator(row.world, row.valuation)

@@ -118,6 +118,11 @@ class TestEval:
         )
         assert code == EXIT_INPUT
 
+    def test_needs_a_model(self, files, capsys):
+        code = main(["eval", "--sig", files("s.txt", MONO_SIG), "--formula", "p"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: eval needs --model\n"
+
 
 class TestValid:
     def test_classical_prop_peirce(self, files, capsys):
@@ -207,6 +212,17 @@ class TestFuzz:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--trials", "0"],
+        ["valid", "--sig", "no-such-file", "--mode", "cd-search", "--sequent", "p",
+         "--max-domain", "0"],
+        ["valid", "--sig", "no-such-file", "--mode", "cd-search", "--sequent", "p",
+         "--max-worlds", "-1"],
+    ])
+    def test_bounds_below_one_exit_2_before_any_file_read(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: bounds and trial counts must be >= 1\n"
+
     def test_missing_file(self, capsys):
         assert main(["check-mono", "--sig", "/nonexistent/sig.txt"]) == EXIT_INPUT
 

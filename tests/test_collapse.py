@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from cdkripke.kripke import (
     model_validity,
     validate_kripke_model,
 )
-from cdkripke.syntax import Atom, parse_formula
+from cdkripke.syntax import Atom, Conn, Exists, Forall, parse_formula
 from cdkripke.truthfn import standard_signature
 
 MONO = standard_signature("and", "or")
@@ -146,7 +147,27 @@ class TestFormulaEnumeration:
         assert len(d1) == 3
         # 3 atoms + 2 connectives on 3x3 pairs + 2 quantifiers on 3 bodies
         assert len(d2) == 3 + 2 * 9 + 2 * 3
-        assert len(d3) == len(d2) + 2 * len(d2) ** 2 + 2 * len(d2)
+        # depth 3 adds the pairs with a member of depth 2 and the
+        # quantified formulas of depth 2
+        assert len(d3) == len(d2) + 2 * (len(d2) ** 2 - len(d1) ** 2) + 2 * (len(d2) - len(d1))
+        assert len(d3) == len(set(d3)) == 1515
+
+    @pytest.mark.parametrize("names", [("and", "or"), ("implies", "top", "not")])
+    def test_each_formula_at_its_first_position(self, names):
+        # every layer built from all shorter formulas, as before the
+        # inventory was deduplicated, lists the same formulas in the
+        # same first-occurrence order
+        sig = standard_signature(*names)
+        atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
+        layers = [list(atoms)]
+        for _ in range(2):
+            smaller = [f for layer in layers for f in layer]
+            layers.append(
+                [Conn(n, args) for n in sig.names()
+                 for args in itertools.product(smaller, repeat=sig.table(n).arity)]
+                + [q("x", f) for f in smaller for q in (Forall, Exists)])
+        reemitted = [f for layer in layers for f in layer]
+        assert enumerate_formulas(sig, atoms, 3) == list(dict.fromkeys(reemitted))
 
     def test_subformula_sharing(self):
         atoms = [Atom("p")]

@@ -132,7 +132,7 @@ class TestSweepAgainstScalar:
         monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
         report = run_collapse_sweep(IMPLIES, max_worlds=2, max_domain=1, depth=3)
         expected = scalar_sweep_disagreements(IMPLIES, 2, 1, 3)
-        assert len(expected) == 630
+        assert len(expected) == 612
         assert report.disagreements == expected
 
     def test_batches_expand_to_enumerated_models(self):

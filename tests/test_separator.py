@@ -15,12 +15,7 @@ from cdkripke.kripke import (
 from cdkripke.separator import (
     AllMonotone,
     SeparationResult,
-    build_case_a,
-    build_case_b,
-    build_case_c,
-    build_case_d,
     build_negation,
-    build_tau,
     chain_countermodel,
     separate,
     separation_to_json,
@@ -75,7 +70,7 @@ class TestPeirce:
 
     def test_classical_table_rows(self):
         # rows (p,q) -> (sigma, psi, phi): frozen from the reference table
-        result = build_case_d(IMPLIES)
+        result = separate(Signature.of(IMPLIES))
         expected = {
             (0, 0): (1, 0, 1),
             (0, 1): (1, 0, 1),
@@ -90,7 +85,7 @@ class TestPeirce:
             assert got == want, (pv, qv)
 
     def test_kripke_table_rows(self):
-        result = build_case_d(IMPLIES)
+        result = separate(Signature.of(IMPLIES))
         evaluator = KripkeEvaluator(result.countermodel, result.signature())
         rows = {
             "w1": (0, 1, 1),
@@ -104,7 +99,7 @@ class TestPeirce:
             assert got == want, world
 
     def test_countermodel_is_the_pq_chain(self):
-        result = build_case_d(IMPLIES)
+        result = separate(Signature.of(IMPLIES))
         model = result.countermodel
         assert model.worlds == ("w0", "w1")
         assert model.value_at("w0", "p", ()) == 0
@@ -161,11 +156,9 @@ class TestNegation:
 
 class TestTau:
     def test_shape(self):
-        assert build_tau(IMPLIES) == Conn("implies", (S, S))
-
-    def test_wrong_case_rejected(self):
-        with pytest.raises(UsageError):
-            build_tau(standard_table("nand"))
+        result = separate(Signature.of(IMPLIES))
+        assert result.case == "d"
+        assert result.formulas["tau"] == Conn("implies", (S, S))
 
     def test_classically_valid(self):
         sig = standard_signature("implies")
@@ -188,7 +181,7 @@ class TestCaseC:
         assert result.failing_world == "w0"
 
     def test_classical_negation_table(self):
-        result = build_case_c(standard_table("not"))
+        result = separate(Signature.of(standard_table("not")))
         assert print_sequent(result.sequent) == "not(not(p)) => p"
         verdict = model_validity(result.countermodel, result.sequent, result.signature())
         assert verdict == Failure("w0", {})
@@ -198,10 +191,6 @@ class TestCaseC:
         assert isinstance(
             decide_propositional(sig, parse_sequent("not(not(p)) => p", sig)), Valid
         )
-
-    def test_wrong_case_rejected(self):
-        with pytest.raises(UsageError):
-            build_case_c(IMPLIES)
 
 
 class TestCaseA:
@@ -216,7 +205,7 @@ class TestCaseA:
         assert result.sequent == Sequent((phi,), (P,))
 
     def test_xor_chain_values(self):
-        result = build_case_a(standard_table("xor"))
+        result = separate(Signature.of(standard_table("xor")))
         evaluator = KripkeEvaluator(result.countermodel, result.signature())
         psi, phi = result.formulas["psi"], result.formulas["phi"]
         assert evaluator.value(psi, "w1", {}) == 0
@@ -226,7 +215,7 @@ class TestCaseA:
         assert evaluator.value(P, "w0", {}) == 0
 
     def test_classical_facts(self):
-        result = build_case_a(standard_table("xor"))
+        result = separate(Signature.of(standard_table("xor")))
         psi, phi = result.formulas["psi"], result.formulas["phi"]
         for r in (0, 1):
             assert cls_value(standard_table("xor"), {"p": 0, "r": r}, psi) == r
@@ -237,10 +226,6 @@ class TestCaseA:
         s = parse_sequent("xor(xor(p, r), r) => p", sig)
         assert isinstance(decide_propositional(sig, s), Valid)
 
-    def test_wrong_case_rejected(self):
-        with pytest.raises(UsageError):
-            build_case_a(IMPLIES)
-
 
 # arity-3 case-b representatives: bits index rows 000,001,...,111
 B_SUB1 = TruthTable.from_bits("c", 3, "00100101")
@@ -249,7 +234,7 @@ B_SUB2 = TruthTable.from_bits("c", 3, "00100001")
 
 class TestCaseB:
     def test_subcase1_shapes_and_chain_rows(self):
-        result = build_case_b(B_SUB1)
+        result = separate(Signature.of(B_SUB1))
         assert (result.case, result.subcase) == ("b", 1)
         assert result.witness_a == (0, 1, 0)
         assert result.witness_b == (0, 1, 1)
@@ -264,7 +249,7 @@ class TestCaseB:
         assert model_validity(result.countermodel, result.sequent, result.signature()) == Failure("w0", {})
 
     def test_subcase1_classical_facts(self):
-        result = build_case_b(B_SUB1)
+        result = separate(Signature.of(B_SUB1))
         chi = result.formulas["chi"]
         for pv, qv in [(0, 1), (1, 0), (1, 1)]:
             assert cls_value(B_SUB1, {"p": pv, "q": qv, "r": 0}, chi) == 1
@@ -274,7 +259,7 @@ class TestCaseB:
             assert cls_value(B_SUB1, {"p": 0, "q": 0, "r": r}, phi) == 0
 
     def test_subcase2_selects_verified_variant(self):
-        result = build_case_b(B_SUB2)
+        result = separate(Signature.of(B_SUB2))
         assert (result.case, result.subcase) == ("b", 2)
         assert "QQ_verified=True" in result.notes
         psi = result.formulas["psi"]
@@ -287,10 +272,6 @@ class TestCaseB:
         for table in all_tables(2):
             if classify_case(table) == "b":
                 assert monotonicity_witness(table) is None
-
-    def test_wrong_case_rejected(self):
-        with pytest.raises(UsageError):
-            build_case_b(IMPLIES)
 
 
 class TestSeparate:
@@ -349,7 +330,7 @@ class TestVerification:
 
     def test_json_serialization(self):
         result = separate(standard_signature("xor"))
-        obj = separation_to_json(result)
+        obj = separation_to_json(result, verify_separation(result))
         assert obj["case"] == "a"
         assert obj["sequent"] == "xor(xor(p, r), r) => p"
         assert obj["verification"]["passed"] is True

@@ -24,10 +24,9 @@ from cdkripke.separator import (
     ExpectedCell,
     ExpectedRow,
     ExpectedTable,
-    _read_cell,
     _row_lanes,
     _valuations,
-    cell_evaluator,
+    judge_cells,
     separate,
     verify_separation,
 )
@@ -228,7 +227,7 @@ class TestUnreadableCells:
 
 class TestWide:
     """More valuations than one batch holds are evaluated exactly, never
-    raised on; the reference's cell_evaluator takes the same guard."""
+    raised on; the reference's cell_reader reads them on one model each."""
 
     # one symbol more than a batch of MAX_BATCH_WIDTH valuations holds
     WIDE = tuple(f"p{i}" for i in range(MAX_BATCH_WIDTH.bit_length()))
@@ -266,12 +265,16 @@ def test_shared_valuation_lanes_read_unnamed_symbols_as_zero():
     assert symbols == ("p", "q", "r")
     shared = _row_lanes(Lanes.for_model(result.countermodel, sig), result.countermodel.worlds,
                         sig, symbols, Lanes.for_batch(_valuations(symbols), sig))
-    fresh = cell_evaluator(result.countermodel, sig)
+    fresh = scalar_reference.cell_reader(result.countermodel, sig)
+    rows = []
     for valuation in ((("q", 1), ("r", 0)), (("p", 1),), (("q", 1), ("r", 1)), ()):
-        lanes, lane = shared(None, valuation)
-        for f in result.formulas.values():
-            for kind in ("value", "args"):
-                assert _read_cell(lanes, lane, f, kind) == fresh(None, valuation)(f, kind)
+        cell = fresh(None, valuation)
+        cells = tuple(ExpectedCell(key, kind, cell(f, kind))
+                      for key, f in result.formulas.items() for kind in ("value", "args"))
+        rows.append(ExpectedRow(str(valuation), cells, valuation=valuation))
+    judged = list(judge_cells(result, (ExpectedTable("rows", tuple(rows)),), shared))
+    assert len(judged) == 4 * 2 * len(result.formulas)
+    assert [detail for _, _, ok, detail in judged if not ok] == []
 
 
 class TestPredicateShape:
