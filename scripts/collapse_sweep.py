@@ -7,12 +7,14 @@ isomorphism class) and every formula of bounded depth over a monotonic
 signature, comparing the Kripke value against the classical value in the
 per-world projection. Expected outcome: exact agreement everywhere.
 
-The default bounds reproduce the full desk-scale check in under a
-second, since every interpretation of one frame and domain size is
-evaluated in one bit-parallel pass:
+The default bounds reproduce the full desk-scale check in a fraction
+of a second, since the interpretations of every frame of one world
+count and domain size are evaluated in one bit-parallel pass (at most
+2**14 interpretations a pass):
 
     python scripts/collapse_sweep.py
     python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # milliseconds
+    python scripts/collapse_sweep.py --max-worlds 4             # about a second
 """
 
 import argparse

@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
-from .kripke import KripkeModel, cd_model_batches, validate_kripke_model
+from .kripke import (KripkeModel, batch_of, cd_model_passes, domain_size_groups,
+                     validate_kripke_model)
 from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, connective_names
 from .truthfn import Signature, monotonicity_witness
@@ -85,7 +86,7 @@ class CollapseReport:
 def require_monotone(formulas: Sequence[Formula], sig: Signature):
     """Reject any non-monotonic connective occurring in the formulas,
     naming it together with its witness pair."""
-    for name in sorted({n for f in formulas for n in connective_names(f)}):
+    for name in sorted(connective_names(formulas)):
         witness = monotonicity_witness(sig.table(name))
         if witness is not None:
             raise UsageError(
@@ -233,27 +234,30 @@ def run_collapse_sweep(
     formulas = enumerate_formulas(sig, atoms, depth)
     require_monotone(formulas, sig)
     report = SweepReport()
-    for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
-        # all interpretations of one frame and domain size at once; each
-        # model keeps its first 100 disagreements in check order
-        lanes = Lanes.for_batch(batch, sig)
-        width, worlds = lanes.width, batch.worlds
+    for batches in cd_model_passes(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
+        # every interpretation of the pass's frames, one Lanes per domain
+        # size; each model, keyed by (batch position, model index), keeps
+        # its first 100 disagreements in check order
         found: dict = {}
-        for f, rho, kripke, classical in _lane_values(lanes, formulas, None):
-            report.values += width * len(worlds)
-            diff = kripke ^ classical
-            if not diff:
-                continue
-            key = tuple(sorted(rho.items()))
-            while diff:
-                lane = (diff & -diff).bit_length() - 1
-                diff &= diff - 1
-                kept = found.setdefault(lane % width, [])
-                if len(kept) < 100:
-                    kept.append((worlds[lane // width], f, key,
-                                 kripke >> lane & 1, classical >> lane & 1))
-        lanes.clear()
-        for index in sorted(found):
-            report.disagreements.extend(found[index])
-        report.models += width
+        for group in domain_size_groups(batches):
+            lanes = Lanes.for_batches(group, sig)
+            worlds, n = group[0].worlds, len(group[0].worlds)
+            for f, rho, kripke, classical in _lane_values(lanes, formulas, None):
+                report.values += lanes.width * n
+                diff = kripke ^ classical
+                if not diff:
+                    continue
+                key = tuple(sorted(rho.items()))
+                while diff:
+                    lane = (diff & -diff).bit_length() - 1
+                    diff &= diff - 1
+                    batch, index = batch_of(group, lane // n)
+                    kept = found.setdefault((batches.index(batch), index), [])
+                    if len(kept) < 100:
+                        kept.append((worlds[lane % n], f, key,
+                                     kripke >> lane & 1, classical >> lane & 1))
+            lanes.clear()
+            report.models += lanes.width
+        for model in sorted(found):
+            report.disagreements.extend(found[model])
     return report

@@ -9,7 +9,8 @@ domains; the existential quantifier stays at the present world.
 
 Every evaluation runs on the lane core of ``lanes``: one model is
 Lanes.for_model, its growing domains existence masks, and a search
-evaluates all interpretations of a frame and domain size at once.
+evaluates the interpretations of every frame of one world count and
+domain size at once.
 Heredity and domain monotonicity are enforced when a model is validated;
 evaluation assumes them and never re-checks.
 """
@@ -449,7 +450,7 @@ class CdBatch:
     models are the product of per-slot monotone world vectors over the
     other ``slots``, in interpretation_slots order, earlier slots varying
     slowest; ``width`` counts them. ``lane_masks`` is filled in by the
-    first Lanes.for_batch of the batch.
+    first Lanes.for_batches that holds the batch.
 
     A plain class rather than a dataclass, because every CLI call pays
     the package import and a dataclass takes most of a millisecond to
@@ -488,8 +489,9 @@ class CdBatch:
         return (self.model(index) for index in range(self.width))
 
 
-# widest batch cd_model_batches yields: each lane mask holds width *
-# worlds bits, and Lanes.for_batch takes time quadratic in the width
+# the most models in one batch of cd_model_batches and in one pass of
+# cd_model_passes: each lane mask holds models * worlds bits, and a pass
+# keeps one mask per formula and assignment evaluated
 MAX_BATCH_WIDTH = 2 ** 14
 
 
@@ -536,6 +538,54 @@ def cd_model_batches(
                 for fixed in itertools.product(vectors, repeat=lead):
                     yield CdBatch(worlds, order, future, domain, slots[lead:],
                                   vectors, list(zip(slots, fixed)))
+
+
+def cd_model_passes(
+    preds: Mapping,
+    max_worlds: int,
+    max_domain: int,
+    up_to_iso: bool = False,
+    cap: Optional[int] = None,
+):
+    """Yield the batches of cd_model_batches in passes: runs of
+    consecutive batches, in walk order, on frames of one world count and
+    of at most MAX_BATCH_WIDTH models in all, each pass a list. When the
+    walk raises EnumerationCapError, the pending pass is yielded first."""
+    pending: list = []
+    width = 0
+    try:
+        for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap):
+            if pending and (len(batch.worlds) != len(pending[0].worlds)
+                            or width + batch.width > MAX_BATCH_WIDTH):
+                yield pending
+                pending, width = [], 0
+            pending.append(batch)
+            width += batch.width
+    except EnumerationCapError:
+        if pending:
+            yield pending
+        raise
+    if pending:
+        yield pending
+
+
+def domain_size_groups(batches: list) -> list:
+    """The batches of a pass split by domain size, sizes in order of
+    first appearance, each in pass order: one Lanes.for_batches each."""
+    groups: dict = {}
+    for batch in batches:
+        groups.setdefault(len(batch.domain), []).append(batch)
+    return list(groups.values())
+
+
+def batch_of(group: Sequence, model: int) -> tuple:
+    """(batch, model index in it) of a lane index's model in
+    Lanes.for_batches(group)."""
+    for batch in group:
+        if model < batch.width:
+            break
+        model -= batch.width
+    return batch, model
 
 
 def enumerate_cd_models(
@@ -588,21 +638,29 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     frames still count against the cap, which is met where the labeled
     search meets it."""
     fv = sorted(free_vars(s))
-    for batch in cd_model_batches(preds, max_worlds, max_domain, True, cap):
-        lanes = Lanes.for_batch(batch, sig)
-        found = _batch_refutation(lanes, batch, s, fv)
-        lanes.clear()
+    for batches in cd_model_passes(preds, max_worlds, max_domain, True, cap):
+        found, at = None, len(batches)
+        for group in domain_size_groups(batches):
+            # a later domain size may still hold an earlier batch
+            if batches.index(group[0]) > at:
+                break
+            lanes = Lanes.for_batches(group, sig)
+            hit = _batch_refutation(lanes, group, s, fv)
+            lanes.clear()
+            if hit is not None and batches.index(hit[0]) < at:
+                found, at = hit, batches.index(hit[0])
         if found is not None:
-            return (batch, *found)
+            return found
     return None
 
 
-def _batch_refutation(lanes: Lanes, batch: CdBatch, s: Sequent, fv: Sequence):
-    """(model index, world, assignment) of the first refutation of s
-    among the models of one batch, read from lanes, Lanes.for_batch of
-    the batch, with fv the sequent's sorted free variables; or None."""
+def _batch_refutation(lanes: Lanes, batches: Sequence[CdBatch], s: Sequent, fv: Sequence):
+    """(batch, model index, world, assignment) of the first refutation of
+    s among the models of the batches, in (batch, model, world,
+    assignment) order, read from lanes, Lanes.for_batches of the
+    batches, with fv the sequent's sorted free variables; or None."""
     rhos = [dict(zip(fv, values))
-            for values in itertools.product(batch.domain, repeat=len(fv))]
+            for values in itertools.product(batches[0].domain, repeat=len(fv))]
     failing, union = [], 0
     for rho in rhos:
         fail = _refuted(lanes, s, rho)
@@ -610,15 +668,14 @@ def _batch_refutation(lanes: Lanes, batch: CdBatch, s: Sequent, fv: Sequence):
         union |= fail
     if not union:
         return None
-    # fold the world blocks: bit i is set iff model i fails somewhere
-    width, block, models = batch.width, (1 << batch.width) - 1, 0
-    for j in range(len(batch.worlds)):
-        models |= (union >> (j * width)) & block
-    index = (models & -models).bit_length() - 1
+    # the lowest failing lane lies in the first failing model
+    n = len(batches[0].worlds)
+    model = ((union & -union).bit_length() - 1) // n
+    batch, index = batch_of(batches, model)
     for j, w in enumerate(batch.worlds):
         for rho, fail in zip(rhos, failing):
-            if fail >> (j * width + index) & 1:
-                return index, w, rho
+            if fail >> (model * n + j) & 1:
+                return batch, index, w, rho
     return None
 
 
@@ -632,8 +689,9 @@ def bounded_cd_countermodel_search(
     """Look for a constant-domain Kripke countermodel within the bounds.
 
     Searches the models of enumerate_cd_models over the predicates
-    occurring in s, one CdBatch at a time: the sequent is evaluated on
-    every interpretation of a frame and domain size in one lane pass.
+    occurring in s, one pass of cd_model_passes at a time: the sequent
+    is evaluated on every interpretation of the pass's frames, all of
+    one world count, in one lane pass per domain size.
     The refutation returned is the first in (model, world, assignment)
     order, models in enumerate_cd_models order and worlds and
     assignments in model_validity order; only that model is built. From

@@ -1,18 +1,22 @@
 """Bit-parallel evaluation over (interpretation, world) lanes.
 
 A formula's value under one assignment is a pair of Python-int bitsets
-``(kripke, classical)``: bit ``world_index * M + interp_index`` holds its
-value at that world of the interp_index-th of M models sharing one frame
-and one domain. The classical side is the value in the world's
-projection. Both sides read the same atomic masks; a connective applies
-its truth table lane by lane, as the OR over the table's 1-rows of the
-ANDed argument masks, complemented where the row bit is 0 (or the
-complement of that OR over its 0-rows, when they are fewer). The Kripke
-side of a connective or of a universal is then boxed: its block at world
-i is the AND of the blocks at every world above i. Existentials are the
-OR over the domain on both sides. Where no world sees another (one
-world: classical models) boxing is the identity, the two sides are equal
-and each connective's table is applied once.
+``(kripke, classical)``: bit ``model_index * n + world_index`` holds its
+value at that world of the model_index-th of M models of n worlds, which
+share one domain and may lie on different frames. The classical side is
+the value in the world's projection. Both sides read the same atomic
+masks; a connective applies its truth table lane by lane, as the OR over
+the table's 1-rows of the ANDed argument masks, complemented where the
+row bit is 0 (or the complement of that OR over its 0-rows, when they
+are fewer). The Kripke side of a connective or of a universal is then
+boxed: its bit at world i of a model is the AND of its bits at every
+world above i in that model's frame. World j lies d = j - i places
+above world i in the mask, so boxing is one shift-and-mask step per
+offset d that some frame's order spans, at most 2(n - 1) of them
+however many frames share the mask. Existentials are the OR over the
+domain on both sides. Where no world sees another (one world:
+classical models) boxing is the identity, the two sides are equal and
+each connective's table is applied once.
 
 Growing domains (one model, M = 1) carry an existence mask E_a per
 element: ``forall x. phi`` is ``box(AND_a (phi_a | ~E_a))`` and
@@ -24,6 +28,7 @@ along the order.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import UsageError
@@ -35,10 +40,12 @@ if TYPE_CHECKING:  # kripke imports this module
 
 
 class Lanes:
-    """Memoized lane evaluation of formulas on M models of one frame.
+    """Memoized lane evaluation of formulas on M models of n worlds.
 
     ``future`` lists, for each world index, the indices of the worlds
-    above it; ``atoms`` maps (predicate, argument tuple) to its lane mask,
+    above it; the ``width`` = M models share it unless ``frames`` lists
+    (future, models) per run of consecutive models on one frame, in model
+    order. ``atoms`` maps (predicate, argument tuple) to its lane mask,
     absent atoms reading 0; ``full`` has every lane set. ``exists`` maps
     each element of ``domain`` to the lanes where it exists, or is None
     when every element exists everywhere (constant domains). Only then
@@ -56,16 +63,16 @@ class Lanes:
         domain: tuple,
         atoms: Mapping,
         exists: Optional[Mapping] = None,
+        frames: Optional[Sequence[tuple]] = None,
     ):
         self.width = width
         self.domain = domain
         self.exists = exists
         self.cross_check = exists is None
-        self._future = tuple(future)
-        self._block = (1 << width) - 1
-        self._lanes = width * len(self._future)
+        self._lanes = width * len(future)
         self.full = (1 << self._lanes) - 1
-        self._boxed = any(fut != (i,) for i, fut in enumerate(self._future))
+        self._steps = _box_steps(frames or ((future, width),), len(future), self.full)
+        self._boxed = bool(self._steps)
         self._atoms = atoms
         self._tables = sig.connectives
         self._memo: dict = {}
@@ -97,39 +104,53 @@ class Lanes:
 
     @classmethod
     def for_batch(cls, batch: CdBatch, sig: Signature) -> Lanes:
-        """Every interpretation of a CdBatch, interp_index in the batch's
-        model order; a fixed slot has the same value on every model.
-        The atom masks and the future lists are kept on the batch, so
-        Lanes of a batch built again, for another signature say, reuse
-        them."""
-        if batch.lane_masks is None:
-            batch.lane_masks = cls._batch_masks(batch)
-        future, atoms = batch.lane_masks
-        return cls(sig, future, batch.width, batch.domain, atoms)
+        """Lanes.for_batches of the one batch."""
+        return cls.for_batches([batch], sig)
+
+    @classmethod
+    def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
+        """Every interpretation of CdBatches of one world count and one
+        domain size: the models of each batch in the batch's model
+        order, the batches one after another; a fixed slot has the same
+        value on every model of its batch. The atom masks and the future
+        lists of a batch are kept on it, so Lanes of a batch built
+        again, for another signature say, reuse them."""
+        n = len(batches[0].worlds)
+        frames, atoms, offset = [], {}, 0
+        for batch in batches:
+            if batch.lane_masks is None:
+                batch.lane_masks = cls._batch_masks(batch)
+            future, masks = batch.lane_masks
+            frames.append((future, batch.width))
+            if not offset:  # the first batch's masks need no shift
+                atoms.update(masks)
+            else:
+                for slot, mask in masks.items():
+                    atoms[slot] = atoms.get(slot, 0) | mask << offset * n
+            offset += batch.width
+        return cls(sig, frames[0][0], offset, batches[0].domain, atoms, frames=frames)
 
     @staticmethod
     def _batch_masks(batch: CdBatch) -> tuple:
-        """(future, atoms) of Lanes.for_batch; neither is mutated later."""
+        """(future, atoms) of one batch on its own, models from 0; neither
+        is mutated later."""
         worlds, vectors, width = batch.worlds, batch.vectors, batch.width
-        nvec, nslots = len(vectors), len(batch.slots)
+        n, nvec = len(worlds), len(vectors)
         atoms = {}
-        for s, slot in enumerate(batch.slots):
-            # slot s holds vector v on a run of `stride` consecutive
+        stride = width
+        for slot in batch.slots:
+            # the slot holds vector v on a run of `stride` consecutive
             # models; the runs cycle through the vectors every `period`
-            stride = nvec ** (nslots - 1 - s)
-            period = stride * nvec
-            repeat = ((1 << width) - 1) // ((1 << period) - 1)
-            run = (1 << stride) - 1
-            mask = 0
-            for j in range(len(worlds)):
-                block = 0
-                for v, vec in enumerate(vectors):
-                    if vec[j]:
-                        block |= run << (v * stride)
-                mask |= (block * repeat) << (j * width)
-            atoms[slot] = mask
-        for slot, vec in batch.fixed:
-            atoms[slot] = sum(((1 << width) - 1) << (j * width) for j, val in enumerate(vec) if val)
+            period, stride = stride, stride // nvec
+            run = _spread(stride, n)
+            block = 0
+            for v, vec in enumerate(vectors):
+                block |= _bits(vec) * run << v * stride * n
+            atoms[slot] = block * _spread(width // period, period * n)
+        if batch.fixed:
+            every = _spread(width, n)
+            for slot, vec in batch.fixed:
+                atoms[slot] = _bits(vec) * every
         windex = {w: i for i, w in enumerate(worlds)}
         return tuple(tuple(windex[v] for v in batch.future[w]) for w in worlds), atoms
 
@@ -137,17 +158,11 @@ class Lanes:
         self._memo.clear()
 
     def box(self, x: int) -> int:
-        """At each world, the AND of x's blocks at every world above it."""
-        if not self._boxed:
-            return x
-        width, block = self.width, self._block
-        blocks = [(x >> (j * width)) & block for j in range(len(self._future))]
-        out = 0
-        for i, fut in enumerate(self._future):
-            b = block
-            for j in fut:
-                b &= blocks[j]
-            out |= b << (i * width)
+        """At each world of each model, the AND of x's bits at every
+        world above it."""
+        out = x
+        for d, free in self._steps:
+            out &= (x >> d if d > 0 else x << -d) | free
         return out
 
     def alive(self, rho: Mapping, variables) -> int:
@@ -251,3 +266,33 @@ class Lanes:
             raise UsageError(f"not a formula: {f!r}")
         memo[key] = result
         return result
+
+
+@functools.lru_cache(maxsize=None)
+def _bits(vec: tuple) -> int:
+    """A world vector as the bits of one model, world j at bit j."""
+    return sum(bit << j for j, bit in enumerate(vec))
+
+
+def _spread(count: int, step: int) -> int:
+    """count bits, step places apart, from bit 0."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1)
+
+
+def _box_steps(frames: Sequence[tuple], n: int, full: int) -> list:
+    """(d, free) per offset d != 0 from a world to a world above it in
+    some frame: free holds every lane whose world i does not see world
+    i + d in its model's frame, where box leaves the bit that a shift by
+    d brings to i unread. frames lists (future, models) per run of
+    consecutive models on one frame of n worlds."""
+    seen: dict = {}
+    start = 0
+    for future, models in frames:
+        firsts = 0  # bit 0 of every model of the run, once needed
+        for i, above in enumerate(future):
+            for j in above:
+                if j != i:
+                    firsts = firsts or _spread(models, n) << start * n
+                    seen[j - i] = seen.get(j - i, 0) | firsts << i
+        start += models
+    return [(d, full ^ mask) for d, mask in seen.items()]

@@ -626,7 +626,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     batch = _valuations(symbols) if propositional else None
     classical = None if batch is None else Lanes.for_batch(batch, sig)
     try:
-        if classical is not None and _batch_refutation(classical, batch, sequent, ()) is None:
+        if classical is not None and _batch_refutation(classical, [batch], sequent, ()) is None:
             verdict = Valid()
         else:
             # refuted, quantified or too wide for one batch: the decider

@@ -163,16 +163,6 @@ def free_vars(obj) -> frozenset:
     raise UsageError(f"expected Formula or Sequent, got {type(obj).__name__}")
 
 
-def subformulas(f: Formula):
-    """Yield every subformula node, outermost first."""
-    yield f
-    if isinstance(f, Conn):
-        for g in f.args:
-            yield from subformulas(g)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
-
-
 def predicates(obj) -> dict:
     """Map predicate name -> arity over a formula or sequent.
 
@@ -222,11 +212,23 @@ def _walk(formulas) -> tuple:
     return out, propositional
 
 
-def connective_names(obj) -> set:
-    formulas = [obj] if isinstance(obj, Formula) else list(obj.formulas)
-    return {
-        g.name for f in formulas for g in subformulas(f) if isinstance(g, Conn)
-    }
+def connective_names(formulas) -> set:
+    """The names of the connectives occurring in the formulas, each
+    distinct node walked once, as in _walk."""
+    names: set = set()
+    seen: set = set()
+    stack = list(formulas)
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, Conn):
+            names.add(g.name)
+            stack.extend(g.args)
+        elif isinstance(g, (Forall, Exists)):
+            stack.append(g.body)
+    return names
 
 
 def is_propositional(f: Formula) -> bool:

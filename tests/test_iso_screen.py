@@ -94,22 +94,22 @@ def test_cap_parity(sig, text):
 
 
 def test_one_batch_per_class(monkeypatch):
-    # classically valid and/or: no frame refutes it, so the search builds
-    # one batch for each of the 1 + 3 + 9 isomorphism classes of frames,
-    # not 1 + 4 + 29 for the labeled frames
+    # classically valid and/or: no frame refutes it, so the search
+    # evaluates one batch for each of the 1 + 3 + 9 isomorphism classes
+    # of frames, not 1 + 4 + 29 for the labeled frames, in one lane pass
+    # per world count
     s = parse_sequent("and(p, q) => or(q, p)", MONOTONE_SIGNATURE)
     calls = []
-    for_batch = Lanes.for_batch.__func__
+    for_batches = Lanes.for_batches.__func__
 
-    def counted(cls, batch, sig):
-        calls.append(batch)
-        return for_batch(cls, batch, sig)
+    def counted(cls, batches, sig):
+        calls.append(batches)
+        return for_batches(cls, batches, sig)
 
-    monkeypatch.setattr(Lanes, "for_batch", classmethod(counted))
+    monkeypatch.setattr(Lanes, "for_batches", classmethod(counted))
     verdict = bounded_cd_countermodel_search(MONOTONE_SIGNATURE, s, 3, 1)
     assert verdict == NoCountermodelUpTo(3, 1)
-    assert len(calls) == 13
-    assert [len(b.worlds) for b in calls] == [1] + [2] * 3 + [3] * 9
+    assert [[len(b.worlds) for b in batches] for batches in calls] == [[1], [2] * 3, [3] * 9]
 
 
 def walked(preds, max_worlds, max_domain, up_to_iso, cap):

@@ -1,0 +1,161 @@
+"""Passes: the search and the sweep evaluate every batch of a run of
+consecutive batches on frames of one world count together, one Lanes per
+domain size. The differential tests below patch MAX_BATCH_WIDTH narrow,
+so that passes end inside a world count, and compare each pass with the
+one-model lanes and the one-model-at-a-time search.
+
+Also the monotone side of the collapse: every monotone table of arity
+1-3 goes through the exhaustive sweep alone, and every non-monotone
+table of arity 1-2 is seen to disagree once the guard is lifted.
+"""
+
+import random
+
+import pytest
+
+from cdkripke.collapse import enumerate_formulas, run_collapse_sweep
+from cdkripke.kripke import (
+    MAX_BATCH_WIDTH,
+    _batch_refutation,
+    bounded_cd_countermodel_search,
+    cd_model_batches,
+    cd_model_passes,
+    domain_size_groups,
+)
+from cdkripke.lanes import Lanes
+from cdkripke.suites import MIXED_SIGNATURE
+from cdkripke.syntax import Atom, free_vars, parse_sequent, predicates
+from cdkripke.truthfn import Signature, all_tables, monotonicity_witness, standard_signature
+from test_lanes import random_sequent, scalar_cd_search
+
+PREDS = {"p": 0, "q": 0, "P": 1}
+ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
+
+# classically valid on domains of up to 2 and never refuted on 2 worlds;
+# on 3 worlds it is refuted first by a domain-2 model of the third frame,
+# and by domain-1 models of the sixth: one pass holds both, and the
+# domain-2 lanes, evaluated after the domain-1 ones, hold the winner
+EARLIER_SIZE_2 = ("not(forall x. nand(P(x), q)) => exists x. forall x. p, "
+                  "forall x. exists x. implies(p, P(x))")
+
+
+def narrow(monkeypatch, width):
+    monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", width)
+
+
+def cell(batch):
+    return batch.worlds, batch.order, batch.domain, tuple(batch.slots), tuple(batch.fixed)
+
+
+@pytest.mark.parametrize("width", [1, 5, 64, 600, MAX_BATCH_WIDTH])
+def test_passes_are_maximal_runs_of_one_world_count(width, monkeypatch):
+    narrow(monkeypatch, width)
+    batches = [cell(b) for b in cd_model_batches(PREDS, 3, 2, up_to_iso=True)]
+    passes = list(cd_model_passes(PREDS, 3, 2, up_to_iso=True))
+    assert [cell(b) for p in passes for b in p] == batches
+    for p, after in zip(passes, passes[1:] + [None]):
+        assert len({len(b.worlds) for b in p}) == 1
+        total = sum(b.width for b in p)
+        assert total <= width
+        if after is not None and len(after[0].worlds) == len(p[0].worlds):
+            assert total + after[0].width > width
+        sizes = dict.fromkeys(len(b.domain) for b in p)
+        assert domain_size_groups(p) == [[b for b in p if len(b.domain) == size]
+                                         for size in sizes]
+    # one pass per world count at the default width
+    assert len(passes) == 3 or width < MAX_BATCH_WIDTH
+
+
+@pytest.mark.parametrize("width", [4, 40, MAX_BATCH_WIDTH])
+@pytest.mark.parametrize("bounds", [(3, 1), (2, 2)])
+def test_pass_lanes_match_single_models(bounds, width, monkeypatch):
+    narrow(monkeypatch, width)
+    sig = standard_signature("implies", "not", "xor")
+    formulas = enumerate_formulas(sig, ATOMS, 3)[::13]
+    mixed = 0
+    for batches in cd_model_passes(PREDS, *bounds, up_to_iso=True):
+        groups = domain_size_groups(batches)
+        mixed += len(groups) > 1
+        for group in groups:
+            lanes = Lanes.for_batches(group, sig)
+            n, model = len(group[0].worlds), 0
+            for batch in group:
+                for index in range(batch.width):
+                    single = Lanes.for_model(batch.model(index), sig)
+                    for f in formulas:
+                        for a in batch.domain:
+                            k, c = lanes.value(f, {"x": a})
+                            assert (k >> model * n & (1 << n) - 1,
+                                    c >> model * n & (1 << n) - 1) == single.value(f, {"x": a})
+                    model += 1
+            assert model == lanes.width
+    # from a width of 40 on, some pass holds both domain sizes
+    assert mixed or bounds[1] == 1 or width < 40
+
+
+@pytest.mark.parametrize("width", [2, 16, 200, MAX_BATCH_WIDTH])
+def test_earlier_frame_of_a_larger_domain_wins(width, monkeypatch):
+    sig = MIXED_SIGNATURE
+    s = parse_sequent(EARLIER_SIZE_2, sig)
+    fv = sorted(free_vars(s))
+    # the (frame, domain size) cells of 3 worlds, in walk order, that
+    # hold a refutation, each read from lanes of its own
+    refuting = [(b.future, len(b.domain)) for b in cd_model_batches(predicates(s), 3, 2, True)
+                if len(b.worlds) == 3
+                and _batch_refutation(Lanes.for_batch(b, sig), [b], s, fv) is not None]
+    first, second = refuting[:2]
+    assert (first[1], second[1]) == (2, 1) and first[0] is not second[0]
+    narrow(monkeypatch, width)
+    verdict = bounded_cd_countermodel_search(sig, s, 3, 2)
+    assert verdict == scalar_cd_search(sig, s, 3, 2)
+    assert (len(verdict.model.worlds), len(verdict.model.domains["w0"])) == (3, 2)
+
+
+@pytest.mark.parametrize("bounds", [(3, 1), (2, 2), (3, 2)])
+def test_cd_search_with_narrow_passes(bounds, monkeypatch):
+    narrow(monkeypatch, 24)
+    rng = random.Random(9_700 + 3 * bounds[0] + bounds[1])
+    for _ in range(12):
+        s = random_sequent(rng, MIXED_SIGNATURE, rng.random() < 0.5)
+        assert bounded_cd_countermodel_search(MIXED_SIGNATURE, s, *bounds) == (
+            scalar_cd_search(MIXED_SIGNATURE, s, *bounds)), str(s)
+
+
+def test_sweep_reports_disagreements_in_walk_order(monkeypatch):
+    # the domain-1 lanes of a pass are read before its domain-2 lanes;
+    # the report still lists models in walk order
+    monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
+    sig = standard_signature("implies")
+    whole = run_collapse_sweep(sig, max_worlds=3, max_domain=2, depth=2)
+    narrow(monkeypatch, 8)
+    split = run_collapse_sweep(sig, max_worlds=3, max_domain=2, depth=2)
+    assert whole.disagreements
+    assert (split.models, split.values, split.disagreements) == (
+        whole.models, whole.values, whole.disagreements)
+
+
+def tables(arities, monotone):
+    return [t for arity in arities for t in all_tables(arity)
+            if (monotonicity_witness(t) is None) == monotone]
+
+
+@pytest.mark.parametrize("arities, depth", [((1, 2), 3), ((3,), 2)])
+def test_every_monotone_table_collapses(arities, depth):
+    # 3 + 6 tables at depth 3 and 20 at depth 2: the Dedekind numbers
+    monotone = tables(arities, True)
+    assert len(monotone) == (9 if depth == 3 else 20)
+    for table in monotone:
+        report = run_collapse_sweep(Signature.of(table), max_worlds=3, max_domain=2, depth=depth)
+        assert report.agreement, table.bits()
+        assert report.models == 8976
+
+
+def test_every_non_monotone_table_disagrees(monkeypatch):
+    # the control: lift the guard, and each of the 1 + 10 non-monotone
+    # tables of arity 1-2 disagrees already on two worlds and one element
+    monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
+    non_monotone = tables((1, 2), False)
+    assert len(non_monotone) == 11
+    for table in non_monotone:
+        report = run_collapse_sweep(Signature.of(table), max_worlds=2, max_domain=1, depth=2)
+        assert report.disagreements, table.bits()
