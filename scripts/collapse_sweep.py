@@ -9,8 +9,8 @@ per-world projection. Expected outcome: exact agreement everywhere.
 
 The default bounds reproduce the full desk-scale check in a fraction
 of a second, since the interpretations of every frame of one world
-count and domain size are evaluated in one bit-parallel pass (at most
-2**14 interpretations a pass):
+count and of every domain size are evaluated in one bit-parallel lane
+set per pass (at most 2**14 interpretations a pass):
 
     python scripts/collapse_sweep.py
     python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # milliseconds

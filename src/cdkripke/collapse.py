@@ -16,8 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
-from .kripke import (KripkeModel, batch_of, cd_model_passes, domain_size_groups,
-                     validate_kripke_model)
+from .kripke import KripkeModel, cd_model_passes, validate_kripke_model
 from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, connective_names
 from .truthfn import Signature, monotonicity_witness
@@ -96,23 +95,26 @@ def require_monotone(formulas: Sequence[Formula], sig: Signature):
 
 
 def _lane_values(lanes: Lanes, formulas: Sequence[Formula], assignments):
-    """Yield (f, rho, kripke, classical) for each formula under each
-    assignment, in check order. With assignments=None, each formula runs
-    under every assignment of its free variables into the domain,
-    variables sorted, values in domain order."""
+    """Yield (f, rho, alive, live, kripke, classical) for each formula
+    under each assignment, in check order, alive being the lanes where
+    rho's values of f's free variables exist and live their number.
+    With assignments=None, each formula runs under every assignment of
+    its free variables into the domain, variables sorted, values in
+    domain order."""
     assign_cache: dict = {}
     for f in formulas:
-        rhos = assignments
+        rhos = assign_cache.get(f.fvs)
         if rhos is None:
-            rhos = assign_cache.get(f.fvs)
-            if rhos is None:
-                rhos = assign_cache[f.fvs] = [
-                    dict(zip(f.fvs, values))
-                    for values in itertools.product(lanes.domain, repeat=len(f.fvs))
-                ]
-        for rho in rhos:
+            given = assignments if assignments is not None else (
+                dict(zip(f.fvs, values))
+                for values in itertools.product(lanes.domain, repeat=len(f.fvs)))
+            rhos = assign_cache[f.fvs] = []
+            for rho in given:
+                alive = lanes.alive(rho, f.fvs)
+                rhos.append((rho, alive, alive.bit_count()))
+        for rho, alive, live in rhos:
             kripke, classical = lanes.value(f, rho)
-            yield f, rho, kripke, classical
+            yield f, rho, alive, live, kripke, classical
 
 
 def check_collapse(
@@ -141,8 +143,9 @@ def check_collapse(
     report = CollapseReport(model_id)
     worlds = model.worlds
     fixed = list(assignments) if assignments is not None else None
-    for f, rho, kripke, classical in _lane_values(Lanes.for_model(model, sig), formulas, fixed):
-        report.checked += len(worlds)
+    for f, rho, _, live, kripke, classical in _lane_values(
+            Lanes.for_model(model, sig), formulas, fixed):
+        report.checked += live
         if not keep_pairs and kripke == classical:
             continue
         key = tuple(sorted(rho.items()))
@@ -235,29 +238,27 @@ def run_collapse_sweep(
     require_monotone(formulas, sig)
     report = SweepReport()
     for batches in cd_model_passes(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
-        # every interpretation of the pass's frames, one Lanes per domain
-        # size; each model, keyed by (batch position, model index), keeps
-        # its first 100 disagreements in check order
+        # every interpretation of the pass's frames in one Lanes, models
+        # in walk order; each model keeps its first 100 disagreements in
+        # check order
+        lanes = Lanes.for_batches(batches, sig)
+        worlds, n = batches[0].worlds, len(batches[0].worlds)
         found: dict = {}
-        for group in domain_size_groups(batches):
-            lanes = Lanes.for_batches(group, sig)
-            worlds, n = group[0].worlds, len(group[0].worlds)
-            for f, rho, kripke, classical in _lane_values(lanes, formulas, None):
-                report.values += lanes.width * n
-                diff = kripke ^ classical
-                if not diff:
-                    continue
-                key = tuple(sorted(rho.items()))
-                while diff:
-                    lane = (diff & -diff).bit_length() - 1
-                    diff &= diff - 1
-                    batch, index = batch_of(group, lane // n)
-                    kept = found.setdefault((batches.index(batch), index), [])
-                    if len(kept) < 100:
-                        kept.append((worlds[lane % n], f, key,
-                                     kripke >> lane & 1, classical >> lane & 1))
-            lanes.clear()
-            report.models += lanes.width
+        for f, rho, alive, live, kripke, classical in _lane_values(lanes, formulas, None):
+            report.values += live
+            diff = (kripke ^ classical) & alive
+            if not diff:
+                continue
+            key = tuple(sorted(rho.items()))
+            while diff:
+                lane = (diff & -diff).bit_length() - 1
+                diff &= diff - 1
+                kept = found.setdefault(lane // n, [])
+                if len(kept) < 100:
+                    kept.append((worlds[lane % n], f, key,
+                                 kripke >> lane & 1, classical >> lane & 1))
+        lanes.clear()
+        report.models += lanes.width
         for model in sorted(found):
             report.disagreements.extend(found[model])
     return report

@@ -9,8 +9,9 @@ domains; the existential quantifier stays at the present world.
 
 Every evaluation runs on the lane core of ``lanes``: one model is
 Lanes.for_model, its growing domains existence masks, and a search
-evaluates the interpretations of every frame of one world count and
-domain size at once.
+evaluates one lane set per pass, the interpretations of every frame of
+one world count and every domain size at once, each element existing
+on the models whose domain holds it.
 Heredity and domain monotonicity are enforced when a model is validated;
 evaluation assumes them and never re-checks.
 """
@@ -512,6 +513,14 @@ def cd_model_batches(
     size that would take the cumulative model count past the cap. The
     count runs over every labeled frame and domain size, yielded or
     not, so a bound meets the cap where the labeled walk meets it."""
+    return (batch for batch in _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap)
+            if batch is not None)
+
+
+def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
+             cap: Optional[int]):
+    """cd_model_batches, with a None after the last batch of each world
+    count."""
     ceiling = enum_cap(cap)
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
@@ -538,6 +547,7 @@ def cd_model_batches(
                 for fixed in itertools.product(vectors, repeat=lead):
                     yield CdBatch(worlds, order, future, domain, slots[lead:],
                                   vectors, list(zip(slots, fixed)))
+        yield None
 
 
 def cd_model_passes(
@@ -549,43 +559,25 @@ def cd_model_passes(
 ):
     """Yield the batches of cd_model_batches in passes: runs of
     consecutive batches, in walk order, on frames of one world count and
-    of at most MAX_BATCH_WIDTH models in all, each pass a list. When the
-    walk raises EnumerationCapError, the pending pass is yielded first."""
+    of at most MAX_BATCH_WIDTH models in all, each pass a list. The last
+    pass of a world count is yielded as soon as the walk has finished
+    that world count, before any batch of the next one is made. When
+    the walk raises EnumerationCapError, the pending pass is yielded
+    first."""
     pending: list = []
     width = 0
     try:
-        for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap):
-            if pending and (len(batch.worlds) != len(pending[0].worlds)
-                            or width + batch.width > MAX_BATCH_WIDTH):
+        for batch in _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap):
+            if pending and (batch is None or width + batch.width > MAX_BATCH_WIDTH):
                 yield pending
                 pending, width = [], 0
-            pending.append(batch)
-            width += batch.width
+            if batch is not None:
+                pending.append(batch)
+                width += batch.width
     except EnumerationCapError:
         if pending:
             yield pending
         raise
-    if pending:
-        yield pending
-
-
-def domain_size_groups(batches: list) -> list:
-    """The batches of a pass split by domain size, sizes in order of
-    first appearance, each in pass order: one Lanes.for_batches each."""
-    groups: dict = {}
-    for batch in batches:
-        groups.setdefault(len(batch.domain), []).append(batch)
-    return list(groups.values())
-
-
-def batch_of(group: Sequence, model: int) -> tuple:
-    """(batch, model index in it) of a lane index's model in
-    Lanes.for_batches(group)."""
-    for batch in group:
-        if model < batch.width:
-            break
-        model -= batch.width
-    return batch, model
 
 
 def enumerate_cd_models(
@@ -639,16 +631,9 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     search meets it."""
     fv = sorted(free_vars(s))
     for batches in cd_model_passes(preds, max_worlds, max_domain, True, cap):
-        found, at = None, len(batches)
-        for group in domain_size_groups(batches):
-            # a later domain size may still hold an earlier batch
-            if batches.index(group[0]) > at:
-                break
-            lanes = Lanes.for_batches(group, sig)
-            hit = _batch_refutation(lanes, group, s, fv)
-            lanes.clear()
-            if hit is not None and batches.index(hit[0]) < at:
-                found, at = hit, batches.index(hit[0])
+        lanes = Lanes.for_batches(batches, sig)
+        found = _batch_refutation(lanes, batches, s, fv)
+        lanes.clear()
         if found is not None:
             return found
     return None
@@ -658,20 +643,24 @@ def _batch_refutation(lanes: Lanes, batches: Sequence[CdBatch], s: Sequent, fv: 
     """(batch, model index, world, assignment) of the first refutation of
     s among the models of the batches, in (batch, model, world,
     assignment) order, read from lanes, Lanes.for_batches of the
-    batches, with fv the sequent's sorted free variables; or None."""
-    rhos = [dict(zip(fv, values))
-            for values in itertools.product(batches[0].domain, repeat=len(fv))]
+    batches, with fv the sequent's sorted free variables; or None. Only
+    the lanes where an assignment's values exist are read."""
+    rhos = [dict(zip(fv, values)) for values in itertools.product(lanes.domain, repeat=len(fv))]
     failing, union = [], 0
     for rho in rhos:
-        fail = _refuted(lanes, s, rho)
+        fail = _refuted(lanes, s, rho) & lanes.alive(rho, fv)
         failing.append(fail)
         union |= fail
     if not union:
         return None
-    # the lowest failing lane lies in the first failing model
+    # the lowest failing lane lies in the first failing model; a smaller
+    # domain is a prefix of the larger, so its assignments keep their order
     n = len(batches[0].worlds)
-    model = ((union & -union).bit_length() - 1) // n
-    batch, index = batch_of(batches, model)
+    model = index = ((union & -union).bit_length() - 1) // n
+    for batch in batches:
+        if index < batch.width:
+            break
+        index -= batch.width
     for j, w in enumerate(batch.worlds):
         for rho, fail in zip(rhos, failing):
             if fail >> (model * n + j) & 1:
@@ -691,7 +680,8 @@ def bounded_cd_countermodel_search(
     Searches the models of enumerate_cd_models over the predicates
     occurring in s, one pass of cd_model_passes at a time: the sequent
     is evaluated on every interpretation of the pass's frames, all of
-    one world count, in one lane pass per domain size.
+    one world count, and of every domain size in one lane set, each
+    assignment read on the models whose domain holds its values.
     The refutation returned is the first in (model, world, assignment)
     order, models in enumerate_cd_models order and worlds and
     assignments in model_validity order; only that model is built. From

@@ -3,27 +3,29 @@
 A formula's value under one assignment is a pair of Python-int bitsets
 ``(kripke, classical)``: bit ``model_index * n + world_index`` holds its
 value at that world of the model_index-th of M models of n worlds, which
-share one domain and may lie on different frames. The classical side is
-the value in the world's projection. Both sides read the same atomic
-masks; a connective applies its truth table lane by lane, as the OR over
-the table's 1-rows of the ANDed argument masks, complemented where the
-row bit is 0 (or the complement of that OR over its 0-rows, when they
-are fewer). The Kripke side of a connective or of a universal is then
-boxed: its bit at world i of a model is the AND of its bits at every
-world above i in that model's frame. World j lies d = j - i places
-above world i in the mask, so boxing is one shift-and-mask step per
-offset d that some frame's order spans, at most 2(n - 1) of them
-however many frames share the mask. Existentials are the OR over the
-domain on both sides. Where no world sees another (one world:
-classical models) boxing is the identity, the two sides are equal and
-each connective's table is applied once.
+may lie on different frames. The classical side is the value in the
+world's projection. Both sides read the same atomic masks; a connective
+applies its truth table lane by lane, through the terms compiled once
+per table (TruthTable.lane_terms). The Kripke side of a connective or of
+a universal is then boxed: its bit at world i of a model is the AND of
+its bits at every world above i in that model's frame. World j lies
+d = j - i places above world i in the mask, so boxing is one
+shift-and-mask step per offset d that some frame's order spans, at most
+2(n - 1) of them however many frames share the mask. Existentials are
+the OR over the domain on both sides. Where no world sees another (one
+world: classical models) boxing is the identity, the two sides are
+equal and each connective's table is applied once.
 
-Growing domains (one model, M = 1) carry an existence mask E_a per
-element: ``forall x. phi`` is ``box(AND_a (phi_a | ~E_a))`` and
-``exists x. phi`` is ``OR_a (phi_a & E_a)``. A value is meaningful only
-on the lanes where every value of the assignment exists; the other lanes
-hold don't-care bits that no clause reads there, since domains grow
-along the order.
+An element that does not exist on every lane has an existence mask E_a:
+``forall x. phi`` is ``box(AND_a (phi_a | ~E_a))`` and ``exists x. phi``
+is ``OR_a (phi_a & E_a)``. A value is meaningful only on the lanes where
+every value of the assignment exists; no clause reads the other lanes'
+bits there. One model's growing domains have such masks, and so has the
+one lane set of a pass whose models have domains of several sizes: its
+domain is the largest, and each element exists on the models whose
+domain holds it. Where each model's domain is constant, every Kripke
+value is hereditary on every lane, and each universal may be
+cross-checked against its present-world reading.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ class Lanes:
     order. ``atoms`` maps (predicate, argument tuple) to its lane mask,
     absent atoms reading 0; ``full`` has every lane set. ``exists`` maps
     each element of ``domain`` to the lanes where it exists, or is None
-    when every element exists everywhere (constant domains). Only then
-    may ``cross_check`` be on: each universal is asserted to equal its
-    present-world reading, which relies on heredity. The memo is keyed
+    when every element exists everywhere. ``cross_check`` asserts that
+    each universal equals its present-world reading, which relies on
+    heredity and so on each model's domain being constant: it starts on
+    when exists is None, and for_batches turns it on. The memo is keyed
     by formula structure and the assignment restricted to the formula's
     free variables; call clear() when the models are done with.
     """
@@ -109,13 +112,19 @@ class Lanes:
 
     @classmethod
     def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
-        """Every interpretation of CdBatches of one world count and one
-        domain size: the models of each batch in the batch's model
-        order, the batches one after another; a fixed slot has the same
-        value on every model of its batch. The atom masks and the future
-        lists of a batch are kept on it, so Lanes of a batch built
-        again, for another signature say, reuse them."""
+        """Every interpretation of CdBatches of one world count: the
+        models of each batch in the batch's model order, the batches one
+        after another; a fixed slot has the same value on every model of
+        its batch. The domain is the largest batch domain, which holds
+        the others. A model's domain is constant, so the universals are
+        cross-checked. The atom masks and the future lists of a batch
+        are kept on it, so Lanes of a batch built again, for another
+        signature say, reuse them."""
         n = len(batches[0].worlds)
+        domain = max((batch.domain for batch in batches), key=len)
+        exists = None
+        if any(len(batch.domain) < len(domain) for batch in batches):
+            exists = dict.fromkeys(domain, 0)
         frames, atoms, offset = [], {}, 0
         for batch in batches:
             if batch.lane_masks is None:
@@ -127,8 +136,14 @@ class Lanes:
             else:
                 for slot, mask in masks.items():
                     atoms[slot] = atoms.get(slot, 0) | mask << offset * n
+            if exists is not None:
+                models = ((1 << batch.width * n) - 1) << offset * n
+                for a in batch.domain:
+                    exists[a] |= models
             offset += batch.width
-        return cls(sig, frames[0][0], offset, batches[0].domain, atoms, frames=frames)
+        lanes = cls(sig, frames[0][0], offset, domain, atoms, exists, frames)
+        lanes.cross_check = True
+        return lanes
 
     @staticmethod
     def _batch_masks(batch: CdBatch) -> tuple:
@@ -177,14 +192,10 @@ class Lanes:
         table = self._tables.get(name)
         if table is None:
             raise UsageError(f"unknown connective {name!r}")
-        rows, negated = table.true_rows, 0
-        if len(rows) << 1 > len(table.outputs):
-            # more 1-rows than 0-rows: complement the OR over the 0-rows
-            rows, negated = table.false_rows, self.full
-        out = 0
-        if self._lanes < len(rows):
-            # fewer lanes than rows: look each lane's row index up
-            outputs = table.outputs
+        conjunctive, terms = table.lane_terms
+        if self._lanes < len(terms):
+            # fewer lanes than terms: look each lane's row up
+            outputs, out = table.outputs, 0
             for lane in range(self._lanes):
                 row = 0
                 for mask in masks:
@@ -192,12 +203,25 @@ class Lanes:
                 out |= outputs[row] << lane
             return out
         full = self.full
-        for bits in rows:
+        if conjunctive:
+            out = full
+            for ones, zeros in terms:
+                clause = 0
+                for i in zeros:
+                    clause |= masks[i]
+                for i in ones:
+                    clause |= full ^ masks[i]
+                out &= clause
+            return out
+        out = 0
+        for ones, zeros in terms:
             term = full
-            for bit, mask in zip(bits, masks):
-                term &= mask if bit else full ^ mask
+            for i in ones:
+                term &= masks[i]
+            for i in zeros:
+                term &= full ^ masks[i]
             out |= term
-        return out ^ negated
+        return out
 
     def mask(self, f: Formula) -> int:
         """The Kripke mask of the closed formula f."""
@@ -207,35 +231,38 @@ class Lanes:
     def value(self, f: Formula, rho: Mapping) -> tuple:
         """(kripke, classical) masks of f under the assignment rho."""
         fvs = f.fvs
-        if not fvs:
-            key = f
-        elif len(fvs) == 1:
-            key = (f, rho[fvs[0]])
-        else:
-            key = (f, tuple(rho[x] for x in fvs))
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Atom):
-            mask = self._atoms.get((f.pred, tuple(rho[x] for x in f.args)), 0)
-            result = (mask, mask)
-        elif isinstance(f, Conn):
-            value = self.value
+        key = f if not fvs else (f, rho[fvs[0]]) if len(fvs) == 1 else (
+            f, tuple(rho[x] for x in fvs))
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = self._eval(f, rho)
+        return cached
+
+    def _eval(self, f: Formula, rho: Mapping) -> tuple:
+        """value(f, rho) on a memo miss."""
+        if isinstance(f, Conn):
+            # each argument is read from the memo here, and evaluated
+            # and stored on a miss, so that its key is built once
+            memo, ks, cs = self._memo, [], []
+            for g in f.args:
+                fvs = g.fvs
+                key = g if not fvs else (g, rho[fvs[0]]) if len(fvs) == 1 else (
+                    g, tuple(rho[x] for x in fvs))
+                pair = memo.get(key)
+                if pair is None:
+                    pair = memo[key] = self._eval(g, rho)
+                ks.append(pair[0])
+                cs.append(pair[1])
+            kripke = self._table(f.name, ks)
             if not self._boxed:
                 # no world sees another: both sides are the same masks
-                kripke = self._table(f.name, [value(g, rho)[0] for g in f.args])
-                result = (kripke, kripke)
-            else:
-                ks, cs = [], []
-                for g in f.args:
-                    k, c = value(g, rho)
-                    ks.append(k)
-                    cs.append(c)
-                kripke = self._table(f.name, ks)
-                # the classical side is the unboxed table of its own masks
-                result = (self.box(kripke), kripke if ks == cs else self._table(f.name, cs))
-        elif isinstance(f, Forall):
+                return kripke, kripke
+            # the classical side is the unboxed table of its own masks
+            return self.box(kripke), kripke if ks == cs else self._table(f.name, cs)
+        if isinstance(f, Atom):
+            mask = self._atoms.get((f.pred, tuple(rho[x] for x in f.args)), 0)
+            return mask, mask
+        if isinstance(f, Forall):
             full, exists = self.full, self.exists
             k = c = full
             for a in self.domain:
@@ -251,8 +278,8 @@ class Lanes:
                 f"universal clause mismatch: future-worlds {boxed:b}, "
                 f"present-world {k:b} for {f}"
             )
-            result = (boxed, c)
-        elif isinstance(f, Exists):
+            return boxed, c
+        if isinstance(f, Exists):
             exists = self.exists
             k = c = 0
             for a in self.domain:
@@ -261,11 +288,8 @@ class Lanes:
                     bk, bc = bk & exists[a], bc & exists[a]
                 k |= bk
                 c |= bc
-            result = (k, c)
-        else:
-            raise UsageError(f"not a formula: {f!r}")
-        memo[key] = result
-        return result
+            return k, c
+        raise UsageError(f"not a formula: {f!r}")
 
 
 @functools.lru_cache(maxsize=None)

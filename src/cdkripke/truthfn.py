@@ -11,9 +11,9 @@ NAND is the bit string "1110".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError, UsageError
@@ -104,20 +104,30 @@ class TruthTable:
     def value(self, args: Sequence[int]) -> int:
         return self.outputs[vector_index(args)]
 
-    def rows(self):
-        """An iterator of (argument vector, output) pairs in row order."""
-        # product counts up in binary, the first argument most significant
-        return zip(itertools.product((0, 1), repeat=self.arity), self.outputs)
+    @functools.cached_property
+    def lane_terms(self) -> tuple:
+        """(conjunctive, terms), one term per row of the shorter of the
+        1-rows and the 0-rows (the 1-rows on a tie), in row order; a term
+        is (the argument indices at 1, the argument indices at 0). The
+        table is the OR of the 1-row terms, each the AND of the arguments
+        at 1 and the complements of those at 0; or, conjunctive, the AND
+        of the 0-row terms, each the OR of the arguments at 0 and the
+        complements of those at 1."""
+        rows = tuple(zip(_row_terms(self.arity), self.outputs))
+        terms = tuple(term for term, out in rows if out)
+        conjunctive = len(terms) << 1 > len(rows)
+        if conjunctive:
+            terms = tuple(term for term, out in rows if not out)
+        return conjunctive, terms
 
-    @cached_property
-    def true_rows(self) -> tuple:
-        """The argument vectors mapped to 1, in row order."""
-        return tuple(bits for bits, out in self.rows() if out)
 
-    @cached_property
-    def false_rows(self) -> tuple:
-        """The argument vectors mapped to 0, in row order."""
-        return tuple(bits for bits, out in self.rows() if not out)
+@functools.lru_cache(maxsize=None)
+def _row_terms(arity: int) -> tuple:
+    """(the argument indices at 1, the argument indices at 0) per row of
+    a table of the arity, in row order."""
+    return tuple((tuple(i for i, bit in enumerate(row) if bit),
+                  tuple(i for i, bit in enumerate(row) if not bit))
+                 for row in itertools.product((0, 1), repeat=arity))
 
 
 def eval_table(table: TruthTable, args: Sequence[int]) -> int:

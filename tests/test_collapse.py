@@ -185,6 +185,14 @@ class TestSmallSweep:
         assert report.models == 8 + 64 + 27 + 8
         assert report.values > 0
 
+    @pytest.mark.parametrize("max_worlds, values", [(2, 2_089_654), (3, 61_552_366)])
+    def test_sweep_counts_every_live_comparison_once(self, max_worlds, values):
+        # a pass holds both domain sizes in one lane set; an assignment
+        # of a2 is compared on the domain-2 models only
+        report = run_collapse_sweep(MONO, max_worlds=max_worlds, max_domain=2, depth=3)
+        assert report.agreement
+        assert report.values == values
+
     def test_sweep_rejects_non_monotone_signature(self):
         with pytest.raises(UsageError):
             run_collapse_sweep(SIG, max_worlds=1, max_domain=1, depth=2)

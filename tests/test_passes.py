@@ -1,8 +1,9 @@
 """Passes: the search and the sweep evaluate every batch of a run of
-consecutive batches on frames of one world count together, one Lanes per
-domain size. The differential tests below patch MAX_BATCH_WIDTH narrow,
-so that passes end inside a world count, and compare each pass with the
-one-model lanes and the one-model-at-a-time search.
+consecutive batches on frames of one world count together, in one Lanes
+whatever the batches' domain sizes. The differential tests below patch
+MAX_BATCH_WIDTH narrow, so that passes end inside a world count, and
+compare each pass with the one-model lanes and the one-model-at-a-time
+search.
 
 Also the monotone side of the collapse: every monotone table of arity
 1-3 goes through the exhaustive sweep alone, and every non-monotone
@@ -16,11 +17,12 @@ import pytest
 from cdkripke.collapse import enumerate_formulas, run_collapse_sweep
 from cdkripke.kripke import (
     MAX_BATCH_WIDTH,
+    CdBatch,
     _batch_refutation,
     bounded_cd_countermodel_search,
     cd_model_batches,
     cd_model_passes,
-    domain_size_groups,
+    validate_kripke_model,
 )
 from cdkripke.lanes import Lanes
 from cdkripke.suites import MIXED_SIGNATURE
@@ -34,7 +36,7 @@ ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
 # classically valid on domains of up to 2 and never refuted on 2 worlds;
 # on 3 worlds it is refuted first by a domain-2 model of the third frame,
 # and by domain-1 models of the sixth: one pass holds both, and the
-# domain-2 lanes, evaluated after the domain-1 ones, hold the winner
+# winner's lanes lie before the later frame's
 EARLIER_SIZE_2 = ("not(forall x. nand(P(x), q)) => exists x. forall x. p, "
                   "forall x. exists x. implies(p, P(x))")
 
@@ -59,38 +61,70 @@ def test_passes_are_maximal_runs_of_one_world_count(width, monkeypatch):
         assert total <= width
         if after is not None and len(after[0].worlds) == len(p[0].worlds):
             assert total + after[0].width > width
-        sizes = dict.fromkeys(len(b.domain) for b in p)
-        assert domain_size_groups(p) == [[b for b in p if len(b.domain) == size]
-                                         for size in sizes]
     # one pass per world count at the default width
     assert len(passes) == 3 or width < MAX_BATCH_WIDTH
 
 
 @pytest.mark.parametrize("width", [4, 40, MAX_BATCH_WIDTH])
-@pytest.mark.parametrize("bounds", [(3, 1), (2, 2)])
+@pytest.mark.parametrize("bounds", [(3, 1), (2, 2), (2, 3)])
 def test_pass_lanes_match_single_models(bounds, width, monkeypatch):
     narrow(monkeypatch, width)
     sig = standard_signature("implies", "not", "xor")
     formulas = enumerate_formulas(sig, ATOMS, 3)[::13]
-    mixed = 0
+    most = 0  # the most domain sizes that one pass holds
     for batches in cd_model_passes(PREDS, *bounds, up_to_iso=True):
-        groups = domain_size_groups(batches)
-        mixed += len(groups) > 1
-        for group in groups:
-            lanes = Lanes.for_batches(group, sig)
-            n, model = len(group[0].worlds), 0
-            for batch in group:
-                for index in range(batch.width):
-                    single = Lanes.for_model(batch.model(index), sig)
-                    for f in formulas:
-                        for a in batch.domain:
-                            k, c = lanes.value(f, {"x": a})
-                            assert (k >> model * n & (1 << n) - 1,
-                                    c >> model * n & (1 << n) - 1) == single.value(f, {"x": a})
-                    model += 1
-            assert model == lanes.width
-    # from a width of 40 on, some pass holds both domain sizes
-    assert mixed or bounds[1] == 1 or width < 40
+        lanes = Lanes.for_batches(batches, sig)
+        assert lanes.cross_check
+        assert len(lanes.domain) == max(len(b.domain) for b in batches)
+        most = max(most, len({len(b.domain) for b in batches}))
+        n, model = len(batches[0].worlds), 0
+        for batch in batches:
+            for index in range(batch.width):
+                single = Lanes.for_model(batch.model(index), sig)
+                for a in lanes.domain:
+                    # an assignment is alive on exactly the models whose
+                    # domain holds its value, and read only there
+                    alive = lanes.alive({"x": a}, ["x"]) >> model * n & (1 << n) - 1
+                    assert alive == ((1 << n) - 1 if a in batch.domain else 0)
+                for f in formulas:
+                    for a in batch.domain:
+                        k, c = lanes.value(f, {"x": a})
+                        assert (k >> model * n & (1 << n) - 1,
+                                c >> model * n & (1 << n) - 1) == single.value(f, {"x": a})
+                model += 1
+        assert model == lanes.width
+    # from a width of 40 on, some pass holds two domain sizes, and at
+    # the default width the one-world pass at (2, 3) holds all three
+    assert most == (1 if width == 4 or bounds[1] == 1 else
+                    3 if width == MAX_BATCH_WIDTH and bounds[1] == 3 else 2)
+
+
+def test_cross_check_only_where_each_model_has_one_domain():
+    # batch lanes are checked in test_pass_lanes_match_single_models
+    sig = standard_signature("implies")
+    growing = validate_kripke_model(["w0", "w1"], [("w0", "w1")],
+                                    {"w0": ("a1",), "w1": ("a1", "a2")}, {})
+    assert not Lanes.for_model(growing, sig).cross_check
+    constant = validate_kripke_model(["w0", "w1"], [("w0", "w1")],
+                                     {"w0": ("a1", "a2"), "w1": ("a1", "a2")}, {})
+    assert Lanes.for_model(constant, sig).cross_check
+
+
+def test_one_world_refutation_makes_no_two_world_batch(monkeypatch):
+    # the one-world pass ends with the one-world frames: the search does
+    # not make a batch of the next world count to learn that
+    made = []
+    init = CdBatch.__init__
+
+    def recorded(self, worlds, *args):
+        made.append(len(worlds))
+        init(self, worlds, *args)
+
+    monkeypatch.setattr(CdBatch, "__init__", recorded)
+    s = parse_sequent("p => q", MIXED_SIGNATURE)
+    verdict = bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 3, 1)
+    assert len(verdict.model.worlds) == 1
+    assert made and set(made) == {1}
 
 
 @pytest.mark.parametrize("width", [2, 16, 200, MAX_BATCH_WIDTH])
@@ -122,8 +156,8 @@ def test_cd_search_with_narrow_passes(bounds, monkeypatch):
 
 
 def test_sweep_reports_disagreements_in_walk_order(monkeypatch):
-    # the domain-1 lanes of a pass are read before its domain-2 lanes;
-    # the report still lists models in walk order
+    # narrow passes split the walk elsewhere; the report still lists
+    # models in walk order
     monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
     sig = standard_signature("implies")
     whole = run_collapse_sweep(sig, max_worlds=3, max_domain=2, depth=2)

@@ -198,9 +198,13 @@ class TestMonotonicity:
     def test_rows_by_output(self, arity):
         for table in all_tables(arity):
             rows = [(index_vector(i, arity), out) for i, out in enumerate(table.outputs)]
-            assert list(table.rows()) == rows
-            assert table.true_rows == tuple(v for v, out in rows if out)
-            assert table.false_rows == tuple(v for v, out in rows if not out)
+            ones = [v for v, out in rows if out]
+            zeros = [v for v, out in rows if not out]
+            conjunctive, terms = table.lane_terms
+            assert conjunctive == (len(ones) > len(zeros))
+            assert terms == tuple((tuple(i for i in range(arity) if v[i]),
+                                   tuple(i for i in range(arity) if not v[i]))
+                                  for v in (zeros if conjunctive else ones))
 
 
 class TestClassify:
