@@ -8,9 +8,11 @@ signature, comparing the Kripke value against the classical value in the
 per-world projection. Expected outcome: exact agreement everywhere.
 
 The default bounds reproduce the full desk-scale check in a fraction
-of a second, since the interpretations of every frame of one world
-count and of every domain size are evaluated in one bit-parallel lane
-set per pass (at most 2**14 interpretations a pass):
+of a second, since the interpretations of every frame and of every
+domain size are evaluated together in bit-parallel lane sets of at most
+2**14 interpretations, whatever their world counts: the 8,976 models of
+the default bounds are one lane set, and --max-worlds 4 adds twelve
+lane sets of four-world models:
 
     python scripts/collapse_sweep.py
     python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # milliseconds

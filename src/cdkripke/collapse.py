@@ -10,13 +10,14 @@ models and formulas.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
-from .kripke import KripkeModel, cd_model_passes, validate_kripke_model
+from .kripke import KripkeModel, cd_model_passes, joined_passes, validate_kripke_model
 from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, connective_names
 from .truthfn import Signature, monotonicity_witness
@@ -231,18 +232,33 @@ def run_collapse_sweep(
     formula of depth <= depth over the signature, the atoms p, q, P(x),
     and quantifiers over x. The cap counts labeled models, as in
     cd_model_batches, also where one frame per class is walked.
+
+    Consecutive passes of cd_model_passes are joined while they hold at
+    most kripke.MAX_BATCH_WIDTH models, whatever their world counts, and
+    each joined run is evaluated in one Lanes: at the default bounds the
+    8,976 models of one to three worlds are one lane set. Disagreements
+    are reported in walk order, each lane mapped back to its model and
+    world through its batch's segment.
     """
     preds = {"p": 0, "q": 0, "P": 1}
     atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
     formulas = enumerate_formulas(sig, atoms, depth)
-    require_monotone(formulas, sig)
+    if depth >= 2:
+        # every connective of sig occurs in the formulas of depth 2
+        require_monotone(enumerate_formulas(sig, atoms, 2), sig)
     report = SweepReport()
-    for batches in cd_model_passes(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
-        # every interpretation of the pass's frames in one Lanes, models
-        # in walk order; each model keeps its first 100 disagreements in
-        # check order
+    for batches in joined_passes(cd_model_passes(
+            preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap)):
+        # every interpretation of the joined passes' frames in one Lanes,
+        # models in walk order; each model keeps its first 100
+        # disagreements in check order
         lanes = Lanes.for_batches(batches, sig)
-        worlds, n = batches[0].worlds, len(batches[0].worlds)
+        starts, segments, lane, model = [], [], 0, 0
+        for batch in batches:
+            starts.append(lane)
+            segments.append((model, batch.worlds))
+            lane += batch.width * len(batch.worlds)
+            model += batch.width
         found: dict = {}
         for f, rho, alive, live, kripke, classical in _lane_values(lanes, formulas, None):
             report.values += live
@@ -253,9 +269,12 @@ def run_collapse_sweep(
             while diff:
                 lane = (diff & -diff).bit_length() - 1
                 diff &= diff - 1
-                kept = found.setdefault(lane // n, [])
+                at = bisect.bisect_right(starts, lane) - 1
+                first, worlds = segments[at]
+                index, j = divmod(lane - starts[at], len(worlds))
+                kept = found.setdefault(first + index, [])
                 if len(kept) < 100:
-                    kept.append((worlds[lane % n], f, key,
+                    kept.append((worlds[j], f, key,
                                  kripke >> lane & 1, classical >> lane & 1))
         lanes.clear()
         report.models += lanes.width

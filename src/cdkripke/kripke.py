@@ -580,6 +580,23 @@ def cd_model_passes(
         raise
 
 
+def joined_passes(passes):
+    """Runs of consecutive passes of cd_model_passes, of at most
+    MAX_BATCH_WIDTH models in all and of any world counts, each run one
+    list of its passes' batches in walk order."""
+    joined: list = []
+    width = 0
+    for batches in passes:
+        more = sum(batch.width for batch in batches)
+        if joined and width + more > MAX_BATCH_WIDTH:
+            yield joined
+            joined, width = [], 0
+        joined += batches
+        width += more
+    if joined:
+        yield joined
+
+
 def enumerate_cd_models(
     preds: Mapping,
     max_worlds: int,

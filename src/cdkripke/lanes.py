@@ -1,27 +1,33 @@
 """Bit-parallel evaluation over (interpretation, world) lanes.
 
 A formula's value under one assignment is a pair of Python-int bitsets
-``(kripke, classical)``: bit ``model_index * n + world_index`` holds its
-value at that world of the model_index-th of M models of n worlds, which
-may lie on different frames. The classical side is the value in the
-world's projection. Both sides read the same atomic masks; a connective
-applies its truth table lane by lane, through the terms compiled once
-per table (TruthTable.lane_terms). The Kripke side of a connective or of
-a universal is then boxed: its bit at world i of a model is the AND of
-its bits at every world above i in that model's frame. World j lies
-d = j - i places above world i in the mask, so boxing is one
-shift-and-mask step per offset d that some frame's order spans, at most
-2(n - 1) of them however many frames share the mask. Existentials are
-the OR over the domain on both sides. Where no world sees another (one
-world: classical models) boxing is the identity, the two sides are
-equal and each connective's table is applied once.
+``(kripke, classical)``, one bit per (model, world) lane. The models lie
+in segments, one per run of consecutive models on one frame, and the
+models of a segment may have a different world count n from those of
+the next: bit ``start + model_index * n + world_index`` holds the value
+at that world of the model_index-th model of the segment whose first
+lane is start. With one world count throughout this is bit
+``model_index * n + world_index`` of the model_index-th of M models.
+The classical side is the value in the world's projection. Both sides
+read the same atomic masks; a connective applies its truth table lane
+by lane, through the terms compiled once per table
+(TruthTable.lane_terms). The Kripke side of a connective or of a
+universal is then boxed: its bit at world i of a model is the AND of its
+bits at every world above i in that model's frame. World j lies d = j -
+i places above world i in the mask, so boxing is one shift-and-mask
+step per offset d that some frame's order spans, at most 2(n - 1) of
+them for the largest n however many frames and world counts share the
+mask. Existentials are the OR over the domain on both sides. Where no
+world sees another (one world: classical models) boxing is the
+identity, the two sides are equal and each connective's table is
+applied once.
 
 An element that does not exist on every lane has an existence mask E_a:
 ``forall x. phi`` is ``box(AND_a (phi_a | ~E_a))`` and ``exists x. phi``
 is ``OR_a (phi_a & E_a)``. A value is meaningful only on the lanes where
 every value of the assignment exists; no clause reads the other lanes'
-bits there. One model's growing domains have such masks, and so has the
-one lane set of a pass whose models have domains of several sizes: its
+bits there. One model's growing domains have such masks, and so has a
+lane set of batches whose models have domains of several sizes: its
 domain is the largest, and each element exists on the models whose
 domain holds it. Where each model's domain is constant, every Kripke
 value is hereditary on every lane, and each universal may be
@@ -42,20 +48,22 @@ if TYPE_CHECKING:  # kripke imports this module
 
 
 class Lanes:
-    """Memoized lane evaluation of formulas on M models of n worlds.
+    """Memoized lane evaluation of formulas on M models.
 
     ``future`` lists, for each world index, the indices of the worlds
     above it; the ``width`` = M models share it unless ``frames`` lists
     (future, models) per run of consecutive models on one frame, in model
-    order. ``atoms`` maps (predicate, argument tuple) to its lane mask,
-    absent atoms reading 0; ``full`` has every lane set. ``exists`` maps
-    each element of ``domain`` to the lanes where it exists, or is None
-    when every element exists everywhere. ``cross_check`` asserts that
-    each universal equals its present-world reading, which relies on
-    heredity and so on each model's domain being constant: it starts on
-    when exists is None, and for_batches turns it on. The memo is keyed
-    by formula structure and the assignment restricted to the formula's
-    free variables; call clear() when the models are done with.
+    order. Each run is a segment of models * n lanes, n its frame's world
+    count, and the runs may differ in n. ``atoms`` maps (predicate,
+    argument tuple) to its lane mask, absent atoms reading 0; ``full``
+    has every lane set. ``exists`` maps each element of ``domain`` to
+    the lanes where it exists, or is None when every element exists
+    everywhere. ``cross_check`` asserts that each universal equals its
+    present-world reading, which relies on heredity and so on each
+    model's domain being constant: it starts on when exists is None,
+    and for_batches turns it on. The memo is keyed by formula structure
+    and the assignment restricted to the formula's free variables; call
+    clear() when the models are done with.
     """
 
     def __init__(
@@ -72,9 +80,9 @@ class Lanes:
         self.domain = domain
         self.exists = exists
         self.cross_check = exists is None
-        self._lanes = width * len(future)
+        self._lanes, seen = _box_offsets(frames or ((future, width),))
         self.full = (1 << self._lanes) - 1
-        self._steps = _box_steps(frames or ((future, width),), len(future), self.full)
+        self._steps = [(d, self.full ^ mask) for d, mask in seen.items()]
         self._boxed = bool(self._steps)
         self._atoms = atoms
         self._tables = sig.connectives
@@ -112,20 +120,20 @@ class Lanes:
 
     @classmethod
     def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
-        """Every interpretation of CdBatches of one world count: the
-        models of each batch in the batch's model order, the batches one
-        after another; a fixed slot has the same value on every model of
-        its batch. The domain is the largest batch domain, which holds
-        the others. A model's domain is constant, so the universals are
-        cross-checked. The atom masks and the future lists of a batch
-        are kept on it, so Lanes of a batch built again, for another
-        signature say, reuse them."""
-        n = len(batches[0].worlds)
+        """Every interpretation of CdBatches, of one world count or of
+        several: the models of each batch in the batch's model order,
+        the batches one after another, each batch a segment of width * n
+        lanes for its world count n; a fixed slot has the same value on
+        every model of its batch. The domain is the largest batch
+        domain, which holds the others. A model's domain is constant, so
+        the universals are cross-checked. The atom masks and the future
+        lists of a batch are kept on it, so Lanes of a batch built
+        again, for another signature say, reuse them."""
         domain = max((batch.domain for batch in batches), key=len)
         exists = None
         if any(len(batch.domain) < len(domain) for batch in batches):
             exists = dict.fromkeys(domain, 0)
-        frames, atoms, offset = [], {}, 0
+        frames, atoms, width, offset = [], {}, 0, 0
         for batch in batches:
             if batch.lane_masks is None:
                 batch.lane_masks = cls._batch_masks(batch)
@@ -135,13 +143,15 @@ class Lanes:
                 atoms.update(masks)
             else:
                 for slot, mask in masks.items():
-                    atoms[slot] = atoms.get(slot, 0) | mask << offset * n
+                    atoms[slot] = atoms.get(slot, 0) | mask << offset
+            size = batch.width * len(future)
             if exists is not None:
-                models = ((1 << batch.width * n) - 1) << offset * n
+                models = ((1 << size) - 1) << offset
                 for a in batch.domain:
                     exists[a] |= models
-            offset += batch.width
-        lanes = cls(sig, frames[0][0], offset, domain, atoms, exists, frames)
+            width += batch.width
+            offset += size
+        lanes = cls(sig, frames[0][0], width, domain, atoms, exists, frames)
         lanes.cross_check = True
         return lanes
 
@@ -303,20 +313,22 @@ def _spread(count: int, step: int) -> int:
     return ((1 << count * step) - 1) // ((1 << step) - 1)
 
 
-def _box_steps(frames: Sequence[tuple], n: int, full: int) -> list:
-    """(d, free) per offset d != 0 from a world to a world above it in
-    some frame: free holds every lane whose world i does not see world
-    i + d in its model's frame, where box leaves the bit that a shift by
-    d brings to i unread. frames lists (future, models) per run of
-    consecutive models on one frame of n worlds."""
+def _box_offsets(frames: Sequence[tuple]) -> tuple:
+    """The lane count and, per offset d != 0 from a world to a world
+    above it in some frame, the lanes whose world i sees world i + d in
+    its model's frame; box leaves the bit that a shift by d brings to
+    any other lane unread. frames lists (future, models) per run of
+    consecutive models on one frame, in lane order; a run of a frame of
+    n worlds takes models * n lanes."""
     seen: dict = {}
-    start = 0
+    start = 0  # the run's first lane
     for future, models in frames:
+        n = len(future)
         firsts = 0  # bit 0 of every model of the run, once needed
         for i, above in enumerate(future):
             for j in above:
                 if j != i:
-                    firsts = firsts or _spread(models, n) << start * n
+                    firsts = firsts or _spread(models, n) << start
                     seen[j - i] = seen.get(j - i, 0) | firsts << i
-        start += models
-    return [(d, full ^ mask) for d, mask in seen.items()]
+        start += models * n
+    return start, seen

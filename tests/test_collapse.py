@@ -9,6 +9,7 @@ from cdkripke.collapse import (
     enumerate_formulas,
     lift_classical,
     project_world,
+    require_monotone,
     run_collapse_sweep,
 )
 from cdkripke.errors import UsageError
@@ -196,6 +197,27 @@ class TestSmallSweep:
     def test_sweep_rejects_non_monotone_signature(self):
         with pytest.raises(UsageError):
             run_collapse_sweep(SIG, max_worlds=1, max_domain=1, depth=2)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_sweep_guard_names_what_the_whole_inventory_names(self, depth):
+        # the sweep checks only the formulas of depth 2, which hold every
+        # connective; its error is the one of the whole inventory, and at
+        # depth 1, with no connective, there is none
+        atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
+        sig = standard_signature("xor", "and", "not", "implies")
+        try:
+            require_monotone(enumerate_formulas(sig, atoms, depth), sig)
+        except UsageError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        assert (expected is None) == (depth == 1)
+        try:
+            run_collapse_sweep(sig, max_worlds=1, max_domain=1, depth=depth)
+        except UsageError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 class TestBoundedConsistency:

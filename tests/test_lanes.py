@@ -117,12 +117,22 @@ class TestCheckCollapseAgainstScalar:
         assert report.disagreements == [("w0", f, (), 1, 0)]
 
 
-def scalar_sweep_disagreements(sig, max_worlds, max_domain, depth):
+def scalar_sweep(sig, max_worlds, max_domain, depth):
+    """(models, values, disagreements) of the one-model-at-a-time sweep,
+    each model keeping its first 100 disagreements."""
     formulas = enumerate_formulas(sig, ATOMS, depth)
+    models = values = 0
     out = []
     for model in enumerate_cd_models(PREDS, max_worlds, max_domain, up_to_iso=True):
-        out.extend(scalar_collapse(model, formulas, sig)[2][:100])
-    return out
+        checked, _, disagreements = scalar_collapse(model, formulas, sig)
+        models += 1
+        values += checked
+        out.extend(disagreements[:100])
+    return models, values, out
+
+
+def scalar_sweep_disagreements(sig, max_worlds, max_domain, depth):
+    return scalar_sweep(sig, max_worlds, max_domain, depth)[2]
 
 
 class TestSweepAgainstScalar:

@@ -10,6 +10,7 @@ Also the monotone side of the collapse: every monotone table of arity
 table of arity 1-2 is seen to disagree once the guard is lifted.
 """
 
+import functools
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from cdkripke.lanes import Lanes
 from cdkripke.suites import MIXED_SIGNATURE
 from cdkripke.syntax import Atom, free_vars, parse_sequent, predicates
 from cdkripke.truthfn import Signature, all_tables, monotonicity_witness, standard_signature
-from test_lanes import random_sequent, scalar_cd_search
+from test_lanes import random_sequent, scalar_cd_search, scalar_sweep
 
 PREDS = {"p": 0, "q": 0, "P": 1}
 ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
@@ -166,6 +167,96 @@ def test_sweep_reports_disagreements_in_walk_order(monkeypatch):
     assert whole.disagreements
     assert (split.models, split.values, split.disagreements) == (
         whole.models, whole.values, whole.disagreements)
+
+
+def lane_sets(monkeypatch):
+    """The world count of each batch of every Lanes.for_batches call from
+    now on, one list per call."""
+    calls = []
+    for_batches = Lanes.for_batches.__func__
+
+    def counted(cls, batches, sig):
+        calls.append([len(b.worlds) for b in batches])
+        return for_batches(cls, batches, sig)
+
+    monkeypatch.setattr(Lanes, "for_batches", classmethod(counted))
+    return calls
+
+
+def test_mixed_lane_set_matches_single_models(monkeypatch):
+    # one lane set of batches of 1, 2 and 3 worlds and both domain
+    # sizes, not in walk order, each model read from its own segment
+    narrow(monkeypatch, 8)
+    sig = standard_signature("implies", "not", "xor")
+    formulas = enumerate_formulas(sig, ATOMS, 3)[::13]
+    first: dict = {}
+    for b in cd_model_batches(PREDS, 3, 2, up_to_iso=True):
+        first.setdefault((len(b.worlds), len(b.domain), len(b.order)), b)
+    batches = [first[key] for key in [(2, 2, 3), (1, 1, 1), (3, 1, 6), (1, 2, 1),
+                                      (3, 2, 4), (2, 1, 2)]]
+    lanes = Lanes.for_batches(batches, sig)
+    assert lanes.cross_check
+    assert lanes.width == sum(b.width for b in batches)
+    rng = random.Random(9_900)
+    xs = [rng.getrandbits(lanes.full.bit_length()) for _ in range(20)]
+    start, model = 0, 0
+    for batch in batches:
+        n = len(batch.worlds)
+        for index in range(batch.width):
+            single = Lanes.for_model(batch.model(index), sig)
+            bits = (1 << n) - 1
+
+            def column(mask):
+                return mask >> start & bits
+
+            for x in xs:
+                assert column(lanes.box(x)) == single.box(column(x))
+            for a in lanes.domain:
+                alive = column(lanes.alive({"x": a}, ["x"]))
+                assert alive == (bits if a in batch.domain else 0)
+            for f in formulas:
+                for a in batch.domain:
+                    k, c = lanes.value(f, {"x": a})
+                    assert (column(k), column(c)) == single.value(f, {"x": a})
+            start += n
+            model += 1
+    assert start == lanes.full.bit_length()
+    assert model == lanes.width
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_reference(names, bounds):
+    return scalar_sweep(standard_signature(*names), *bounds, 2)
+
+
+@pytest.mark.parametrize("width", [8, 40, 120, MAX_BATCH_WIDTH])
+@pytest.mark.parametrize("bounds", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("names", [("implies",), ("xor", "and"), ("not", "or")],
+                         ids=["implies", "xor-and", "not-or"])
+def test_unguarded_sweep_matches_scalar(names, bounds, width, monkeypatch):
+    # passes are joined into lane sets of up to the width's models: at 8
+    # and 40 they end inside a world count and at its end, at 120 a lane
+    # set of one and two worlds ends inside the two-world count, and at
+    # the default width one lane set holds the whole sweep
+    monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
+    narrow(monkeypatch, width)
+    calls = lane_sets(monkeypatch)
+    report = run_collapse_sweep(standard_signature(*names), *bounds, 2)
+    assert (report.models, report.values, report.disagreements) == (
+        scalar_reference(names, bounds))
+    mixed = [counts for counts in calls if len(set(counts)) > 1]
+    if width == MAX_BATCH_WIDTH:
+        assert len(calls) == 1 and len(mixed) == 1
+    else:
+        assert len(mixed) == (width == 120)
+
+
+@pytest.mark.parametrize("max_worlds", [2, 3])
+def test_one_lane_set_per_sweep(max_worlds, monkeypatch):
+    calls = lane_sets(monkeypatch)
+    report = run_collapse_sweep(standard_signature("and", "or"), max_worlds, 2, 3)
+    assert report.agreement
+    assert [sorted(set(counts)) for counts in calls] == [list(range(1, max_worlds + 1))]
 
 
 def tables(arities, monotone):
