@@ -38,16 +38,12 @@ from .classical import (
     Valid,
     bounded_fo_validity,
     decide_propositional,
-    eval_classical,
-    eval_sequent_classical,
 )
 from .kripke import (
     Failure,
     KripkeModel,
     bounded_cd_countermodel_search,
     check_heredity,
-    eval_kripke,
-    eval_sequent_kripke,
     model_validity,
     validate_kripke_model,
 )

@@ -23,11 +23,10 @@ from .kripke import (
     _malformed,
     _model_file_interp,
     _model_file_strings,
-    _refuted,
     _repeats,
 )
 from .lanes import Lanes
-from .syntax import Formula, Sequent, free_vars, predicate_shape, predicates
+from .syntax import Formula, Sequent, predicate_shape, predicates
 from .truthfn import Signature
 
 
@@ -68,25 +67,13 @@ class ClassicalEvaluator:
         self.model = model
         self.sig = sig
         atoms = {slot: 1 for slot, value in model.interp.items() if value}
-        self._lanes = Lanes(sig, [(0,)], 1, model.domain, atoms)
+        self._lanes = Lanes(sig, [([(0,)], 1)], model.domain, atoms)
 
     def value(self, f: Formula, rho: Mapping) -> int:
+        """f's value under rho, which must map every free variable of f
+        into the domain."""
+        _check_assignment(self.model.domain, rho, f.fvs)
         return self._lanes.value(f, rho)[0]
-
-    def sequent_value(self, s: Sequent, rho: Mapping) -> int:
-        return 0 if _refuted(self._lanes, s, rho) else 1
-
-
-def eval_classical(model: ClassicalModel, rho: Mapping, f: Formula, sig: Signature) -> int:
-    _check_assignment(model.domain, rho, f.fv)
-    return ClassicalEvaluator(model, sig).value(f, rho)
-
-
-def eval_sequent_classical(
-    model: ClassicalModel, rho: Mapping, s: Sequent, sig: Signature
-) -> int:
-    _check_assignment(model.domain, rho, free_vars(s))
-    return ClassicalEvaluator(model, sig).sequent_value(s, rho)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ models and formulas.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -237,8 +236,9 @@ def run_collapse_sweep(
     most kripke.MAX_BATCH_WIDTH models, whatever their world counts, and
     each joined run is evaluated in one Lanes: at the default bounds the
     8,976 models of one to three worlds are one lane set. Disagreements
-    are reported in walk order, each lane mapped back to its model and
-    world through its batch's segment.
+    are reported in walk order: Lanes.locate maps each lane to its
+    batch's segment, its model there and its world, and the models are
+    sorted by (segment, model).
     """
     preds = {"p": 0, "q": 0, "P": 1}
     atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
@@ -253,13 +253,7 @@ def run_collapse_sweep(
         # models in walk order; each model keeps its first 100
         # disagreements in check order
         lanes = Lanes.for_batches(batches, sig)
-        starts, segments, lane, model = [], [], 0, 0
-        for batch in batches:
-            starts.append(lane)
-            segments.append((model, batch.worlds))
-            lane += batch.width * len(batch.worlds)
-            model += batch.width
-        found: dict = {}
+        found: dict = {}  # (segment, model in segment) -> disagreements
         for f, rho, alive, live, kripke, classical in _lane_values(lanes, formulas, None):
             report.values += live
             diff = (kripke ^ classical) & alive
@@ -269,12 +263,10 @@ def run_collapse_sweep(
             while diff:
                 lane = (diff & -diff).bit_length() - 1
                 diff &= diff - 1
-                at = bisect.bisect_right(starts, lane) - 1
-                first, worlds = segments[at]
-                index, j = divmod(lane - starts[at], len(worlds))
-                kept = found.setdefault(first + index, [])
+                segment, model, world = lanes.locate(lane)
+                kept = found.setdefault((segment, model), [])
                 if len(kept) < 100:
-                    kept.append((worlds[j], f, key,
+                    kept.append((batches[segment].worlds[world], f, key,
                                  kripke >> lane & 1, classical >> lane & 1))
         lanes.clear()
         report.models += lanes.width

@@ -204,31 +204,24 @@ class KripkeEvaluator:
     On models with growing domains an assignment may be meaningless at
     some worlds (a value missing from the domain there); those profile
     entries are None, and value() refuses them with a UsageError.
-
-    For constant-domain models the universal clause may equivalently be
-    computed at the present world only; when ``check_cd_universal`` is on
-    (the default under __debug__) the lanes cross-check both readings.
-    Diagnostics that run on possibly-invalid models should switch the
-    check off, since it relies on heredity.
+    Under __debug__ the lanes cross-check each universal of a
+    constant-domain model against its present-world reading.
     """
 
-    def __init__(self, model: KripkeModel, sig: Signature, check_cd_universal: Optional[bool] = None):
+    def __init__(self, model: KripkeModel, sig: Signature):
         self.model = model
         self.sig = sig
-        if check_cd_universal is None:
-            check_cd_universal = __debug__
         self._lanes = Lanes.for_model(model, sig)
-        if not check_cd_universal:
-            self._lanes.cross_check = False
         self._windex = {w: i for i, w in enumerate(model.worlds)}
 
     def value(self, f: Formula, w: str, rho: Mapping) -> int:
-        i, lanes = self._windex[w], self._lanes
-        if not lanes.alive(rho, f.fvs) >> i & 1:
-            raise UsageError(
-                f"assignment {dict(rho)!r} is not defined at world {w!r}"
-            )
-        return lanes.value(f, rho)[0] >> i & 1
+        """f's value at world w under rho, which must map every free
+        variable of f into w's domain."""
+        i = self._windex.get(w)
+        if i is None:
+            raise UsageError(f"unknown world {w!r}")
+        _check_assignment(self.model.domains[w], rho, f.fvs, f" at {w!r}")
+        return self._lanes.value(f, rho)[0] >> i & 1
 
     def profile(self, f: Formula, rho: Mapping) -> tuple:
         """Value of f at every world, in model world order."""
@@ -237,41 +230,15 @@ class KripkeEvaluator:
         alive = lanes.alive(rho, f.fvs)
         return tuple(mask >> i & 1 if alive >> i & 1 else None for i in range(len(self._windex)))
 
-    def sequent_value(self, s: Sequent, w: str, rho: Mapping) -> int:
-        if all(self.value(f, w, rho) == 1 for f in s.antecedent) and all(
-            self.value(f, w, rho) == 0 for f in s.succedent
-        ):
-            return 0
-        return 1
 
-
-def _check_assignment(domain: Sequence, rho: Mapping, fv: frozenset, where: str = ""):
-    """UsageError unless rho maps every free variable into the domain."""
-    missing = [x for x in sorted(fv) if x not in rho]
+def _check_assignment(domain: Sequence, rho: Mapping, fvs: Sequence, where: str = ""):
+    """UsageError unless rho maps each variable of fvs, sorted, into domain."""
+    missing = [x for x in fvs if x not in rho]
     if missing:
         raise UsageError(f"assignment misses free variables {missing}")
-    dom = set(domain)
-    for x in sorted(fv):
-        if rho[x] not in dom:
+    for x in fvs:
+        if rho[x] not in domain:
             raise UsageError(f"assignment value {rho[x]!r} for {x!r} is outside the domain{where}")
-
-
-def _check_world(model: KripkeModel, w: str, rho: Mapping, fv: frozenset):
-    if w not in set(model.worlds):
-        raise UsageError(f"unknown world {w!r}")
-    _check_assignment(model.domains[w], rho, fv, f" at {w!r}")
-
-
-def eval_kripke(model: KripkeModel, w: str, rho: Mapping, f: Formula, sig: Signature) -> int:
-    _check_world(model, w, rho, f.fv)
-    return KripkeEvaluator(model, sig).value(f, w, rho)
-
-
-def eval_sequent_kripke(
-    model: KripkeModel, w: str, rho: Mapping, s: Sequent, sig: Signature
-) -> int:
-    _check_world(model, w, rho, free_vars(s))
-    return KripkeEvaluator(model, sig).sequent_value(s, w, rho)
 
 
 def _refuted(lanes: Lanes, s: Sequent, rho: Mapping) -> int:
@@ -660,8 +627,9 @@ def _batch_refutation(lanes: Lanes, batches: Sequence[CdBatch], s: Sequent, fv: 
     """(batch, model index, world, assignment) of the first refutation of
     s among the models of the batches, in (batch, model, world,
     assignment) order, read from lanes, Lanes.for_batches of the
-    batches, with fv the sequent's sorted free variables; or None. Only
-    the lanes where an assignment's values exist are read."""
+    batches, of one world count or of several, with fv the sequent's
+    sorted free variables; or None. Only the lanes where an
+    assignment's values exist are read."""
     rhos = [dict(zip(fv, values)) for values in itertools.product(lanes.domain, repeat=len(fv))]
     failing, union = [], 0
     for rho in rhos:
@@ -670,19 +638,14 @@ def _batch_refutation(lanes: Lanes, batches: Sequence[CdBatch], s: Sequent, fv: 
         union |= fail
     if not union:
         return None
-    # the lowest failing lane lies in the first failing model; a smaller
-    # domain is a prefix of the larger, so its assignments keep their order
-    n = len(batches[0].worlds)
-    model = index = ((union & -union).bit_length() - 1) // n
-    for batch in batches:
-        if index < batch.width:
-            break
-        index -= batch.width
-    for j, w in enumerate(batch.worlds):
-        for rho, fail in zip(rhos, failing):
-            if fail >> (model * n + j) & 1:
-                return batch, index, w, rho
-    return None
+    # the lowest failing lane is the first failing world of the first
+    # failing model; a smaller domain is a prefix of the larger, so its
+    # assignments keep their order
+    lane = (union & -union).bit_length() - 1
+    segment, index, world = lanes.locate(lane)
+    batch = batches[segment]
+    rho = next(rho for rho, fail in zip(rhos, failing) if fail >> lane & 1)
+    return batch, index, batch.worlds[world], rho
 
 
 def bounded_cd_countermodel_search(

@@ -6,18 +6,18 @@ in segments, one per run of consecutive models on one frame, and the
 models of a segment may have a different world count n from those of
 the next: bit ``start + model_index * n + world_index`` holds the value
 at that world of the model_index-th model of the segment whose first
-lane is start. With one world count throughout this is bit
-``model_index * n + world_index`` of the model_index-th of M models.
-The classical side is the value in the world's projection. Both sides
-read the same atomic masks; a connective applies its truth table lane
-by lane, through the terms compiled once per table
-(TruthTable.lane_terms). The Kripke side of a connective or of a
-universal is then boxed: its bit at world i of a model is the AND of its
-bits at every world above i in that model's frame. World j lies d = j -
-i places above world i in the mask, so boxing is one shift-and-mask
-step per offset d that some frame's order spans, at most 2(n - 1) of
-them for the largest n however many frames and world counts share the
-mask. Existentials are the OR over the domain on both sides. Where no
+lane is start. This module alone knows that layout: Lanes takes the
+segments as (future, models) pairs, and Lanes.locate maps a lane back
+to its segment, model and world. The classical side is the value in
+the world's projection. Both sides read the same atomic masks; a
+connective applies its truth table lane by lane, through the terms
+compiled once per table (TruthTable.lane_terms). The Kripke side of a
+connective or of a universal is then boxed: its bit at world i of a
+model is the AND of its bits at every world above i in that model's
+frame. World j lies d = j - i places above world i in the mask, so
+boxing is one shift-and-mask step per offset d that some frame's order
+spans, at most 2(n - 1) of them for the largest n however many frames
+and world counts share the mask. Existentials are the OR over the domain on both sides. Where no
 world sees another (one world: classical models) boxing is the
 identity, the two sides are equal and each connective's table is
 applied once.
@@ -36,6 +36,7 @@ cross-checked against its present-world reading.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -48,39 +49,31 @@ if TYPE_CHECKING:  # kripke imports this module
 
 
 class Lanes:
-    """Memoized lane evaluation of formulas on M models.
+    """Memoized lane evaluation of formulas on the models of ``frames``.
 
-    ``future`` lists, for each world index, the indices of the worlds
-    above it; the ``width`` = M models share it unless ``frames`` lists
-    (future, models) per run of consecutive models on one frame, in model
-    order. Each run is a segment of models * n lanes, n its frame's world
-    count, and the runs may differ in n. ``atoms`` maps (predicate,
-    argument tuple) to its lane mask, absent atoms reading 0; ``full``
-    has every lane set. ``exists`` maps each element of ``domain`` to
-    the lanes where it exists, or is None when every element exists
-    everywhere. ``cross_check`` asserts that each universal equals its
-    present-world reading, which relies on heredity and so on each
-    model's domain being constant: it starts on when exists is None,
-    and for_batches turns it on. The memo is keyed by formula structure
-    and the assignment restricted to the formula's free variables; call
-    clear() when the models are done with.
+    ``frames`` lists (future, models) per segment, a run of consecutive
+    models on one frame, in lane order: future lists, for each world
+    index, the indices of the worlds above it, and the segment takes
+    models * n lanes, n its frame's world count. ``width`` is the number
+    of models in all, and locate maps a lane back to its segment, model
+    and world. ``atoms`` maps (predicate, argument tuple) to its lane
+    mask, absent atoms reading 0; ``full`` has every lane set.
+    ``exists`` maps each element of ``domain`` to the lanes where it
+    exists, or is None when every element exists everywhere.
+    ``cross_check`` asserts that each universal equals its present-world
+    reading, which relies on heredity and so on each model's domain
+    being constant: it starts on when exists is None, and for_batches
+    turns it on. The memo is keyed by formula structure and the
+    assignment restricted to the formula's free variables; call clear()
+    when the models are done with.
     """
 
-    def __init__(
-        self,
-        sig: Signature,
-        future: Sequence[tuple],
-        width: int,
-        domain: tuple,
-        atoms: Mapping,
-        exists: Optional[Mapping] = None,
-        frames: Optional[Sequence[tuple]] = None,
-    ):
-        self.width = width
+    def __init__(self, sig: Signature, frames: Sequence[tuple], domain: tuple,
+                 atoms: Mapping, exists: Optional[Mapping] = None):
         self.domain = domain
         self.exists = exists
         self.cross_check = exists is None
-        self._lanes, seen = _box_offsets(frames or ((future, width),))
+        self._lanes, self.width, seen, self._starts, self._worlds = _box_offsets(frames)
         self.full = (1 << self._lanes) - 1
         self._steps = [(d, self.full ^ mask) for d, mask in seen.items()]
         self._boxed = bool(self._steps)
@@ -90,8 +83,8 @@ class Lanes:
 
     @classmethod
     def for_model(cls, model: KripkeModel, sig: Signature) -> Lanes:
-        """One model: M = 1, so lane i is world i. Growing domains get
-        existence masks, the elements in order of first appearance."""
+        """One model, one segment of it: lane i is world i. Growing domains
+        get existence masks, the elements in order of first appearance."""
         return cls(sig, *cls.layout(model))
 
     @staticmethod
@@ -104,55 +97,50 @@ class Lanes:
         for (w, pred, args), value in model.interp.items():
             if value and w in windex:
                 atoms[(pred, args)] = atoms.get((pred, args), 0) | (1 << windex[w])
-        future = tuple(tuple(windex[v] for v in model.future[w]) for w in model.worlds)
+        frames = ((tuple(tuple(windex[v] for v in model.future[w]) for w in model.worlds), 1),)
         if model.constant_domain:
-            return future, 1, model.domains[model.worlds[0]], atoms
+            return frames, model.domains[model.worlds[0]], atoms
         exists: dict = {}
         for i, w in enumerate(model.worlds):
             for a in model.domains[w]:
                 exists[a] = exists.get(a, 0) | (1 << i)
-        return future, 1, tuple(exists), atoms, exists
-
-    @classmethod
-    def for_batch(cls, batch: CdBatch, sig: Signature) -> Lanes:
-        """Lanes.for_batches of the one batch."""
-        return cls.for_batches([batch], sig)
+        return frames, tuple(exists), atoms, exists
 
     @classmethod
     def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
         """Every interpretation of CdBatches, of one world count or of
-        several: the models of each batch in the batch's model order,
-        the batches one after another, each batch a segment of width * n
-        lanes for its world count n; a fixed slot has the same value on
-        every model of its batch. The domain is the largest batch
-        domain, which holds the others. A model's domain is constant, so
-        the universals are cross-checked. The atom masks and the future
-        lists of a batch are kept on it, so Lanes of a batch built
-        again, for another signature say, reuse them."""
+        several: each batch a segment of its models, in the batch's model
+        order, the batches one after another; a fixed slot has the same
+        value on every model of its batch. The domain is the largest
+        batch domain, which holds the others. A model's domain is
+        constant, so the universals are cross-checked. The atom masks
+        and the future lists of a batch are kept on it, so Lanes of a
+        batch built again, for another signature say, reuse them."""
         domain = max((batch.domain for batch in batches), key=len)
         exists = None
         if any(len(batch.domain) < len(domain) for batch in batches):
             exists = dict.fromkeys(domain, 0)
-        frames, atoms, width, offset = [], {}, 0, 0
+        frames = []
         for batch in batches:
             if batch.lane_masks is None:
                 batch.lane_masks = cls._batch_masks(batch)
-            future, masks = batch.lane_masks
-            frames.append((future, batch.width))
-            if not offset:  # the first batch's masks need no shift
+            frames.append((batch.lane_masks[0], batch.width))
+        atoms: dict = {}
+        lanes = cls(sig, frames, domain, atoms, exists)
+        lanes.cross_check = True
+        # each batch's masks count its models from 0: shift them to the
+        # segment's first lane
+        for batch, start in zip(batches, lanes._starts):
+            masks = batch.lane_masks[1]
+            if not start:
                 atoms.update(masks)
             else:
                 for slot, mask in masks.items():
-                    atoms[slot] = atoms.get(slot, 0) | mask << offset
-            size = batch.width * len(future)
+                    atoms[slot] = atoms.get(slot, 0) | mask << start
             if exists is not None:
-                models = ((1 << size) - 1) << offset
+                models = ((1 << batch.width * len(batch.worlds)) - 1) << start
                 for a in batch.domain:
                     exists[a] |= models
-            width += batch.width
-            offset += size
-        lanes = cls(sig, frames[0][0], width, domain, atoms, exists, frames)
-        lanes.cross_check = True
         return lanes
 
     @staticmethod
@@ -181,6 +169,13 @@ class Lanes:
 
     def clear(self):
         self._memo.clear()
+
+    def locate(self, lane: int) -> tuple:
+        """(segment, model, world) that a lane holds: the index of its
+        segment in frames, of its model in the segment and of its world
+        in the model's frame."""
+        at = bisect.bisect_right(self._starts, lane) - 1
+        return (at, *divmod(lane - self._starts[at], self._worlds[at]))
 
     def box(self, x: int) -> int:
         """At each world of each model, the AND of x's bits at every
@@ -314,21 +309,26 @@ def _spread(count: int, step: int) -> int:
 
 
 def _box_offsets(frames: Sequence[tuple]) -> tuple:
-    """The lane count and, per offset d != 0 from a world to a world
-    above it in some frame, the lanes whose world i sees world i + d in
-    its model's frame; box leaves the bit that a shift by d brings to
-    any other lane unread. frames lists (future, models) per run of
-    consecutive models on one frame, in lane order; a run of a frame of
-    n worlds takes models * n lanes."""
+    """(lanes, models, seen, starts, worlds) of frames, which lists
+    (future, models) per segment in lane order, a segment of a frame of
+    n worlds taking models * n lanes: the lane and model counts; per
+    offset d != 0 from a world to a world above it in some frame, the
+    lanes whose world i sees world i + d in its model's frame, box
+    leaving the bit that a shift by d brings to any other lane unread;
+    and each segment's first lane and world count."""
     seen: dict = {}
-    start = 0  # the run's first lane
+    starts, worlds = [], []
+    start = width = 0
     for future, models in frames:
         n = len(future)
-        firsts = 0  # bit 0 of every model of the run, once needed
+        starts.append(start)
+        worlds.append(n)
+        firsts = 0  # bit 0 of every model of the segment, once needed
         for i, above in enumerate(future):
             for j in above:
                 if j != i:
                     firsts = firsts or _spread(models, n) << start
                     seen[j - i] = seen.get(j - i, 0) | firsts << i
         start += models * n
-    return start, seen
+        width += models
+    return start, width, seen, starts, worlds

@@ -624,7 +624,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
 
     # classical half: exhaustive enumeration over the occurring symbols
     batch = _valuations(symbols) if propositional else None
-    classical = None if batch is None else Lanes.for_batch(batch, sig)
+    classical = None if batch is None else Lanes.for_batches([batch], sig)
     try:
         if classical is not None and _batch_refutation(classical, [batch], sequent, ()) is None:
             verdict = Valid()
@@ -730,33 +730,26 @@ def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
     """row(world, valuation) gives the (lanes, lane) that an expected-table
     row is read at. A Kripke row is read from kripke, Lanes.for_model of
     the countermodel whose worlds are given, or gives None when its
-    world is not one of them. A classical row that names
-    only the given symbols is read from valuations, when given, the
-    lanes of _valuations(symbols), with the symbols it does not name at
-    0; any other row from a batch of its own symbols, or from the one
-    lane of its valuation when there are too many for one batch."""
+    world is not one of them. A classical row that names only the given
+    symbols is read from valuations, when given, the lanes of
+    _valuations(symbols), with the symbols it does not name at 0; any
+    other row from the one lane of its own valuation."""
     windex = {w: i for i, w in enumerate(worlds)}
     shared = frozenset(symbols)
-    batches: dict = {} if valuations is None else {symbols: valuations}
 
     def row(world: Optional[str], valuation: Sequence = ()):
         if world is not None:
             lane = windex.get(world)
             return None if lane is None else (kripke, lane)
         bits = dict(valuation)
-        names = symbols if bits.keys() <= shared else tuple(sorted(bits))
-        if names not in batches:
-            batch = _valuations(names)
-            batches[names] = None if batch is None else Lanes.for_batch(batch, sig)
-        lanes = batches[names]
-        if lanes is None:
+        if valuations is None or not bits.keys() <= shared:
             atoms = {(sym, ()): 1 for sym, bit in bits.items() if bit}
-            return Lanes(sig, [(0,)], 1, ("a1",), atoms), 0
+            return Lanes(sig, [([(0,)], 1)], ("a1",), atoms), 0
         # a valuation's lane is its bits in symbol order, read in binary
         lane = 0
-        for sym in names:
+        for sym in symbols:
             lane = lane << 1 | bits.get(sym, 0)
-        return lanes, lane
+        return valuations, lane
 
     return row
 

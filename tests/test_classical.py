@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdkripke.classical import (
+    ClassicalEvaluator,
     ClassicalModel,
     Countermodel,
     NoCountermodelUpTo,
@@ -14,10 +15,10 @@ from cdkripke.classical import (
     classical_model_from_json,
     classical_model_to_json,
     decide_propositional,
-    eval_classical,
-    eval_sequent_classical,
 )
+from cdkripke.collapse import lift_classical
 from cdkripke.errors import EnumerationCapError, ModelValidationError, UsageError
+from cdkripke.kripke import Failure, model_validity
 from cdkripke.syntax import Atom, Conn, Forall, Sequent, parse_formula, parse_sequent, predicates
 
 from cdkripke.truthfn import standard_signature
@@ -56,46 +57,50 @@ def truth_table_oracle(sig, s):
 class TestEval:
     def test_atom(self):
         m = ClassicalModel(("a1",), {("p", ()): 1})
-        assert eval_classical(m, {}, Atom("p"), SIG) == 1
+        assert ClassicalEvaluator(m, SIG).value(Atom("p"), {}) == 1
 
     def test_conn(self):
         m = ClassicalModel(("a1",), {("p", ()): 1, ("q", ()): 0})
         f = Conn("and", (Atom("p"), Atom("q")))
-        assert eval_classical(m, {}, f, SIG) == 0
+        assert ClassicalEvaluator(m, SIG).value(f, {}) == 0
 
     def test_universal(self):
         m = ClassicalModel(("a1", "a2"), {("P", ("a1",)): 1})
         f = parse_formula("forall x. P(x)", SIG)
-        assert eval_classical(m, {}, f, SIG) == 0
+        assert ClassicalEvaluator(m, SIG).value(f, {}) == 0
 
     def test_unbound_variable(self):
         m = ClassicalModel(("a1",), {})
         with pytest.raises(UsageError):
-            eval_classical(m, {}, Atom("P", ("x",)), SIG)
+            ClassicalEvaluator(m, SIG).value(Atom("P", ("x",)), {})
 
     def test_value_outside_domain(self):
         m = ClassicalModel(("a1",), {})
         with pytest.raises(UsageError):
-            eval_classical(m, {"x": "b9"}, Atom("P", ("x",)), SIG)
+            ClassicalEvaluator(m, SIG).value(Atom("P", ("x",)), {"x": "b9"})
+
+
+# a classical model is refuted at the one world of its lift
+REFUTED = Failure("w0", {})
 
 
 class TestSequentValue:
     def test_identity(self):
         m = ClassicalModel(("a1",), {("p", ()): 0})
         s = Sequent([Atom("p")], [Atom("p")])
-        assert eval_sequent_classical(m, {}, s, SIG) == 1
+        assert model_validity(lift_classical(m), s, SIG) == Valid()
 
     def test_refuted_succedent(self):
         m = ClassicalModel(("a1",), {})
-        assert eval_sequent_classical(m, {}, Sequent([], [Atom("p")]), SIG) == 0
+        assert model_validity(lift_classical(m), Sequent([], [Atom("p")]), SIG) == REFUTED
 
     def test_satisfied_antecedent_empty_succedent(self):
         m = ClassicalModel(("a1",), {("p", ()): 1})
-        assert eval_sequent_classical(m, {}, Sequent([Atom("p")], []), SIG) == 0
+        assert model_validity(lift_classical(m), Sequent([Atom("p")], []), SIG) == REFUTED
 
     def test_empty_sequent_always_refuted(self):
         m = ClassicalModel(("a1",), {})
-        assert eval_sequent_classical(m, {}, Sequent([], []), SIG) == 0
+        assert model_validity(lift_classical(m), Sequent([], []), SIG) == REFUTED
 
 
 class TestDecidePropositional:
@@ -218,8 +223,9 @@ class TestAssignmentLocality:
         )
         rho = {x: data.draw(st.sampled_from(domain)) for x in sorted(f.fv)}
         extended = {**rho, "z9": "a1", "z8": "a2"}
-        assert eval_classical(m, rho, f, SIG) == eval_classical(m, extended, f, SIG)
-        assert eval_classical(m, rho, f, SIG) == naive_value(m, SIG, rho, f)
+        evaluator = ClassicalEvaluator(m, SIG)
+        assert evaluator.value(f, rho) == evaluator.value(f, extended)
+        assert evaluator.value(f, rho) == naive_value(m, SIG, rho, f)
 
 
 class TestMonotoneValuationProperty:
@@ -236,7 +242,7 @@ class TestMonotoneValuationProperty:
             values = {}
             for vals in valuations:
                 m = ClassicalModel(("a1",), {(s, ()): v for s, v in zip(symbols, vals)})
-                values[vals] = eval_classical(m, {}, f, SIG)
+                values[vals] = ClassicalEvaluator(m, SIG).value(f, {})
             for lo in valuations:
                 for hi in valuations:
                     if all(x <= y for x, y in zip(lo, hi)):

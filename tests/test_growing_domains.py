@@ -22,6 +22,7 @@ from cdkripke.kripke import (
     model_validity,
     validate_kripke_model,
 )
+from cdkripke.lanes import Lanes
 from cdkripke.suites import MIXED_SIGNATURE, random_formula, random_kripke_model
 from cdkripke.syntax import Atom, Sequent, parse_formula, parse_sequent
 from cdkripke.truthfn import standard_signature
@@ -111,9 +112,13 @@ class TestUniversalCrossCheck:
         cases = (("forall x. P(x)", {}), ("P(x)", {"x": "a1"}), ("or(P(x), p)", {"x": "a1"}))
         for text, rho in cases:
             f = parse_formula(text, self.SIG)
-            evaluator = KripkeEvaluator(model, self.SIG, check_cd_universal=False)
+            lanes = Lanes.for_model(model, self.SIG)
+            lanes.cross_check = False
+            mask, alive = lanes.value(f, rho)[0], lanes.alive(rho, f.fvs)
+            profile = tuple(mask >> i & 1 if alive >> i & 1 else None
+                            for i in range(len(model.worlds)))
             reference = scalar_reference.KripkeEvaluator(model, self.SIG, check_cd_universal=False)
-            assert evaluator.profile(f, rho) == reference.profile(f, rho)
+            assert profile == reference.profile(f, rho)
             assert check_heredity(model, f, rho, self.SIG) == (
                 scalar_reference.check_heredity(model, f, rho, self.SIG))
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cdkripke.classical import ClassicalModel, Valid, eval_classical
+from cdkripke.classical import ClassicalEvaluator, ClassicalModel, Valid
 from cdkripke.errors import EnumerationCapError, ModelValidationError, UsageError
 from cdkripke.kripke import (
     CdCountermodel,
@@ -17,8 +17,6 @@ from cdkripke.kripke import (
     close_preorder,
     enumerate_cd_models,
     enumerate_preorders,
-    eval_kripke,
-    eval_sequent_kripke,
     kripke_model_from_json,
     kripke_model_to_json,
     kripke_violations,
@@ -214,26 +212,30 @@ class TestEval:
             )
             f = random_formula(rng, SIG, depth=4)
             rho = {"x": "a1"} if f.fv else {}
-            assert eval_kripke(lifted, "w0", rho, f, SIG) == eval_classical(
-                classical, rho, f, SIG
-            )
+            assert KripkeEvaluator(lifted, SIG).value(f, "w0", rho) == (
+                ClassicalEvaluator(classical, SIG).value(f, rho))
 
     def test_kstar_negation_of_p_is_false_at_root(self):
         # p holds at the later world, so the c-negation fails already at w0
-        assert eval_kripke(kstar(), "w0", {}, parse_formula("nand(p, p)", SIG), SIG) == 0
+        f = parse_formula("nand(p, p)", SIG)
+        assert KripkeEvaluator(kstar(), SIG).value(f, "w0", {}) == 0
 
     def test_kstar_atomic_values(self):
-        model = kstar()
-        assert eval_kripke(model, "w0", {}, Atom("p"), SIG) == 0
-        assert eval_kripke(model, "w1", {}, Atom("p"), SIG) == 1
+        evaluator = KripkeEvaluator(kstar(), SIG)
+        assert evaluator.value(Atom("p"), "w0", {}) == 0
+        assert evaluator.value(Atom("p"), "w1", {}) == 1
 
     def test_unknown_world(self):
         with pytest.raises(UsageError):
-            eval_kripke(kstar(), "w9", {}, Atom("p"), SIG)
+            KripkeEvaluator(kstar(), SIG).value(Atom("p"), "w9", {})
 
     def test_assignment_outside_domain(self):
         with pytest.raises(UsageError):
-            eval_kripke(kstar(), "w0", {"x": "b4"}, Atom("P", ("x",)), SIG)
+            KripkeEvaluator(kstar(), SIG).value(Atom("P", ("x",)), "w0", {"x": "b4"})
+
+    def test_unbound_variable(self):
+        with pytest.raises(UsageError):
+            KripkeEvaluator(kstar(), SIG).value(Atom("P", ("x",)), "w0", {})
 
     def test_matches_naive_oracle_on_random_models(self):
         rng = random.Random(23)
@@ -252,17 +254,16 @@ class TestEval:
 
 class TestSequents:
     def test_identity_sequent(self):
-        model = kstar()
         s = Sequent([Atom("p")], [Atom("p")])
-        for w in model.worlds:
-            assert eval_sequent_kripke(model, w, {}, s, SIG) == 1
+        assert model_validity(kstar(), s, SIG) == Valid()
 
     def test_double_negation_refuted_at_root(self):
         s = parse_sequent("nand(nand(p,p), nand(p,p)) => p", SIG)
-        assert eval_sequent_kripke(kstar(), "w0", {}, s, SIG) == 0
+        assert model_validity(kstar(), s, SIG) == Failure("w0", {})
 
     def test_empty_sequent(self):
-        assert eval_sequent_kripke(kstar(), "w1", {}, Sequent([], []), SIG) == 0
+        # refuted at every world, so at the first
+        assert model_validity(kstar(), Sequent([], []), SIG) == Failure("w0", {})
 
 
 class TestModelValidity:
@@ -353,7 +354,7 @@ class TestCdSearch:
         assert isinstance(verdict, CdCountermodel)
         model = verdict.model
         # a genuine refutation, not just any model
-        assert eval_sequent_kripke(model, verdict.world, {}, s, SIG) == 0
+        assert model_validity(model, s, SIG) == Failure(verdict.world, {})
 
     def test_identity_never_refuted(self):
         s = parse_sequent("p => p", SIG)

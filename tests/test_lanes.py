@@ -153,7 +153,7 @@ class TestSweepAgainstScalar:
         sig = standard_signature("implies", "not")
         formulas = enumerate_formulas(sig, ATOMS, 3)[::7]
         for batch in cd_model_batches(PREDS, 3, 1, up_to_iso=True):
-            lanes = Lanes.for_batch(batch, sig)
+            lanes = Lanes.for_batches([batch], sig)
             width, n = lanes.width, len(batch.worlds)
             for index, model in enumerate(batch.models()):
                 single = Lanes.for_model(model, sig)
@@ -239,7 +239,7 @@ class TestCdSearchAgainstScalar:
         sig = MONOTONE_SIGNATURE
         s = Sequent([Atom("P", ("x",))], [Forall("y", Atom("P", ("y",)))])
         batch = list(cd_model_batches(predicates(s), 2, 2))[1]
-        lanes = Lanes.for_batch(batch, sig)
+        lanes = Lanes.for_batches([batch], sig)
         failing = [
             lanes.value(Atom("P", ("x",)), {"x": a})[0]
             & ~lanes.value(Forall("y", Atom("P", ("y",))), {"x": a})[0]
@@ -303,7 +303,7 @@ class TestSplitBatches:
         formulas = enumerate_formulas(sig, ATOMS, 3)[::11]
         for batch in cd_model_batches(PREDS, 3, 2, up_to_iso=True):
             assert batch.fixed
-            lanes = Lanes.for_batch(batch, sig)
+            lanes = Lanes.for_batches([batch], sig)
             width, n = lanes.width, len(batch.worlds)
             for index, model in enumerate(batch.models()):
                 single = Lanes.for_model(model, sig)
@@ -356,7 +356,7 @@ def test_tables_apply_row_by_row(worlds, width):
     tables += [TruthTable.from_bits("c", 4, format(rng.getrandbits(16), "016b"))
                for _ in range(40)]
     for table in tables:
-        lanes = Lanes(Signature.of(table), [(i,) for i in range(worlds)], width, ("a1",), {})
+        lanes = Lanes(Signature.of(table), [([(i,) for i in range(worlds)], width)], ("a1",), {})
         masks = [rng.getrandbits(worlds * width) for _ in range(table.arity)]
         expected = sum(
             table.value(tuple(mask >> lane & 1 for mask in masks)) << lane
@@ -377,7 +377,7 @@ def test_every_table_applies_row_by_row(arity):
         for lanes_count in (terms - 1, terms + 1):
             if lanes_count < 1:
                 continue
-            lanes = Lanes(sig, [(0,)], lanes_count, ("a1",), {})
+            lanes = Lanes(sig, [([(0,)], lanes_count)], ("a1",), {})
             masks = [rng.getrandbits(lanes_count) for _ in range(arity)]
             expected = 0
             for lane in range(lanes_count):

@@ -137,7 +137,7 @@ def test_earlier_frame_of_a_larger_domain_wins(width, monkeypatch):
     # hold a refutation, each read from lanes of its own
     refuting = [(b.future, len(b.domain)) for b in cd_model_batches(predicates(s), 3, 2, True)
                 if len(b.worlds) == 3
-                and _batch_refutation(Lanes.for_batch(b, sig), [b], s, fv) is not None]
+                and _batch_refutation(Lanes.for_batches([b], sig), [b], s, fv) is not None]
     first, second = refuting[:2]
     assert (first[1], second[1]) == (2, 1) and first[0] is not second[0]
     narrow(monkeypatch, width)
@@ -200,11 +200,15 @@ def test_mixed_lane_set_matches_single_models(monkeypatch):
     rng = random.Random(9_900)
     xs = [rng.getrandbits(lanes.full.bit_length()) for _ in range(20)]
     start, model = 0, 0
-    for batch in batches:
+    for segment, batch in enumerate(batches):
         n = len(batch.worlds)
         for index in range(batch.width):
             single = Lanes.for_model(batch.model(index), sig)
             bits = (1 << n) - 1
+            # lane start + j holds world j of this model, which the
+            # model's own lanes read at bit j
+            assert [lanes.locate(start + j) for j in range(n)] == [
+                (segment, index, j) for j in range(n)]
 
             def column(mask):
                 return mask >> start & bits
@@ -222,6 +226,27 @@ def test_mixed_lane_set_matches_single_models(monkeypatch):
             model += 1
     assert start == lanes.full.bit_length()
     assert model == lanes.width
+
+
+@pytest.mark.parametrize("width", [8, MAX_BATCH_WIDTH])
+def test_refutation_in_a_mixed_lane_set(width, monkeypatch):
+    # one lane set of every batch of 1-3 worlds and both domain sizes
+    # names the refutation that the batches, read one at a time in walk
+    # order, find first
+    narrow(monkeypatch, width)
+    sig = MIXED_SIGNATURE
+    rng = random.Random(5)
+    mixed = 0  # refutations found past the one-world models
+    for _ in range(150):
+        s = random_sequent(rng, sig, rng.random() < 0.5)
+        fv = sorted(free_vars(s))
+        batches = list(cd_model_batches(predicates(s), 3, 2, up_to_iso=True))
+        expected = next(filter(None, (
+            _batch_refutation(Lanes.for_batches([b], sig), [b], s, fv) for b in batches)), None)
+        found = _batch_refutation(Lanes.for_batches(batches, sig), batches, s, fv)
+        assert found == expected, str(s)
+        mixed += expected is not None and len(expected[0].worlds) > 1
+    assert mixed
 
 
 @functools.lru_cache(maxsize=None)

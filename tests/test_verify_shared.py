@@ -177,7 +177,7 @@ class TestTampered:
         assert "heredity" in details["countermodel-validates"]
 
     def test_row_beyond_the_sequent_symbols(self, base):
-        # t occurs in no sequent: the row gets a batch of its own symbols
+        # t occurs in no sequent: the row reads the one lane of its own valuation
         row = ExpectedRow("p=1,t=1", (base.tables[0].rows[0].cells[0],),
                           valuation=(("p", 1), ("t", 1)))
         table = ExpectedTable("extra", (row,))
@@ -258,13 +258,13 @@ class TestWide:
 
 def test_shared_valuation_lanes_read_unnamed_symbols_as_zero():
     """A row naming fewer symbols than the sequent reads the others at
-    0 on the shared lanes, as on a batch of its own symbols."""
+    0 on the shared lanes, as on the one lane of its own valuation."""
     result = separate(BASES["b2-PP"])
     sig = result.signature()
     symbols = tuple(sorted(predicates(result.sequent)))
     assert symbols == ("p", "q", "r")
     shared = _row_lanes(Lanes.for_model(result.countermodel, sig), result.countermodel.worlds,
-                        sig, symbols, Lanes.for_batch(_valuations(symbols), sig))
+                        sig, symbols, Lanes.for_batches([_valuations(symbols)], sig))
     fresh = scalar_reference.cell_reader(result.countermodel, sig)
     rows = []
     for valuation in ((("q", 1), ("r", 0)), (("p", 1),), (("q", 1), ("r", 1)), ()):
