@@ -17,6 +17,10 @@ lane sets of four-world models:
     python scripts/collapse_sweep.py
     python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # milliseconds
     python scripts/collapse_sweep.py --max-worlds 4             # about a second
+
+Exit codes: 0 agreement, 1 a disagreement, 2 an infeasible bound (the
+enumeration cap of CDKRIPKE_MAX_ENUM, or frames of more than six
+worlds), reported on one error line.
 """
 
 import argparse
@@ -24,6 +28,7 @@ import sys
 import time
 
 from cdkripke.collapse import run_collapse_sweep
+from cdkripke.errors import EnumerationCapError, UsageError
 from cdkripke.truthfn import standard_signature
 
 
@@ -38,13 +43,17 @@ def main() -> int:
 
     sig = standard_signature("and", "or")
     start = time.monotonic()
-    report = run_collapse_sweep(
-        sig,
-        max_worlds=args.max_worlds,
-        max_domain=args.max_domain,
-        depth=args.depth,
-        up_to_iso=not args.labeled_frames,
-    )
+    try:
+        report = run_collapse_sweep(
+            sig,
+            max_worlds=args.max_worlds,
+            max_domain=args.max_domain,
+            depth=args.depth,
+            up_to_iso=not args.labeled_frames,
+        )
+    except (EnumerationCapError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - start
     print(report.render())
     print(f"elapsed: {elapsed:.1f}s")

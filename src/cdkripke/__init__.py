@@ -8,9 +8,7 @@ from .truthfn import (
     classify_case,
     eval_table,
     invert,
-    is_monotonic,
     leq_vec,
-    meet,
     monotonicity_witness,
     parse_signature,
     relative_invert,
@@ -25,12 +23,10 @@ from .syntax import (
     Formula,
     Sequent,
     free_vars,
-    is_propositional,
     parse_formula,
     parse_sequent,
     print_formula,
     print_sequent,
-    substitute_symbol,
 )
 from .classical import (
     ClassicalModel,

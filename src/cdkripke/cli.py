@@ -13,7 +13,8 @@ Exit codes are a stable contract:
 The environment variable CDKRIPKE_MAX_ENUM caps how many models the
 bounded searches (classical-bounded, cd-search) may enumerate, counted
 over every labeled frame and domain size (a positive integer, default
-2**24); the exact classical-prop decision is not capped. Unreadable,
+2**24); the exact classical-prop decision is not capped. A search that
+reaches frames of more than six worlds exits 2 the same way. Unreadable,
 non-UTF-8 or malformed input files exit 2.
 """
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
@@ -48,7 +48,6 @@ def lift_classical(model: ClassicalModel, world: str = "w0") -> KripkeModel:
 class CollapseReport:
     """Per-(world, formula, assignment) comparison of the two semantics."""
 
-    model_id: str
     checked: int = 0
     pairs: list = field(default_factory=list)
     disagreements: list = field(default_factory=list)
@@ -56,30 +55,6 @@ class CollapseReport:
     @property
     def agreement(self) -> bool:
         return not self.disagreements
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model_id,
-            "checked": self.checked,
-            "agreement": self.agreement,
-            "disagreements": [
-                {
-                    "world": w,
-                    "formula": str(f),
-                    "assignment": dict(rho),
-                    "kripke": kv,
-                    "classical": cv,
-                }
-                for (w, f, rho, kv, cv) in self.disagreements[:100]
-            ],
-        }
-
-    def render(self) -> str:
-        status = "agree" if self.agreement else "DISAGREE"
-        lines = [f"collapse check {self.model_id}: {self.checked} values, {status}"]
-        for (w, f, rho, kv, cv) in self.disagreements[:100]:
-            lines.append(f"  {w} {f} {dict(rho)}: kripke={kv} classical={cv}")
-        return "\n".join(lines)
 
 
 def require_monotone(formulas: Sequence[Formula], sig: Signature):
@@ -94,22 +69,18 @@ def require_monotone(formulas: Sequence[Formula], sig: Signature):
             )
 
 
-def _lane_values(lanes: Lanes, formulas: Sequence[Formula], assignments):
+def _lane_values(lanes: Lanes, formulas: Sequence[Formula]):
     """Yield (f, rho, alive, live, kripke, classical) for each formula
-    under each assignment, in check order, alive being the lanes where
-    rho's values of f's free variables exist and live their number.
-    With assignments=None, each formula runs under every assignment of
-    its free variables into the domain, variables sorted, values in
-    domain order."""
+    under every assignment of its free variables into the domain, in
+    check order (variables sorted, values in domain order), alive being
+    the lanes where rho's values exist and live their number."""
     assign_cache: dict = {}
     for f in formulas:
         rhos = assign_cache.get(f.fvs)
         if rhos is None:
-            given = assignments if assignments is not None else (
-                dict(zip(f.fvs, values))
-                for values in itertools.product(lanes.domain, repeat=len(f.fvs)))
             rhos = assign_cache[f.fvs] = []
-            for rho in given:
+            for values in itertools.product(lanes.domain, repeat=len(f.fvs)):
+                rho = dict(zip(f.fvs, values))
                 alive = lanes.alive(rho, f.fvs)
                 rhos.append((rho, alive, alive.bit_count()))
         for rho, alive, live in rhos:
@@ -121,9 +92,7 @@ def check_collapse(
     model: KripkeModel,
     formulas: Sequence[Formula],
     sig: Signature,
-    assignments: Optional[Iterable[Mapping]] = None,
     keep_pairs: bool = True,
-    model_id: str = "model",
     precheck: bool = True,
 ) -> CollapseReport:
     """Compare Kripke and projected-classical values on one model.
@@ -131,8 +100,8 @@ def check_collapse(
     Every connective occurring in the formulas must be monotonic; a
     non-monotonic one is rejected with its witness pair, because the
     equivalence genuinely fails there (see the separator module for that
-    half of the story). With assignments=None, each formula is checked
-    under every assignment of its free variables into the domain.
+    half of the story). Each formula is checked under every assignment
+    of its free variables into the domain.
     Callers that sweep many models with one formula inventory may run
     require_monotone once themselves and pass precheck=False.
     """
@@ -140,11 +109,10 @@ def check_collapse(
         raise UsageError("check_collapse needs a constant-domain model")
     if precheck:
         require_monotone(formulas, sig)
-    report = CollapseReport(model_id)
+    report = CollapseReport()
     worlds = model.worlds
-    fixed = list(assignments) if assignments is not None else None
     for f, rho, _, live, kripke, classical in _lane_values(
-            Lanes.for_model(model, sig), formulas, fixed):
+            Lanes.for_model(model, sig), formulas):
         report.checked += live
         if not keep_pairs and kripke == classical:
             continue
@@ -161,14 +129,9 @@ def check_collapse(
 # --- exhaustive sweep ------------------------------------------------------
 
 
-def enumerate_formulas(
-    sig: Signature,
-    atoms: Sequence[Formula],
-    depth: int,
-    quantifier_var: str = "x",
-) -> list:
+def enumerate_formulas(sig: Signature, atoms: Sequence[Formula], depth: int) -> list:
     """Every formula of depth <= depth over the given atoms, connectives,
-    and the quantifiers binding one fixed variable.
+    and the quantifiers binding x.
 
     Depth counts nodes on the longest root-to-leaf path, atoms being
     depth 1. Formulas are listed by depth, each once. Subformulas are
@@ -189,8 +152,8 @@ def enumerate_formulas(
                 if any(mark) if args else k == 1:
                     new.append(Conn(table.name, args))
         for f in layers[-1]:
-            new.append(Forall(quantifier_var, f))
-            new.append(Exists(quantifier_var, f))
+            new.append(Forall("x", f))
+            new.append(Exists("x", f))
         layers.append(new)
     return [f for layer in layers for f in layer]
 
@@ -254,7 +217,7 @@ def run_collapse_sweep(
         # disagreements in check order
         lanes = Lanes.for_batches(batches, sig)
         found: dict = {}  # (segment, model in segment) -> disagreements
-        for f, rho, alive, live, kripke, classical in _lane_values(lanes, formulas, None):
+        for f, rho, alive, live, kripke, classical in _lane_values(lanes, formulas):
             report.values += live
             diff = (kripke ^ classical) & alive
             if not diff:

@@ -58,14 +58,6 @@ class KripkeModel:
     constant_domain: bool
     future: Mapping
 
-    def value_at(self, w: str, pred: str, args: tuple) -> int:
-        return self.interp.get((w, pred, args), 0)
-
-
-def close_preorder(worlds: Sequence[str], pairs: Iterable) -> frozenset:
-    """Reflexive-transitive closure of the given relation."""
-    return closed_frame(worlds, pairs)[0]
-
 
 def closed_frame(worlds: Sequence[str], pairs: Iterable) -> tuple:
     """(order, future) of a frame: the reflexive-transitive closure of
@@ -457,6 +449,10 @@ class CdBatch:
         return (self.model(index) for index in range(self.width))
 
 
+# the most worlds a walk lists the frames of: _frames(7) alone would list
+# all 9,535,241 labeled preorders (OEIS A000798) before a model is counted
+MAX_FRAME_WORLDS = 6
+
 # the most models in one batch of cd_model_batches and in one pass of
 # cd_model_passes: each lane mask holds models * worlds bits, and a pass
 # keeps one mask per formula and assignment evaluated
@@ -479,7 +475,9 @@ def cd_model_batches(
     Raises EnumerationCapError before the models of the frame and domain
     size that would take the cumulative model count past the cap. The
     count runs over every labeled frame and domain size, yielded or
-    not, so a bound meets the cap where the labeled walk meets it."""
+    not, so a bound meets the cap where the labeled walk meets it.
+    Frames of more than MAX_FRAME_WORLDS worlds are refused the same way,
+    when the walk reaches them."""
     return (batch for batch in _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap)
             if batch is not None)
 
@@ -492,6 +490,11 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
     for n in range(1, max_worlds + 1):
+        if n > MAX_FRAME_WORLDS:
+            raise EnumerationCapError(
+                f"bound infeasible: frames of more than {MAX_FRAME_WORLDS} worlds "
+                f"are not enumerated, worlds<={max_worlds}"
+            )
         for _, worlds, order, future, vectors, representative in _frames(n):
             for size in range(1, max_domain + 1):
                 if len(sizes) < size:
@@ -724,7 +727,7 @@ def _model_file_interp(obj: dict, names: tuple) -> dict:
             raise _malformed(f"each interp entry needs the keys {', '.join(keys)}")
         if not all(isinstance(e[k], str) for k in names):
             raise _malformed(f"interp entry {' and '.join(names)} must be strings")
-        if not isinstance(e["value"], int):
+        if isinstance(e["value"], bool) or not isinstance(e["value"], int):
             raise _malformed(f"interp value {e['value']!r} is not an integer")
         args = tuple(_model_file_strings(e["args"], "interp entry args"))
         interp[(*(e[k] for k in names), args)] = int(e["value"])

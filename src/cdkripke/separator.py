@@ -500,7 +500,13 @@ def separate(sig: Signature):
 
 def _separated(sig: Signature) -> tuple:
     """(separate(sig), the report that verified it), or (AllMonotone(),
-    None), so that a caller needs no second verification."""
+    None), so that a caller needs no second verification. A connective
+    named like a symbol of the sequent is refused: the printed sequent
+    would not parse back."""
+    clash = sorted(ALLOWED_SYMBOLS.intersection(sig.connectives))
+    if clash:
+        raise UsageError(f"connective {clash[0]!r} has the name of a propositional symbol "
+                         f"of the separating sequent (p, q, r, s)")
     for name in sig.names():
         table = sig.connectives[name]
         witness = monotonicity_witness(table)

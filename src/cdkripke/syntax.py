@@ -231,46 +231,6 @@ def connective_names(formulas) -> set:
     return names
 
 
-def is_propositional(f: Formula) -> bool:
-    """True iff every atom is 0-ary and no quantifier occurs."""
-    if isinstance(f, Atom):
-        return not f.args
-    if isinstance(f, Conn):
-        return all(is_propositional(g) for g in f.args)
-    return False
-
-
-def is_propositional_sequent(s: Sequent) -> bool:
-    return all(is_propositional(f) for f in s.formulas)
-
-
-def substitute_symbol(f: Formula, target: Formula, replacement: Formula) -> Formula:
-    """Replace every subformula equal to target, outermost first.
-
-    Both target and replacement must be closed propositional formulas, so
-    no variable capture can occur.
-    """
-    for g in (target, replacement):
-        if not is_propositional(g) or g.fv:
-            raise UsageError("substitute_symbol needs closed propositional formulas")
-    return _substitute(f, target, replacement)
-
-
-def _substitute(f: Formula, target: Formula, replacement: Formula) -> Formula:
-    if f == target:
-        return replacement
-    if isinstance(f, Conn):
-        args = tuple(_substitute(g, target, replacement) for g in f.args)
-        return f if args == f.args else Conn(f.name, args)
-    if isinstance(f, Forall):
-        body = _substitute(f.body, target, replacement)
-        return f if body is f.body else Forall(f.var, body)
-    if isinstance(f, Exists):
-        body = _substitute(f.body, target, replacement)
-        return f if body is f.body else Exists(f.var, body)
-    return f
-
-
 def formula_depth(f: Formula) -> int:
     """Nodes on the longest root-to-leaf path; atoms have depth 1."""
     if isinstance(f, Atom):

@@ -38,13 +38,6 @@ def leq_vec(a: TruthVector, b: TruthVector) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def meet(a: TruthVector, b: TruthVector) -> TruthVector:
-    """Componentwise minimum; the greatest lower bound for leq_vec."""
-    if len(a) != len(b):
-        raise UsageError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x & y for x, y in zip(a, b))
-
-
 def invert(a: TruthVector) -> TruthVector:
     """Componentwise complement."""
     return tuple(1 - x for x in a)
@@ -154,10 +147,6 @@ def monotonicity_witness(table: TruthTable) -> Optional[tuple]:
                 if not i & ~j:
                     return index_vector(i, table.arity), index_vector(j, table.arity)
     return None
-
-
-def is_monotonic(table: TruthTable) -> bool:
-    return monotonicity_witness(table) is None
 
 
 def classify_case(table: TruthTable) -> str:
@@ -277,7 +266,8 @@ def load_signature(path) -> Signature:
         return parse_signature(fh.read())
 
 
-def all_tables(arity: int, name: str = "c") -> Iterable[TruthTable]:
-    """All 2**(2**arity) truth tables of the given arity, in output order."""
+def all_tables(arity: int) -> Iterable[TruthTable]:
+    """All 2**(2**arity) truth tables of the given arity, named c, in
+    output order."""
     for bits in itertools.product((0, 1), repeat=2 ** arity):
-        yield TruthTable(name, arity, bits)
+        yield TruthTable("c", arity, bits)

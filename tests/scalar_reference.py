@@ -43,7 +43,7 @@ from cdkripke.syntax import (
     Formula,
     Sequent,
     free_vars,
-    is_propositional_sequent,
+    predicate_shape,
     predicates,
     print_sequent,
 )
@@ -162,7 +162,7 @@ def kripke_violations(model: KripkeModel) -> list:
             continue
         if value == 1:
             for v in model.future[w]:
-                if v != w and model.value_at(v, pred, args) == 0:
+                if v != w and model.interp.get((v, pred, args), 0) == 0:
                     out.append(
                         Violation(
                             "heredity",
@@ -540,11 +540,11 @@ def verify_separation(result) -> VerificationReport:
         report.add("countermodel-validates", False, str(exc))
 
     # shape of the sequent
-    report.add(
-        "sequent-propositional",
-        is_propositional_sequent(result.sequent),
-        print_sequent(result.sequent),
-    )
+    try:
+        propositional = predicate_shape(result.sequent)[1]
+    except UsageError:
+        propositional = False  # an arity clash needs an atom with arguments
+    report.add("sequent-propositional", propositional, print_sequent(result.sequent))
     try:
         symbols = set(predicates(result.sequent))
         report.add(

@@ -97,7 +97,7 @@ def test_criterion_3_peirce_derivation():
     )
     assert result.sequent == peirce
     assert result.countermodel.worlds == ("w0", "w1")
-    assert result.countermodel.value_at("w1", "p", ()) == 1
+    assert result.countermodel.interp.get(("w1", "p", ()), 0) == 1
     assert result.failing_world == "w0"
     verdict = model_validity(result.countermodel, result.sequent, result.signature())
     assert verdict == Failure("w0", {})

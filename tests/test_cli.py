@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cdkripke import cli
+from cdkripke import cli, kripke
 from cdkripke.cli import (
     EXIT_ALL_MONOTONE,
     EXIT_INPUT,
@@ -181,6 +181,23 @@ class TestSeparate:
         assert code == EXIT_ALL_MONOTONE
         assert "all monotone" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["p", "q", "r", "s"])
+    def test_connective_named_like_a_symbol_exits_2(self, name, files, capsys):
+        # p(p(p)) => p would not parse back
+        code = main(["separate", "--sig", files("s.txt", f"{MONO_SIG}conn {name} 1 10\n")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: connective {name!r} ")
+
+    def test_printed_sequent_parses_back(self, files, capsys):
+        sig = "conn x 1 10\n"
+        code = main(["separate", "--sig", files("s.txt", sig), "--format", "json"])
+        assert code == EXIT_OK
+        text = json.loads(capsys.readouterr().out)["sequent"]
+        assert text == "x(x(p)) => p"
+        code = main(["valid", "--sig", files("s.txt", sig), "--mode", "classical-prop",
+                     "--sequent", text])
+        assert code == EXIT_OK
+
 
 class TestVerifyPaper:
     def test_passes(self, capsys):
@@ -241,6 +258,33 @@ class TestBadInput:
         )
         assert code == EXIT_INPUT
         assert "bound infeasible" in capsys.readouterr().err
+
+    def test_seven_worlds_keep_a_one_world_refutation(self, files, capsys):
+        code = main(
+            ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", "cd-search",
+             "--max-worlds", "7", "--max-domain", "1", "--sequent", "=> p", "--format", "json"]
+        )
+        assert code == EXIT_NEGATIVE
+        assert json.loads(capsys.readouterr().out)["model"]["worlds"] == ["w0"]
+
+    def test_frames_of_seven_worlds_are_refused(self, files, capsys, monkeypatch):
+        # no frames of three to six worlds, so the walk reaches seven at once
+        listed, real = [], kripke._frames
+
+        def frames(n):
+            listed.append(n)
+            return real(n) if n <= 2 else ()
+
+        monkeypatch.setattr(kripke, "_frames", frames)
+        code = main(
+            ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", "cd-search",
+             "--max-worlds", "7", "--max-domain", "1", "--sequent", "p => p"]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: bound infeasible: frames of more than 6 worlds are not enumerated, "
+            "worlds<=7\n")
+        assert listed == [1, 2, 3, 4, 5, 6]
 
 
 class TestArgumentsFromFiles:
@@ -309,20 +353,24 @@ class TestInputBoundary:
         )
 
     def test_non_integer_value_in_kripke_model(self, files, capsys):
-        model = dict(KSTAR, interp=[{"world": "w1", "pred": "p", "args": [], "value": "x"}])
-        self._input_error(
-            ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", model),
-             "--formula", "p", "--all-worlds"],
-            capsys,
-        )
+        # JSON true reads as a Python bool, which is an int subclass
+        for value in ("x", True):
+            model = dict(KSTAR, interp=[{"world": "w1", "pred": "p", "args": [],
+                                         "value": value}])
+            self._input_error(
+                ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", model),
+                 "--formula", "p", "--all-worlds"],
+                capsys,
+            )
 
     def test_non_integer_value_in_classical_model(self, files, capsys):
-        model = {"domain": ["a1"], "interp": [{"pred": "p", "args": [], "value": "x"}]}
-        self._input_error(
-            ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", model),
-             "--formula", "p"],
-            capsys,
-        )
+        for value in ("x", True):
+            model = {"domain": ["a1"], "interp": [{"pred": "p", "args": [], "value": value}]}
+            self._input_error(
+                ["eval", "--sig", files("s.txt", MONO_SIG), "--model", files("m.json", model),
+                 "--formula", "p"],
+                capsys,
+            )
 
 
     def _model_file_error(self, files, capsys, model):

@@ -25,6 +25,9 @@ from cdkripke.cli import main
 # the connectives of the generated signatures and formulas, with the
 # arity formulas apply them at; "c" gets a generated table of any arity
 CONNECTIVES = [("and", 2), ("or", 2), ("not", 1), ("implies", 2), ("c", 2)]
+# the names a generated table gets: "c", the symbols of a separating
+# sequent and a variable name
+TABLE_NAMES = ["c", "p", "q", "r", "s", "x"]
 STANDARD = ["conn and 2 0001", "conn or 2 0111", "conn not 1 10", "conn implies 2 1101"]
 WORLDS = ["w0", "w1", "w2"]
 ELEMENTS = ["a1", "a2"]
@@ -56,7 +59,7 @@ malformed_table = st.builds(
 signature_line = rarely(
     st.one_of(st.just("# comment"), short_text,
               st.builds("conn {} {}".format, st.sampled_from(["and", "c"]), malformed_table)),
-    st.builds("conn c {}".format, table),
+    st.builds("conn {} {}".format, st.sampled_from(TABLE_NAMES), table),
 )
 signature_text = st.builds(
     lambda standard, extra: "\n".join(standard + extra),

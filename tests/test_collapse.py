@@ -131,13 +131,6 @@ class TestCheckCollapse:
         with pytest.raises(UsageError):
             check_collapse(growing, [Atom("p")], MONO)
 
-    def test_report_serialization(self):
-        report = check_collapse(kstar(), [Atom("p")], MONO, model_id="m0")
-        obj = report.to_json()
-        assert obj["model"] == "m0"
-        assert obj["agreement"] is True
-        assert obj["disagreements"] == []
-
 
 class TestFormulaEnumeration:
     def test_depth_counts(self):

@@ -14,7 +14,7 @@ from cdkripke.kripke import (
     assemble_kripke_model,
     bounded_cd_countermodel_search,
     check_heredity,
-    close_preorder,
+    closed_frame,
     enumerate_cd_models,
     enumerate_preorders,
     kripke_model_from_json,
@@ -109,7 +109,7 @@ class TestValidation:
         assert [v.code for v in kripke_violations(model)] == ["empty-worlds"]
 
     def test_order_is_closed(self):
-        order = close_preorder(("w0", "w1", "w2"), [("w0", "w1"), ("w1", "w2")])
+        order = closed_frame(("w0", "w1", "w2"), [("w0", "w1"), ("w1", "w2")])[0]
         assert ("w0", "w2") in order
         assert ("w0", "w0") in order
 
@@ -327,7 +327,7 @@ class TestPreorders:
         for n in range(5):
             for matrix, worlds, order, future, vectors, _ in _frames(n):
                 assert vectors == tuple(scalar_reference.monotone_world_vectors(matrix))
-                assert order == close_preorder(worlds, order)
+                assert order == closed_frame(worlds, order)[0]
                 assert all(future[w] == tuple(v for v in worlds if (w, v) in order)
                            for w in worlds)
 

@@ -52,7 +52,7 @@ ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
 IMPLIES = standard_signature("implies")
 
 
-def scalar_collapse(model, formulas, sig, assignments=None):
+def scalar_collapse(model, formulas, sig):
     """(checked, pairs, disagreements) from the scalar evaluators."""
     worlds = model.worlds
     kripke = KripkeEvaluator(model, sig)
@@ -60,11 +60,8 @@ def scalar_collapse(model, formulas, sig, assignments=None):
     domain = model.domains[worlds[0]]
     checked, pairs, disagreements = 0, [], []
     for f in formulas:
-        rhos = assignments
-        if rhos is None:
-            rhos = [dict(zip(f.fvs, values))
-                    for values in itertools.product(domain, repeat=len(f.fvs))]
-        for rho in rhos:
+        for values in itertools.product(domain, repeat=len(f.fvs)):
+            rho = dict(zip(f.fvs, values))
             profile = kripke.profile(f, rho)
             checked += len(worlds)
             for i, w in enumerate(worlds):
@@ -93,20 +90,6 @@ class TestCheckCollapseAgainstScalar:
             assert report.checked == checked
             assert report.pairs == pairs
             assert report.disagreements == disagreements
-
-    def test_fixed_assignments(self):
-        rng = random.Random(9_200)
-        for _ in range(40):
-            model = random_cd_model(rng)
-            domain = model.domains[model.worlds[0]]
-            rhos = [{"x": a, "y": domain[0]} for a in reversed(domain)]
-            formulas = [random_formula(rng, MIXED_SIGNATURE, depth=4) for _ in range(6)]
-            report = check_collapse(model, formulas, MIXED_SIGNATURE,
-                                    assignments=rhos, precheck=False)
-            checked, pairs, disagreements = scalar_collapse(
-                model, formulas, MIXED_SIGNATURE, rhos)
-            assert (report.checked, report.pairs, report.disagreements) == (
-                checked, pairs, disagreements)
 
     def test_implies_disagreement_found(self):
         model = validate_kripke_model(

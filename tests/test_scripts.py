@@ -4,7 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from cdkripke import separator
+from cdkripke import kripke, separator
 from cdkripke.truthfn import all_tables, monotonicity_witness
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -46,3 +46,20 @@ def test_separate_sweep_checks_the_dedekind_numbers(monkeypatch, capsys):
     monkeypatch.setitem(script.DEDEKIND, 2, 7)
     assert script.main() == 1
     assert capsys.readouterr().err == "error: arity 2: 6 monotone tables, expected 7\n"
+
+
+def test_collapse_sweep_reports_an_infeasible_bound(monkeypatch, capsys):
+    script = load_script("collapse_sweep")
+    monkeypatch.setattr(sys, "argv", ["collapse_sweep.py", "--max-worlds", "2", "--depth", "2"])
+    monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "10")
+    assert script.main() == 2
+    assert capsys.readouterr() == (
+        "", "error: bound infeasible: more than 10 constant-domain models within "
+        "worlds<=2, domain<=2\n")
+    # no frames of two to six worlds, so the walk reaches seven at once
+    monkeypatch.delenv("CDKRIPKE_MAX_ENUM")
+    monkeypatch.setattr(kripke, "_frames", lambda n, real=kripke._frames: real(n) if n == 1 else ())
+    monkeypatch.setattr(sys, "argv", ["collapse_sweep.py", "--max-worlds", "7", "--depth", "2"])
+    assert script.main() == 2
+    assert capsys.readouterr().err == (
+        "error: bound infeasible: frames of more than 6 worlds are not enumerated, worlds<=7\n")

@@ -26,8 +26,8 @@ from cdkripke.syntax import (
     Conn,
     Sequent,
     free_vars,
-    is_propositional_sequent,
     parse_sequent,
+    predicate_shape,
     predicates,
     print_sequent,
 )
@@ -102,10 +102,10 @@ class TestPeirce:
         result = separate(Signature.of(IMPLIES))
         model = result.countermodel
         assert model.worlds == ("w0", "w1")
-        assert model.value_at("w0", "p", ()) == 0
-        assert model.value_at("w1", "p", ()) == 1
-        assert model.value_at("w0", "q", ()) == 0
-        assert model.value_at("w1", "q", ()) == 0
+        assert model.interp.get(("w0", "p", ()), 0) == 0
+        assert model.interp.get(("w1", "p", ()), 0) == 1
+        assert model.interp.get(("w0", "q", ()), 0) == 0
+        assert model.interp.get(("w1", "q", ()), 0) == 0
 
 
 class TestNegation:
@@ -297,7 +297,7 @@ class TestSeparate:
             if monotonicity_witness(table) is None:
                 continue
             result = separate(Signature.of(table))
-            assert is_propositional_sequent(result.sequent)
+            assert predicate_shape(result.sequent)[1]
             assert not free_vars(result.sequent)
             assert set(predicates(result.sequent)) <= {"p", "q", "r", "s"}
             assert not kripke_violations(result.countermodel)
@@ -340,13 +340,13 @@ class TestVerification:
 class TestChainModel:
     def test_without_r(self):
         model = chain_countermodel(with_r=False)
-        assert model.value_at("w0", "r", ()) == 0
+        assert model.interp.get(("w0", "r", ()), 0) == 0
         assert not kripke_violations(model)
 
     def test_with_r(self):
         model = chain_countermodel(with_r=True)
-        assert model.value_at("w0", "r", ()) == 1
-        assert model.value_at("w1", "r", ()) == 1
+        assert model.interp.get(("w0", "r", ()), 0) == 1
+        assert model.interp.get(("w1", "r", ()), 0) == 1
 
     @pytest.mark.parametrize("with_r", [False, True])
     def test_built_once_and_read_only(self, with_r):

@@ -11,7 +11,7 @@ from cdkripke.suites import (
     run_heredity_suite,
     run_lift_suite,
 )
-from cdkripke.syntax import Atom, free_vars, is_propositional_sequent
+from cdkripke.syntax import Atom, free_vars, predicate_shape
 from cdkripke.truthfn import standard_signature
 
 SIG = standard_signature("and", "or", "implies", "nand", "xor", "not")
@@ -39,7 +39,7 @@ class TestGenerators:
         rng = random.Random(4)
         for _ in range(100):
             s = random_propositional_sequent(rng, SIG)
-            assert is_propositional_sequent(s)
+            assert predicate_shape(s)[1]
             assert s.succedent
 
 

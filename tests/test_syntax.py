@@ -11,13 +11,12 @@ from cdkripke.syntax import (
     Sequent,
     formula_depth,
     free_vars,
-    is_propositional,
     parse_formula,
     parse_sequent,
+    predicate_shape,
     predicates,
     print_formula,
     print_sequent,
-    substitute_symbol,
 )
 from cdkripke.truthfn import standard_signature
 
@@ -43,53 +42,13 @@ class TestFreeVars:
 
 class TestPropositional:
     def test_zero_ary_connective_formula(self):
-        assert is_propositional(Conn("and", (Atom("p"), Atom("q"))))
+        assert predicate_shape(Conn("and", (Atom("p"), Atom("q"))))[1]
 
     def test_unary_predicate_is_not(self):
-        assert not is_propositional(Atom("p", ("x",)))
+        assert not predicate_shape(Atom("p", ("x",)))[1]
 
     def test_quantifier_over_propositional_body_is_not(self):
-        assert not is_propositional(Forall("x", Atom("p")))
-
-
-def substitute_oracle(f, target, replacement):
-    """Structural recursion written out independently."""
-    if f == target:
-        return replacement
-    if isinstance(f, Conn):
-        return Conn(f.name, tuple(substitute_oracle(g, target, replacement) for g in f.args))
-    if isinstance(f, Forall):
-        return Forall(f.var, substitute_oracle(f.body, target, replacement))
-    if isinstance(f, Exists):
-        return Exists(f.var, substitute_oracle(f.body, target, replacement))
-    return f
-
-
-class TestSubstitution:
-    def test_single_occurrence(self):
-        tau = Conn("implies", (Atom("s"), Atom("s")))
-        f = Conn("and", (tau, Atom("p")))
-        assert substitute_symbol(f, tau, Atom("r")) == Conn("and", (Atom("r"), Atom("p")))
-
-    def test_whole_formula(self):
-        tau = Conn("implies", (Atom("s"), Atom("s")))
-        assert substitute_symbol(tau, tau, Atom("r")) == Atom("r")
-
-    def test_both_occurrences_replaced(self):
-        inner = Conn("and", (Atom("s"), Atom("s")))
-        f = Conn("and", (inner, inner))
-        got = substitute_symbol(f, inner, Atom("r"))
-        assert got == Conn("and", (Atom("r"), Atom("r")))
-        assert got == substitute_oracle(f, inner, Atom("r"))
-
-    def test_rejects_open_target(self):
-        with pytest.raises(UsageError):
-            substitute_symbol(Atom("p"), Atom("P", ("x",)), Atom("r"))
-
-    def test_closed_substitution_keeps_free_vars(self):
-        tau = Conn("implies", (Atom("s"), Atom("s")))
-        f = Forall("x", Conn("and", (tau, Atom("P", ("x", "y")))))
-        assert free_vars(substitute_symbol(f, tau, Atom("r"))) == free_vars(f)
+        assert not predicate_shape(Forall("x", Atom("p")))[1]
 
 
 class TestParser:

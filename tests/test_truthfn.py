@@ -12,9 +12,7 @@ from cdkripke.truthfn import (
     eval_table,
     index_vector,
     invert,
-    is_monotonic,
     leq_vec,
-    meet,
     monotonicity_witness,
     parse_signature,
     relative_invert,
@@ -40,8 +38,6 @@ class TestOrder:
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
             leq_vec((0,), (0, 1))
-        with pytest.raises(UsageError):
-            meet((0,), (0, 1))
 
     @pytest.mark.parametrize("n", range(5))
     def test_partial_order(self, n):
@@ -58,22 +54,6 @@ class TestOrder:
                     for c in vs:
                         if leq_vec(a, b) and leq_vec(b, c):
                             assert leq_vec(a, c)
-
-    def test_meet_examples(self):
-        assert meet((0, 1), (1, 1)) == (0, 1)
-        assert meet((1, 1), (1, 1)) == (1, 1)
-        assert meet((1, 0, 1), (0, 1, 1)) == (0, 0, 1)
-
-    @pytest.mark.parametrize("n", range(4))
-    def test_meet_is_greatest_lower_bound(self, n):
-        vs = all_vectors(n)
-        for a in vs:
-            for b in vs:
-                m = meet(a, b)
-                assert leq_vec(m, a) and leq_vec(m, b)
-                for c in vs:
-                    if leq_vec(c, a) and leq_vec(c, b):
-                        assert leq_vec(c, m)
 
 
 class TestInversion:
@@ -139,7 +119,7 @@ class TestTables:
         top = standard_table("top")
         assert top.arity == 0
         assert eval_table(top, ()) == 1
-        assert is_monotonic(top)
+        assert monotonicity_witness(top) is None
         assert classify_case(top) == "d"
         assert classify_case(standard_table("bot")) == "a"
 
