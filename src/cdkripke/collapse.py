@@ -109,20 +109,32 @@ def check_collapse(
         raise UsageError("check_collapse needs a constant-domain model")
     if precheck:
         require_monotone(formulas, sig)
+    return segment_collapse(Lanes.for_model(model, sig), 0, model, formulas, keep_pairs)
+
+
+def segment_collapse(lanes: Lanes, segment: int, model: KripkeModel,
+                     formulas: Sequence[Formula], keep_pairs: bool) -> CollapseReport:
+    """check_collapse of the constant-domain model, without its checks,
+    read from lanes, in which model alone is the given segment. The
+    assignments range over the model's domain, in its order."""
     report = CollapseReport()
     worlds = model.worlds
-    for f, rho, _, live, kripke, classical in _lane_values(
-            Lanes.for_model(model, sig), formulas):
-        report.checked += live
-        if not keep_pairs and kripke == classical:
-            continue
-        key = tuple(sorted(rho.items()))
-        for i, w in enumerate(worlds):
-            kv, cv = kripke >> i & 1, classical >> i & 1
-            if keep_pairs:
-                report.pairs.append((w, f, key, kv, cv))
-            if kv != cv:
-                report.disagreements.append((w, f, key, kv, cv))
+    domain = model.domains[worlds[0]]
+    for f in formulas:
+        for values in itertools.product(domain, repeat=len(f.fvs)):
+            rho = dict(zip(f.fvs, values))
+            kripke, classical = lanes.value(f, rho)
+            kripke, classical = lanes.segment(kripke, segment), lanes.segment(classical, segment)
+            report.checked += len(worlds)
+            if not keep_pairs and kripke == classical:
+                continue
+            key = tuple(sorted(rho.items()))
+            for i, w in enumerate(worlds):
+                kv, cv = kripke >> i & 1, classical >> i & 1
+                if keep_pairs:
+                    report.pairs.append((w, f, key, kv, cv))
+                if kv != cv:
+                    report.disagreements.append((w, f, key, kv, cv))
     return report
 
 

@@ -11,7 +11,9 @@ Every evaluation runs on the lane core of ``lanes``: one model is
 Lanes.for_model, its growing domains existence masks, and a search
 evaluates one lane set per pass, the interpretations of every frame of
 one world count and every domain size at once, each element existing
-on the models whose domain holds it.
+on the models whose domain holds it. check_heredity reads one model's
+segment through segment_heredity, which the heredity suite runs on the
+segments of many models' Lanes.for_models.
 Heredity and domain monotonicity are enforced when a model is validated;
 evaluation assumes them and never re-checks.
 """
@@ -281,9 +283,17 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     """
     lanes = Lanes.for_model(model, sig)
     lanes.cross_check = False
+    return segment_heredity(lanes, 0, model, f, rho)
+
+
+def segment_heredity(lanes: Lanes, segment: int, model: KripkeModel, f: Formula,
+                     rho: Mapping) -> bool:
+    """check_heredity of model, read from lanes, in which model alone is
+    the given segment; lanes.cross_check must be off where a model may
+    not be hereditary."""
     value = lanes.value(f, rho)[0]
     # the worlds where f holds but fails at some world above
-    drops = value & ~lanes.box(value)
+    drops = lanes.segment(value & ~lanes.box(value), segment)
     return not any(drops >> i & 1 and all(rho[x] in model.domains[w] for x in f.fv)
                    for i, w in enumerate(model.worlds))
 

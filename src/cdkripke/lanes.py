@@ -7,11 +7,14 @@ models of a segment may have a different world count n from those of
 the next: bit ``start + model_index * n + world_index`` holds the value
 at that world of the model_index-th model of the segment whose first
 lane is start. This module alone knows that layout: Lanes takes the
-segments as (future, models) pairs, and Lanes.locate maps a lane back
-to its segment, model and world. The classical side is the value in
-the world's projection. Both sides read the same atomic masks; a
-connective applies its truth table lane by lane, through the terms
-compiled once per table (TruthTable.lane_terms). The Kripke side of a
+segments as (future, models) pairs, Lanes.locate maps a lane back to
+its segment, model and world, and Lanes.segment reads a segment's bits.
+Lanes.for_models lays out KripkeModels, a segment each, and
+Lanes.for_batches the interpretations of CdBatches, a segment per
+batch. The classical side is the value in the world's projection.
+Both sides read the same atomic masks; a connective applies its truth
+table lane by lane, through the terms compiled once per table
+(TruthTable.lane_terms). The Kripke side of a
 connective or of a universal is then boxed: its bit at world i of a
 model is the AND of its bits at every world above i in that model's
 frame. World j lies d = j - i places above world i in the mask, so
@@ -27,9 +30,9 @@ An element that does not exist on every lane has an existence mask E_a:
 is ``OR_a (phi_a & E_a)``. A value is meaningful only on the lanes where
 every value of the assignment exists; no clause reads the other lanes'
 bits there. One model's growing domains have such masks, and so has a
-lane set of batches whose models have domains of several sizes: its
-domain is the largest, and each element exists on the models whose
-domain holds it. Where each model's domain is constant, every Kripke
+lane set of models or batches whose domains differ: its domain holds
+every element, and each element exists on the lanes whose domain
+holds it. Where each model's domain is constant, every Kripke
 value is hereditary on every lane, and each universal may be
 cross-checked against its present-world reading.
 """
@@ -55,17 +58,18 @@ class Lanes:
     models on one frame, in lane order: future lists, for each world
     index, the indices of the worlds above it, and the segment takes
     models * n lanes, n its frame's world count. ``width`` is the number
-    of models in all, and locate maps a lane back to its segment, model
-    and world. ``atoms`` maps (predicate, argument tuple) to its lane
-    mask, absent atoms reading 0; ``full`` has every lane set.
-    ``exists`` maps each element of ``domain`` to the lanes where it
-    exists, or is None when every element exists everywhere.
-    ``cross_check`` asserts that each universal equals its present-world
-    reading, which relies on heredity and so on each model's domain
-    being constant: it starts on when exists is None, and for_batches
-    turns it on. The memo is keyed by formula structure and the
-    assignment restricted to the formula's free variables; call clear()
-    when the models are done with.
+    of models in all; locate maps a lane back to its segment, model and
+    world, and segment(mask, index) gives mask's bits on one segment.
+    ``atoms`` maps (predicate, argument tuple) to its lane mask, absent
+    atoms reading 0; ``full`` has every lane set. ``exists`` maps each
+    element of ``domain`` to the lanes where it exists, or is None when
+    every element exists everywhere. ``cross_check`` asserts that each
+    universal equals its present-world reading, which relies on heredity
+    and so on each model's domain being constant: it starts on when
+    exists is None, and for_models and for_batches turn it on where
+    every model's domain is constant. The memo is keyed by formula
+    structure and the assignment restricted to the formula's free
+    variables; call clear() when the models are done with.
     """
 
     def __init__(self, sig: Signature, frames: Sequence[tuple], domain: tuple,
@@ -83,27 +87,57 @@ class Lanes:
 
     @classmethod
     def for_model(cls, model: KripkeModel, sig: Signature) -> Lanes:
-        """One model, one segment of it: lane i is world i. Growing domains
-        get existence masks, the elements in order of first appearance."""
-        return cls(sig, *cls.layout(model))
+        """Lanes.for_models of the one model: lane i is world i, and a
+        growing domain gets existence masks."""
+        # exists is None exactly where the one model's domain is constant
+        return cls(sig, *cls.layout((model,)))
+
+    @classmethod
+    def for_models(cls, models: Sequence[KripkeModel], sig: Signature) -> Lanes:
+        """The models one after another, each a segment of its own, in
+        the given order: lane start + i is world i of the model whose
+        segment starts at start, and segment(mask, k) reads the k-th
+        model's bits. The domain is every element of every model, and
+        an element exists on the lanes of the worlds whose domain holds
+        it. The universals are cross-checked when every model's domain
+        is constant."""
+        lanes = cls(sig, *cls.layout(models))
+        if lanes.exists is not None:
+            lanes.cross_check = all(model.constant_domain for model in models)
+        return lanes
 
     @staticmethod
-    def layout(model: KripkeModel) -> tuple:
-        """The arguments after sig that Lanes.for_model passes to Lanes;
+    def layout(models: Sequence[KripkeModel]) -> tuple:
+        """The arguments after sig that Lanes.for_models passes to Lanes;
         none of them is mutated later, so one layout may serve many
-        Lanes of a model that does not change."""
-        windex = {w: i for i, w in enumerate(model.worlds)}
-        atoms: dict = {}
-        for (w, pred, args), value in model.interp.items():
-            if value and w in windex:
-                atoms[(pred, args)] = atoms.get((pred, args), 0) | (1 << windex[w])
-        frames = ((tuple(tuple(windex[v] for v in model.future[w]) for w in model.worlds), 1),)
-        if model.constant_domain:
-            return frames, model.domains[model.worlds[0]], atoms
-        exists: dict = {}
-        for i, w in enumerate(model.worlds):
-            for a in model.domains[w]:
-                exists[a] = exists.get(a, 0) | (1 << i)
+        Lanes of models that do not change. Unless every model has the
+        same constant domain, in the same order, each element gets an
+        existence mask, the elements in order of first appearance."""
+        first = models[0]
+        domain = first.domains[first.worlds[0]] if first.constant_domain else None
+        exists = None if domain is not None else {}
+        for model in models:
+            if exists is None and not (model.constant_domain
+                                       and model.domains[model.worlds[0]] == domain):
+                exists = {}
+        frames, atoms = [], {}
+        start = 0
+        for model in models:
+            worlds, future = model.worlds, model.future
+            windex = {w: i for i, w in enumerate(worlds)}
+            for (w, pred, args), value in model.interp.items():
+                if value and w in windex:
+                    key = pred, args
+                    atoms[key] = atoms.get(key, 0) | 1 << start + windex[w]
+            frames.append((tuple([tuple([windex[v] for v in future[w]]) for w in worlds]), 1))
+            if exists is not None:
+                domains = model.domains
+                for i, w in enumerate(worlds):
+                    for a in domains[w]:
+                        exists[a] = exists.get(a, 0) | 1 << start + i
+            start += len(worlds)
+        if exists is None:
+            return frames, domain, atoms
         return frames, tuple(exists), atoms, exists
 
     @classmethod
@@ -169,6 +203,13 @@ class Lanes:
 
     def clear(self):
         self._memo.clear()
+
+    def segment(self, mask: int, index: int) -> int:
+        """mask's bits on the index-th segment of frames, its first lane
+        at bit 0."""
+        start = self._starts[index]
+        end = self._starts[index + 1] if index + 1 < len(self._starts) else self._lanes
+        return mask >> start & (1 << end - start) - 1
 
     def locate(self, lane: int) -> tuple:
         """(segment, model, world) that a lane holds: the index of its

@@ -138,7 +138,7 @@ def _chain(with_r: bool) -> tuple:
         interp=MappingProxyType(model.interp),
         future=MappingProxyType(model.future),
     )
-    return model, Lanes.layout(model)
+    return model, Lanes.layout((model,))
 
 
 def build_negation(table: TruthTable, f: Formula) -> Formula:

@@ -10,6 +10,14 @@ Three suites, all reproducible from their seed:
   collapse   over a monotonic signature, constant-domain Kripke values
              coincide with the per-world classical projections.
 
+The heredity and collapse suites draw their trials in runs of at most
+RUN_TRIALS, each trial's model and then its formula from the seeded
+generator. A run's models are evaluated in one Lanes.for_models, and
+each trial's verdict is read from its model's segment alone by the code
+that check_heredity and check_collapse run on one model, so a verdict
+is the one a check of that trial alone gives. The collapse suite
+refuses a non-monotonic signature before it draws anything.
+
 Reports are plain data. Rendering them twice from the same seed gives
 byte-identical text, so they can serve as golden artifacts.
 """
@@ -18,23 +26,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .classical import Countermodel, decide_propositional
-from .collapse import check_collapse, lift_classical
+from .collapse import lift_classical, require_monotone, segment_collapse
 from .kripke import (
     Failure,
     KripkeModel,
-    check_heredity,
     closed_frame,
     model_validity,
+    segment_heredity,
     validate_kripke_model,
 )
+from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, Sequent
 from .truthfn import Signature, standard_signature
 
 MIXED_SIGNATURE = standard_signature("and", "or", "implies", "nand", "xor", "not")
 MONOTONE_SIGNATURE = standard_signature("and", "or")
+
+# the most trials drawn before their models are evaluated in one Lanes:
+# it bounds the memory and the integer width of a lane set
+RUN_TRIALS = 128
 
 _PREDS = {"p": 0, "q": 0, "P": 1}
 _ATOMS = (Atom("p"), Atom("q"), Atom("P", ("x",)))
@@ -158,6 +171,16 @@ class SuiteReport:
         }
 
 
+def _runs(trials: int, draw: Callable[[], tuple], sig: Signature) -> Iterator[tuple]:
+    """(first, drawn, lanes) for each run of at most RUN_TRIALS trials:
+    the index of its first trial, its (model, formula) pairs, one draw()
+    per trial in trial order, and Lanes.for_models of their models, each
+    trial's model the segment of the trial's index in the run."""
+    for first in range(0, trials, RUN_TRIALS):
+        drawn = [draw() for _ in range(min(RUN_TRIALS, trials - first))]
+        yield first, drawn, Lanes.for_models([model for model, _ in drawn], sig)
+
+
 def run_heredity_suite(
     seed: int,
     trials: int = 10_000,
@@ -167,12 +190,19 @@ def run_heredity_suite(
     sig = sig or MIXED_SIGNATURE
     rng = random.Random(seed)
     report = SuiteReport("heredity", seed, trials)
-    for i in range(trials):
+
+    def draw():
         model = random_kripke_model(rng)
-        f = random_formula(rng, sig, depth=4)
-        rho = {"x": "a1"} if f.fv else {}
-        if not check_heredity(model, f, rho, sig):
-            report.violations.append(f"trial {i}: {f} drops along the order of {model}")
+        return model, random_formula(rng, sig, depth=4)
+
+    for first, drawn, lanes in _runs(trials, draw, sig):
+        # as in check_heredity, which is the one-trial case
+        lanes.cross_check = False
+        for segment, (model, f) in enumerate(drawn):
+            rho = {"x": "a1"} if f.fv else {}
+            if not segment_heredity(lanes, segment, model, f, rho):
+                report.violations.append(
+                    f"trial {first + segment}: {f} drops along the order of {model}")
     return report
 
 
@@ -206,19 +236,26 @@ def run_collapse_suite(
     depth: int = 3,
 ) -> SuiteReport:
     """Constant-domain values match per-world classical projections over
-    a monotonic signature."""
+    a monotonic signature; a signature with a non-monotonic connective
+    is refused, as require_monotone refuses it, before the first trial."""
     sig = sig or MONOTONE_SIGNATURE
+    require_monotone([Conn(name, (_ATOMS[0],) * sig.arity(name)) for name in sig.names()], sig)
     rng = random.Random(seed)
     report = SuiteReport("collapse", seed, trials)
-    for i in range(trials):
+
+    def draw():
         model = random_kripke_model(rng, constant_domain=True)
-        f = random_formula(rng, sig, depth=depth)
-        sub = check_collapse(model, [f], sig, keep_pairs=False, precheck=(i == 0))
-        if not sub.agreement:
-            w, g, rho, kv, cv = sub.disagreements[0]
-            report.violations.append(
-                f"trial {i}: {g} at {w} under {dict(rho)}: kripke={kv} classical={cv}"
-            )
+        return model, random_formula(rng, sig, depth=depth)
+
+    for first, drawn, lanes in _runs(trials, draw, sig):
+        for segment, (model, f) in enumerate(drawn):
+            sub = segment_collapse(lanes, segment, model, [f], keep_pairs=False)
+            if not sub.agreement:
+                w, g, rho, kv, cv = sub.disagreements[0]
+                report.violations.append(
+                    f"trial {first + segment}: {g} at {w} under {dict(rho)}: "
+                    f"kripke={kv} classical={cv}"
+                )
     return report
 
 

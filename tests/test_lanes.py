@@ -10,7 +10,13 @@ import random
 
 import pytest
 
-from cdkripke.classical import Countermodel, Valid, bounded_fo_validity, decide_propositional
+from cdkripke.classical import (
+    ClassicalModel,
+    Countermodel,
+    Valid,
+    bounded_fo_validity,
+    decide_propositional,
+)
 from cdkripke.collapse import (
     check_collapse,
     enumerate_formulas,
@@ -45,7 +51,12 @@ from cdkripke.syntax import (
     predicates,
 )
 from cdkripke.truthfn import Signature, TruthTable, all_tables, standard_signature
-from scalar_reference import ClassicalEvaluator, KripkeEvaluator, model_validity
+from scalar_reference import (
+    ClassicalEvaluator,
+    KripkeEvaluator,
+    close_preorder,
+    model_validity,
+)
 
 PREDS = {"p": 0, "q": 0, "P": 1}
 ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
@@ -265,6 +276,78 @@ class TestCdSearchAgainstScalar:
             checked += 1
             assert bounded_cd_countermodel_search(sig, s, *bounds) == (
                 scalar_cd_search(sig, s, *bounds)), str(s)
+
+
+def mixed_models(rng):
+    """Random models of one to three worlds, growing and constant, with
+    domains of one and two elements, in no walk order, and one model
+    whose domain is neither a1 first nor shared with the others."""
+    models = [random_kripke_model(rng, max_worlds=3, max_domain=rng.choice((1, 2)),
+                                  constant_domain=rng.random() < 0.5)
+              for _ in range(12)]
+    odd = validate_kripke_model(["u", "v"], [("v", "u")], {"u": ("b1", "a1"), "v": ("b1", "a1")},
+                                {("v", "P", ("b1",)): 1, ("u", "P", ("b1",)): 1,
+                                 ("u", "q", ()): 1})
+    models.insert(rng.randrange(len(models) + 1), odd)
+    return models
+
+
+def world_projection(model, w):
+    """The classical model at world w, its domain the world's own."""
+    return ClassicalModel(model.domains[w], {(pred, args): value for (world, pred, args), value
+                                             in model.interp.items() if world == w})
+
+
+class TestForModels:
+    """One lane set of many models, each model a segment, against the
+    scalar evaluators of each model alone."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segments_match_scalar_models(self, seed):
+        rng = random.Random(9_800 + seed)
+        sig = MIXED_SIGNATURE
+        models = mixed_models(rng)
+        lanes = Lanes.for_models(models, sig)
+        assert lanes.width == len(models)
+        assert [lanes.locate(lane) for lane in range(lanes.full.bit_length())] == [
+            (k, 0, i) for k, model in enumerate(models) for i in range(len(model.worlds))]
+        formulas = ATOMS + [Forall("x", ATOMS[2])] + [
+            random_formula(rng, sig, depth=4) for _ in range(25)]
+        for k, model in enumerate(models):
+            worlds = model.worlds
+            assert lanes.segment(lanes.full, k) == (1 << len(worlds)) - 1
+            order = close_preorder(worlds, model.order)
+            x = rng.getrandbits(lanes.full.bit_length())
+            boxed = lanes.segment(lanes.box(x), k)
+            bits = lanes.segment(x, k)
+            for i, w in enumerate(worlds):
+                above = [j for j, v in enumerate(worlds) if (w, v) in order]
+                assert boxed >> i & 1 == all(bits >> j & 1 for j in above)
+            kripke = KripkeEvaluator(model, sig)
+            classical = [ClassicalEvaluator(world_projection(model, w), sig) for w in worlds]
+            for f in formulas:
+                for a in lanes.domain:
+                    rho = {"x": a} if f.fv else {}
+                    alive = lanes.segment(lanes.alive(rho, f.fvs), k)
+                    k_mask, c_mask = (lanes.segment(m, k) for m in lanes.value(f, rho))
+                    for i, w in enumerate(worlds):
+                        live = all(rho[v] in model.domains[w] for v in f.fvs)
+                        assert alive >> i & 1 == live
+                        if live:
+                            assert k_mask >> i & 1 == kripke.value(f, w, rho), (k, f, w, rho)
+                            assert c_mask >> i & 1 == classical[i].value(f, rho), (k, f, w, rho)
+
+    def test_cross_check_only_where_every_domain_is_constant(self):
+        rng = random.Random(9_900)
+        one = [random_kripke_model(rng, max_domain=1, constant_domain=True) for _ in range(5)]
+        two = [random_kripke_model(rng, max_domain=2, constant_domain=True) for _ in range(20)]
+        growing = next(m for m in iter(lambda: random_kripke_model(rng), None)
+                       if not m.constant_domain)
+        assert Lanes.for_models(one, MIXED_SIGNATURE).cross_check
+        mixed_sizes = Lanes.for_models(one + two, MIXED_SIGNATURE)
+        assert mixed_sizes.exists is not None and mixed_sizes.cross_check
+        assert not Lanes.for_models(one + [growing] + two, MIXED_SIGNATURE).cross_check
+        assert not Lanes.for_models([growing], MIXED_SIGNATURE).cross_check
 
 
 class TestSplitBatches:

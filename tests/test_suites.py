@@ -1,5 +1,10 @@
 import random
 
+import pytest
+
+from cdkripke import suites
+from cdkripke.collapse import check_collapse, require_monotone
+from cdkripke.errors import UsageError
 from cdkripke.kripke import assemble_kripke_model, check_heredity, kripke_violations
 from cdkripke.suites import (
     FuzzReport,
@@ -11,7 +16,7 @@ from cdkripke.suites import (
     run_heredity_suite,
     run_lift_suite,
 )
-from cdkripke.syntax import Atom, free_vars, predicate_shape
+from cdkripke.syntax import Atom, Conn, free_vars, predicate_shape
 from cdkripke.truthfn import standard_signature
 
 SIG = standard_signature("and", "or", "implies", "nand", "xor", "not")
@@ -79,3 +84,154 @@ class TestNegativeControl:
         )
         assert kripke_violations(broken)
         assert not check_heredity(broken, Atom("p"), {}, SIG)
+
+
+# --- the suites' shared lane sets against one check per trial ---------------
+
+NON_MONOTONE = standard_signature("and", "or", "implies")
+
+
+def broken_models():
+    """Models that bypassed validation, each with atoms true at w0 and
+    false above it, of one to three worlds, constant and growing."""
+    drop = {("w0", "p", ()): 1, ("w0", "q", ()): 1, ("w0", "P", ("a1",)): 1}
+    return [
+        assemble_kripke_model(["w0", "w1"], [("w0", "w1")],
+                              {"w0": ("a1",), "w1": ("a1",)}, drop),
+        assemble_kripke_model(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2")],
+                              {"w0": ("a1",), "w1": ("a1", "a2"), "w2": ("a1", "a2")},
+                              {**drop, ("w1", "p", ()): 1, ("w1", "P", ("a2",)): 1}),
+        assemble_kripke_model(["w0", "w1", "w2"], [("w0", "w2"), ("w1", "w2")],
+                              {w: ("a1", "a2") for w in ("w0", "w1", "w2")},
+                              {**drop, ("w1", "q", ()): 1, ("w0", "P", ("a2",)): 1}),
+        assemble_kripke_model(["w0"], [], {"w0": ("a1",)}, {("w0", "p", ()): 1}),
+    ]
+
+
+def slip_in(monkeypatch, at):
+    """Patch suites.random_kripke_model so that the trials in at get a
+    broken model in place of the drawn one, which is drawn all the same,
+    and patch it and suites.random_formula to log what they return:
+    returns the log, ("model" or "formula", value) per top-level draw."""
+    model_at = suites.random_kripke_model
+    formula_at = suites.random_formula
+    log, broken, depth = [], broken_models(), [0]
+
+    def random_kripke_model(rng, **kwargs):
+        model = model_at(rng, **kwargs)
+        trial = sum(kind == "model" for kind, _ in log)
+        if trial in at:
+            model = broken[at.index(trial) % len(broken)]
+        log.append(("model", model))
+        return model
+
+    def random_formula(*args, **kwargs):
+        # random_formula calls itself by its module name: log the outer calls
+        depth[0] += 1
+        try:
+            f = formula_at(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            log.append(("formula", f))
+        return f
+
+    monkeypatch.setattr(suites, "random_kripke_model", random_kripke_model)
+    monkeypatch.setattr(suites, "random_formula", random_formula)
+    return log
+
+
+def trial_by_trial_heredity(seed, trials, sig=SIG):
+    """The heredity suite's violations, one check_heredity per trial."""
+    rng = random.Random(seed)
+    violations = []
+    for i in range(trials):
+        model = suites.random_kripke_model(rng)
+        f = suites.random_formula(rng, sig, depth=4)
+        rho = {"x": "a1"} if f.fv else {}
+        if not check_heredity(model, f, rho, sig):
+            violations.append(f"trial {i}: {f} drops along the order of {model}")
+    return violations
+
+
+def trial_by_trial_collapse(seed, trials, sig):
+    """The collapse suite's violations, one check_collapse per trial."""
+    rng = random.Random(seed)
+    violations = []
+    for i in range(trials):
+        model = suites.random_kripke_model(rng, constant_domain=True)
+        f = suites.random_formula(rng, sig, depth=3)
+        sub = check_collapse(model, [f], sig, keep_pairs=False, precheck=False)
+        if not sub.agreement:
+            w, g, rho, kv, cv = sub.disagreements[0]
+            violations.append(f"trial {i}: {g} at {w} under {dict(rho)}: "
+                              f"kripke={kv} classical={cv}")
+    return violations
+
+
+# three lane sets at 128 trials a run; broken models sit at two trials
+# in three and at both ends of every run
+TRIALS = 2 * suites.RUN_TRIALS + 44
+BROKEN_AT = sorted({t for t in range(TRIALS) if t % 3 != 1}
+                   | {126, 127, 128, 129, 254, 255, 256, 257})
+
+class TestSharedLaneSets:
+    def test_runs_cross_a_lane_set_boundary(self):
+        assert suites.RUN_TRIALS < TRIALS - suites.RUN_TRIALS
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_heredity_with_broken_models(self, seed, monkeypatch):
+        log = slip_in(monkeypatch, BROKEN_AT)
+        report = run_heredity_suite(seed, TRIALS)
+        drawn = list(log)
+        log.clear()
+        expected = trial_by_trial_heredity(seed, TRIALS)
+        assert drawn == log
+        assert [kind for kind, _ in drawn] == ["model", "formula"] * TRIALS
+        # some broken trials next to a run's end show a drop
+        dropped = {int(v.split()[1][:-1]) for v in expected}
+        assert len(dropped) >= 30 and dropped & {126, 127, 128}
+        assert dropped <= set(BROKEN_AT)
+        assert report.violations == expected
+
+    @pytest.mark.parametrize("names, seed", [
+        (("and", "or", "implies"), 39),
+        (("nand", "xor", "not"), 1),
+    ])
+    def test_non_monotone_collapse_without_the_guard(self, names, seed, monkeypatch):
+        sig = standard_signature(*names)
+        monkeypatch.setattr(suites, "require_monotone", lambda *args: None)
+        log = slip_in(monkeypatch, [])
+        report = run_collapse_suite(seed, TRIALS, sig=sig)
+        drawn = list(log)
+        log.clear()
+        expected = trial_by_trial_collapse(seed, TRIALS, sig)
+        assert drawn == log
+        assert [kind for kind, _ in drawn] == ["model", "formula"] * TRIALS
+        disagree = {int(v.split()[1][:-1]) for v in expected}
+        assert len(disagree) >= 4 and max(disagree) >= suites.RUN_TRIALS
+        assert report.violations == expected
+
+    def test_monotone_suites_draw_as_one_check_per_trial(self, monkeypatch):
+        log = slip_in(monkeypatch, [])
+        assert run_collapse_suite(8, TRIALS).passed
+        drawn = list(log)
+        log.clear()
+        assert trial_by_trial_collapse(8, TRIALS, suites.MONOTONE_SIGNATURE) == []
+        assert drawn == log
+
+
+class TestCollapseGuard:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_non_monotone_signature_is_refused_before_any_trial(self, seed):
+        with pytest.raises(UsageError) as err:
+            run_collapse_suite(seed, trials=50, sig=NON_MONOTONE)
+        with pytest.raises(UsageError) as expected:
+            require_monotone([Conn("implies", (Atom("p"), Atom("q")))], NON_MONOTONE)
+        assert str(err.value) == str(expected.value)
+
+    def test_refused_before_the_generator_is_drawn(self, monkeypatch):
+        log = slip_in(monkeypatch, [])
+        with pytest.raises(UsageError):
+            run_collapse_suite(0, trials=50, sig=NON_MONOTONE)
+        assert log == []
