@@ -66,9 +66,10 @@ def closed_frame(worlds: Sequence[str], pairs: Iterable) -> tuple:
     the pairs, ignoring pairs that name unknown worlds, and a read-only
     map from each world to the worlds above it, in ``worlds`` order.
 
-    Each distinct frame is closed once per process and the result is
-    shared by every caller, so neither part may be mutated; pairs may
-    be any 2-sequences, lists included.
+    The last 1024 distinct frames are kept closed, so a frame met again
+    while it is among them is not closed again, and the result is shared
+    by every caller: neither part may be mutated. Pairs may be any
+    2-sequences, lists included.
     """
     return _closed_frame(tuple(worlds), frozenset(tuple(p) for p in pairs))
 
@@ -112,9 +113,23 @@ def assemble_kripke_model(
     worlds = tuple(worlds)
     order, future = closed_frame(worlds, order_pairs)
     domains = {w: tuple(domains[w]) for w in worlds if w in domains}
+    return package_kripke_model(worlds, order, future, domains, dict(interp))
+
+
+def package_kripke_model(
+    worlds: tuple,
+    order: frozenset,
+    future: Mapping,
+    domains: dict,
+    interp: dict,
+) -> KripkeModel:
+    """Package a model on a frame that closed_frame closed, *without*
+    checking invariants: domains maps worlds to tuples, and the model
+    keeps domains and interp themselves, so the caller hands over maps
+    that nothing else holds."""
     domain_sets = [frozenset(d) for d in domains.values()]
     constant = len(worlds) > 0 and len(domains) == len(worlds) and len(set(domain_sets)) <= 1
-    return KripkeModel(worlds, order, domains, dict(interp), constant, dict(future))
+    return KripkeModel(worlds, order, domains, interp, constant, dict(future))
 
 
 def _repeats(names: Sequence) -> list:
@@ -185,7 +200,12 @@ def validate_kripke_model(
 ) -> KripkeModel:
     """Assemble and validate; raises ModelValidationError listing every
     violation found."""
-    model = assemble_kripke_model(worlds, order_pairs, domains, interp)
+    return require_valid(assemble_kripke_model(worlds, order_pairs, domains, interp))
+
+
+def require_valid(model: KripkeModel) -> KripkeModel:
+    """The model, once kripke_violations finds nothing in it; raises
+    ModelValidationError listing every violation found."""
     violations = kripke_violations(model)
     if violations:
         raise ModelValidationError(violations)

@@ -10,6 +10,11 @@ Three suites, all reproducible from their seed:
   collapse   over a monotonic signature, constant-domain Kripke values
              coincide with the per-world classical projections.
 
+A random model closes its frame once: its domains and interpretation
+are drawn and closed upward on that closed order, and the model is
+packaged on it and validated where it is drawn. A random formula reads
+its signature's connective menu once.
+
 The heredity and collapse suites draw their trials in runs of at most
 RUN_TRIALS, each trial's model and then its formula from the seeded
 generator. A run's models are evaluated in one Lanes.for_models, and
@@ -24,6 +29,7 @@ byte-identical text, so they can serve as golden artifacts.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -35,8 +41,9 @@ from .kripke import (
     KripkeModel,
     closed_frame,
     model_validity,
+    package_kripke_model,
+    require_valid,
     segment_heredity,
-    validate_kripke_model,
 )
 from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, Sequent
@@ -53,6 +60,24 @@ _PREDS = {"p": 0, "q": 0, "P": 1}
 _ATOMS = (Atom("p"), Atom("q"), Atom("P", ("x",)))
 
 
+@functools.lru_cache(maxsize=64)
+def _frame_menu(n: int) -> tuple:
+    """The names of n worlds and the ordered pairs of distinct ones, in
+    the order random_kripke_model draws its edges."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    return worlds, tuple((v, u) for v in worlds for u in worlds if v != u)
+
+
+@functools.lru_cache(maxsize=64)
+def _element_menu(max_domain: int) -> tuple:
+    """The element pool, and each predicate of _PREDS in sorted order
+    with the argument tuples random_kripke_model draws it on."""
+    pool = tuple(f"a{i + 1}" for i in range(max_domain))
+    unary = tuple((a,) for a in pool)
+    return pool, tuple(
+        (pred, ((),) if arity == 0 else unary) for pred, arity in sorted(_PREDS.items()))
+
+
 def random_kripke_model(
     rng: random.Random,
     max_worlds: int = 3,
@@ -60,46 +85,39 @@ def random_kripke_model(
     constant_domain: bool = False,
 ) -> KripkeModel:
     """A validated random model; heredity and domain growth hold by
-    construction (raw random bits are closed upward along the order)."""
-    n = rng.randint(1, max_worlds)
-    worlds = [f"w{i}" for i in range(n)]
-    pairs = [
-        (worlds[i], worlds[j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and rng.random() < 0.5
-    ]
-    # future sets under the closure, needed to close things upward
-    future = closed_frame(worlds, pairs)[1]
+    construction (raw random bits are closed upward along the order).
 
-    pool = [f"a{i + 1}" for i in range(max_domain)]
-    domains = {w: {"a1"} for w in worlds}
+    The frame is closed once, and the model is packaged on it and
+    validated where it is drawn."""
+    worlds, candidates = _frame_menu(rng.randint(1, max_worlds))
+    coin = rng.random
+    pairs = [pair for pair in candidates if coin() < 0.5]
+    order, future = closed_frame(worlds, pairs)
+
+    pool, preds = _element_menu(max_domain)
+    members = {w: {"a1"} for w in worlds}
     for elem in pool[1:]:
         if constant_domain:
-            if rng.random() < 0.7:
+            if coin() < 0.7:
                 for w in worlds:
-                    domains[w].add(elem)
+                    members[w].add(elem)
         else:
             for w in worlds:
-                if rng.random() < 0.4:
+                if coin() < 0.4:
                     for v in future[w]:
-                        domains[v].add(elem)
-    domains = {w: tuple(sorted(domains[w])) for w in worlds}
+                        members[v].add(elem)
 
     interp = {}
-    for pred, arity in sorted(_PREDS.items()):
-        if arity == 0:
-            tuples = [()]
-        else:
-            tuples = [(a,) for a in pool]
+    for pred, tuples in preds:
         for args in tuples:
             for w in worlds:
-                if any(a not in domains[w] for a in args):
+                if not members[w].issuperset(args):
                     continue
-                if rng.random() < 0.4:
+                if coin() < 0.4:
                     for v in future[w]:
                         interp[(v, pred, args)] = 1
-    return validate_kripke_model(worlds, pairs, domains, interp)
+    domains = {w: tuple(sorted(members[w])) for w in worlds}
+    return require_valid(package_kripke_model(worlds, order, future, domains, interp))
 
 
 def random_formula(
@@ -109,21 +127,21 @@ def random_formula(
     atoms: Sequence[Formula] = _ATOMS,
     quantifiers: bool = True,
 ) -> Formula:
-    if depth <= 1 or rng.random() < 0.25:
-        return rng.choice(atoms)
     names = sig.names()
+    arity = {name: sig.arity(name) for name in names}
     kinds = ["conn"] * 4 + (["forall", "exists"] if quantifiers else [])
-    kind = rng.choice(kinds)
-    if kind == "conn":
-        name = rng.choice(names)
-        arity = sig.arity(name)
-        return Conn(
-            name,
-            tuple(random_formula(rng, sig, depth - 1, atoms, quantifiers)
-                  for _ in range(arity)),
-        )
-    body = random_formula(rng, sig, depth - 1, atoms, quantifiers)
-    return Forall("x", body) if kind == "forall" else Exists("x", body)
+
+    def draw(depth: int) -> Formula:
+        if depth <= 1 or rng.random() < 0.25:
+            return rng.choice(atoms)
+        kind = rng.choice(kinds)
+        if kind == "conn":
+            name = rng.choice(names)
+            return Conn(name, [draw(depth - 1) for _ in range(arity[name])])
+        body = draw(depth - 1)
+        return Forall("x", body) if kind == "forall" else Exists("x", body)
+
+    return draw(depth)
 
 
 def random_propositional_sequent(

@@ -25,14 +25,28 @@ verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
 decide_propositional and model_validity of cdkripke, and cell_reader
 reads every expected-table cell with the scalar evaluators above.
+
+random_kripke_model, random_formula and random_propositional_sequent
+are the suites' generators as they were before a drawn model was
+packaged on the frame it had closed and validated in place, and before
+a formula's connective menu was built once per formula: they pin the
+seeded draw stream.
 """
 
 import itertools
+import random
 from typing import Iterable, Mapping, Optional, Sequence
 
 from cdkripke.classical import ClassicalModel, decide_propositional
 from cdkripke.errors import UsageError
-from cdkripke.kripke import Failure, KripkeModel, Valid, Violation, validate_kripke_model
+from cdkripke.kripke import (
+    Failure,
+    KripkeModel,
+    Valid,
+    Violation,
+    closed_frame,
+    validate_kripke_model,
+)
 from cdkripke.kripke import model_validity as lane_model_validity
 from cdkripke.separator import ALLOWED_SYMBOLS, VerificationReport, _resolve
 from cdkripke.syntax import (
@@ -595,3 +609,97 @@ def verify_separation(result) -> VerificationReport:
                     expected = cell.expected if cell.kind == "value" else tuple(cell.expected)
                     report.add(where, actual == expected, f"expected {expected}, got {actual}")
     return report
+
+
+_PREDS = {"p": 0, "q": 0, "P": 1}
+_ATOMS = (Atom("p"), Atom("q"), Atom("P", ("x",)))
+
+
+def random_kripke_model(
+    rng: random.Random,
+    max_worlds: int = 3,
+    max_domain: int = 2,
+    constant_domain: bool = False,
+) -> KripkeModel:
+    """A validated random model; heredity and domain growth hold by
+    construction (raw random bits are closed upward along the order)."""
+    n = rng.randint(1, max_worlds)
+    worlds = [f"w{i}" for i in range(n)]
+    pairs = [
+        (worlds[i], worlds[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and rng.random() < 0.5
+    ]
+    # future sets under the closure, needed to close things upward
+    future = closed_frame(worlds, pairs)[1]
+
+    pool = [f"a{i + 1}" for i in range(max_domain)]
+    domains = {w: {"a1"} for w in worlds}
+    for elem in pool[1:]:
+        if constant_domain:
+            if rng.random() < 0.7:
+                for w in worlds:
+                    domains[w].add(elem)
+        else:
+            for w in worlds:
+                if rng.random() < 0.4:
+                    for v in future[w]:
+                        domains[v].add(elem)
+    domains = {w: tuple(sorted(domains[w])) for w in worlds}
+
+    interp = {}
+    for pred, arity in sorted(_PREDS.items()):
+        if arity == 0:
+            tuples = [()]
+        else:
+            tuples = [(a,) for a in pool]
+        for args in tuples:
+            for w in worlds:
+                if any(a not in domains[w] for a in args):
+                    continue
+                if rng.random() < 0.4:
+                    for v in future[w]:
+                        interp[(v, pred, args)] = 1
+    return validate_kripke_model(worlds, pairs, domains, interp)
+
+
+def random_formula(
+    rng: random.Random,
+    sig: Signature,
+    depth: int,
+    atoms: Sequence[Formula] = _ATOMS,
+    quantifiers: bool = True,
+) -> Formula:
+    if depth <= 1 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    names = sig.names()
+    kinds = ["conn"] * 4 + (["forall", "exists"] if quantifiers else [])
+    kind = rng.choice(kinds)
+    if kind == "conn":
+        name = rng.choice(names)
+        arity = sig.arity(name)
+        return Conn(
+            name,
+            tuple(random_formula(rng, sig, depth - 1, atoms, quantifiers)
+                  for _ in range(arity)),
+        )
+    body = random_formula(rng, sig, depth - 1, atoms, quantifiers)
+    return Forall("x", body) if kind == "forall" else Exists("x", body)
+
+
+def random_propositional_sequent(
+    rng: random.Random,
+    sig: Signature,
+    symbols: Sequence[str] = ("p", "q", "r"),
+    depth: int = 3,
+    max_side: int = 2,
+) -> Sequent:
+    atoms = tuple(Atom(s) for s in symbols)
+
+    def formula():
+        return random_formula(rng, sig, rng.randint(1, depth), atoms, quantifiers=False)
+
+    antecedent = [formula() for _ in range(rng.randint(0, max_side))]
+    succedent = [formula() for _ in range(rng.randint(1, max_side))]
+    return Sequent(antecedent, succedent)

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from cdkripke import suites
+from cdkripke import kripke, suites
 from cdkripke.collapse import check_collapse, require_monotone
-from cdkripke.errors import UsageError
-from cdkripke.kripke import assemble_kripke_model, check_heredity, kripke_violations
+from cdkripke.errors import ModelValidationError, UsageError
+from cdkripke.kripke import Violation, assemble_kripke_model, check_heredity, kripke_violations
 from cdkripke.suites import (
     FuzzReport,
     random_formula,
@@ -19,15 +19,28 @@ from cdkripke.suites import (
 from cdkripke.syntax import Atom, Conn, free_vars, predicate_shape
 from cdkripke.truthfn import standard_signature
 
+import scalar_reference
+
 SIG = standard_signature("and", "or", "implies", "nand", "xor", "not")
 
 
 class TestGenerators:
     def test_random_models_always_validate(self):
+        # judged by the scalar scan, not by the one random_kripke_model runs
         rng = random.Random(1)
-        for _ in range(200):
-            model = random_kripke_model(rng)
-            assert not kripke_violations(model)
+        for constant_domain in (False, True):
+            for _ in range(200):
+                model = random_kripke_model(rng, max_worlds=4, max_domain=3,
+                                            constant_domain=constant_domain)
+                assert not scalar_reference.kripke_violations(model)
+
+    def test_a_reported_violation_is_raised(self, monkeypatch):
+        # random_kripke_model validates each model where it is drawn
+        flagged = [Violation("heredity", {"from": "w0", "to": "w1", "pred": "p", "args": ()})]
+        monkeypatch.setattr(kripke, "kripke_violations", lambda model: flagged)
+        with pytest.raises(ModelValidationError) as caught:
+            random_kripke_model(random.Random(1))
+        assert caught.value.violations == flagged
 
     def test_constant_domain_flag(self):
         rng = random.Random(2)
@@ -46,6 +59,45 @@ class TestGenerators:
             s = random_propositional_sequent(rng, SIG)
             assert predicate_shape(s)[1]
             assert s.succedent
+
+
+class TestDrawStream:
+    """The generators draw what the reference copies in scalar_reference
+    draw, from the same seeded stream, and leave it in the same state."""
+
+    SEEDS = range(300)
+    SHAPES = [
+        {},
+        {"constant_domain": True},
+        {"max_worlds": 4, "max_domain": 3},
+        {"max_worlds": 4, "max_domain": 3, "constant_domain": True},
+    ]
+
+    FORMULA_SHAPES = [(SIG, 4, True), (suites.MONOTONE_SIGNATURE, 3, True), (SIG, 3, False)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_models_and_formulas_match_the_reference(self, shape):
+        for seed in self.SEEDS:
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                model = random_kripke_model(ours, **shape)
+                expected = scalar_reference.random_kripke_model(ref, **shape)
+                # equal fields, and the maps in the same insertion order
+                assert model == expected and repr(model) == repr(expected)
+                for sig, depth, quantifiers in self.FORMULA_SHAPES:
+                    f = random_formula(ours, sig, depth, quantifiers=quantifiers)
+                    g = scalar_reference.random_formula(ref, sig, depth, quantifiers=quantifiers)
+                    assert f == g and repr(f) == repr(g)
+            assert ours.getstate() == ref.getstate()
+
+    def test_sequents_match_the_reference(self):
+        for seed in self.SEEDS:
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                s = random_propositional_sequent(ours, SIG)
+                t = scalar_reference.random_propositional_sequent(ref, SIG)
+                assert s == t and str(s) == str(t)
+            assert ours.getstate() == ref.getstate()
 
 
 class TestSuites:
