@@ -11,16 +11,16 @@ The default bounds reproduce the full desk-scale check in a fraction
 of a second, since the interpretations of every frame and of every
 domain size are evaluated together in bit-parallel lane sets of at most
 2**14 interpretations, whatever their world counts: the 8,976 models of
-the default bounds are one lane set, and --max-worlds 4 adds twelve
-lane sets of four-world models:
+the default bounds are one lane set, and the 181,768 models of
+--max-worlds 4 are thirteen:
 
     python scripts/collapse_sweep.py
     python scripts/collapse_sweep.py --max-worlds 2 --depth 2   # milliseconds
     python scripts/collapse_sweep.py --max-worlds 4             # about a second
 
-Exit codes: 0 agreement, 1 a disagreement, 2 an infeasible bound (the
-enumeration cap of CDKRIPKE_MAX_ENUM, or frames of more than six
-worlds), reported on one error line.
+Exit codes: 0 agreement, 1 a disagreement, 2 a bound or depth below 1
+or an infeasible bound (the enumeration cap of CDKRIPKE_MAX_ENUM, or
+frames of more than six worlds), reported on one error line.
 """
 
 import argparse

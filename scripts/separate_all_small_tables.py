@@ -6,8 +6,10 @@ full verification (classical validity by enumeration, refutation in the
 two-world chain, expected-table re-derivation), and tallies cases: a
 quick demonstration that the synthesis covers the whole small-arity
 space, with per-case example output. It exits 1 when the count of
-monotone tables of some arity up to 4 is not the Dedekind number
-(OEIS A000372) of that arity.
+monotone tables of some arity is not the Dedekind number (OEIS
+A000372) of that arity, and 2, on one error line, when --max-arity is
+not 1-4: past 4 no Dedekind number is listed, and arity 5 alone has
+2**32 tables.
 
     python scripts/separate_all_small_tables.py --max-arity 3 --show-examples
     python scripts/separate_all_small_tables.py --max-arity 4 | tail -n 23
@@ -32,6 +34,10 @@ def main() -> int:
     parser.add_argument("--show-examples", action="store_true",
                         help="print one full rendering per case/subcase")
     args = parser.parse_args()
+    if args.max_arity not in DEDEKIND:
+        print(f"error: --max-arity must be 1-{max(DEDEKIND)}, got {args.max_arity}",
+              file=sys.stderr)
+        return 2
 
     counts = Counter()
     examples = {}
@@ -63,7 +69,7 @@ def main() -> int:
             print(render_separation(*examples[key]))
     wrong = [(arity, counts[("monotone", arity)], DEDEKIND[arity])
              for arity in range(1, args.max_arity + 1)
-             if arity in DEDEKIND and counts[("monotone", arity)] != DEDEKIND[arity]]
+             if counts[("monotone", arity)] != DEDEKIND[arity]]
     for arity, found, expected in wrong:
         print(f"error: arity {arity}: {found} monotone tables, expected {expected}",
               file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
-from .kripke import KripkeModel, cd_model_passes, joined_passes, validate_kripke_model
+from .kripke import KripkeModel, _packed, cd_model_batches, validate_kripke_model
 from .lanes import Lanes
 from .syntax import Atom, Conn, Exists, Forall, Formula, connective_names
 from .truthfn import Signature, monotonicity_witness
@@ -205,16 +205,19 @@ def run_collapse_sweep(
     predicate P and two propositional symbols p, q. Formulas: every
     formula of depth <= depth over the signature, the atoms p, q, P(x),
     and quantifiers over x. The cap counts labeled models, as in
-    cd_model_batches, also where one frame per class is walked.
+    cd_model_batches, also where one frame per class is walked. Raises
+    UsageError when a bound or the depth is below 1.
 
-    Consecutive passes of cd_model_passes are joined while they hold at
-    most kripke.MAX_BATCH_WIDTH models, whatever their world counts, and
-    each joined run is evaluated in one Lanes: at the default bounds the
-    8,976 models of one to three worlds are one lane set. Disagreements
+    Consecutive batches are packed while they hold at most
+    kripke.MAX_BATCH_WIDTH models, whatever their world counts, and
+    each run is evaluated in one Lanes: at the default bounds the 8,976
+    models of one to three worlds are one lane set. Disagreements
     are reported in walk order: Lanes.locate maps each lane to its
     batch's segment, its model there and its world, and the models are
     sorted by (segment, model).
     """
+    if min(max_worlds, max_domain, depth) < 1:
+        raise UsageError("bounds must be >= 1")
     preds = {"p": 0, "q": 0, "P": 1}
     atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
     formulas = enumerate_formulas(sig, atoms, depth)
@@ -222,11 +225,10 @@ def run_collapse_sweep(
         # every connective of sig occurs in the formulas of depth 2
         require_monotone(enumerate_formulas(sig, atoms, 2), sig)
     report = SweepReport()
-    for batches in joined_passes(cd_model_passes(
-            preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap)):
-        # every interpretation of the joined passes' frames in one Lanes,
-        # models in walk order; each model keeps its first 100
-        # disagreements in check order
+    for batches in _packed(cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap)):
+        # every interpretation of the run's frames in one Lanes, models
+        # in walk order; each model keeps its first 100 disagreements in
+        # check order
         lanes = Lanes.for_batches(batches, sig)
         found: dict = {}  # (segment, model in segment) -> disagreements
         for f, rho, alive, live, kripke, classical in _lane_values(lanes, formulas):
@@ -243,7 +245,6 @@ def run_collapse_sweep(
                 if len(kept) < 100:
                     kept.append((batches[segment].worlds[world], f, key,
                                  kripke >> lane & 1, classical >> lane & 1))
-        lanes.clear()
         report.models += lanes.width
         for model in sorted(found):
             report.disagreements.extend(found[model])

@@ -9,11 +9,12 @@ domains; the existential quantifier stays at the present world.
 
 Every evaluation runs on the lane core of ``lanes``: one model is
 Lanes.for_model, its growing domains existence masks, and a search
-evaluates one lane set per pass, the interpretations of every frame of
-one world count and every domain size at once, each element existing
-on the models whose domain holds it. check_heredity reads one model's
-segment through segment_heredity, which the heredity suite runs on the
-segments of many models' Lanes.for_models.
+evaluates one lane set per run of _packed, the interpretations of
+consecutive frames of one world count and of every domain size at
+once, each element existing on the models whose domain holds it.
+check_heredity reads one model's segment through segment_heredity,
+which the heredity suite runs on the segments of many models'
+Lanes.for_models.
 Heredity and domain monotonicity are enforced when a model is validated;
 evaluation assumes them and never re-checks.
 """
@@ -483,8 +484,8 @@ class CdBatch:
 # all 9,535,241 labeled preorders (OEIS A000798) before a model is counted
 MAX_FRAME_WORLDS = 6
 
-# the most models in one batch of cd_model_batches and in one pass of
-# cd_model_passes: each lane mask holds models * worlds bits, and a pass
+# the most models in one batch of cd_model_batches and in one run of
+# _packed: each lane mask holds models * worlds bits, and a lane set
 # keeps one mask per formula and assignment evaluated
 MAX_BATCH_WIDTH = 2 ** 14
 
@@ -508,23 +509,22 @@ def cd_model_batches(
     not, so a bound meets the cap where the labeled walk meets it.
     Frames of more than MAX_FRAME_WORLDS worlds are refused the same way,
     when the walk reaches them."""
-    return (batch for batch in _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap)
-            if batch is not None)
+    return itertools.chain.from_iterable(
+        _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap))
 
 
 def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
              cap: Optional[int]):
-    """cd_model_batches, with a None after the last batch of each world
-    count."""
+    """The batches of cd_model_batches as one lazy iterator per world
+    count, in order. The cap count runs on across the iterators, so each
+    must be used up before the next is asked for; asking for the
+    iterator of more than MAX_FRAME_WORLDS worlds raises the refusal."""
     ceiling = enum_cap(cap)
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
-    for n in range(1, max_worlds + 1):
-        if n > MAX_FRAME_WORLDS:
-            raise EnumerationCapError(
-                f"bound infeasible: frames of more than {MAX_FRAME_WORLDS} worlds "
-                f"are not enumerated, worlds<={max_worlds}"
-            )
+
+    def world_count(n):
+        nonlocal produced
         for _, worlds, order, future, vectors, representative in _frames(n):
             for size in range(1, max_domain + 1):
                 if len(sizes) < size:
@@ -547,54 +547,36 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
                 for fixed in itertools.product(vectors, repeat=lead):
                     yield CdBatch(worlds, order, future, domain, slots[lead:],
                                   vectors, list(zip(slots, fixed)))
-        yield None
+
+    for n in range(1, max_worlds + 1):
+        if n > MAX_FRAME_WORLDS:
+            raise EnumerationCapError(
+                f"bound infeasible: frames of more than {MAX_FRAME_WORLDS} worlds "
+                f"are not enumerated, worlds<={max_worlds}"
+            )
+        yield world_count(n)
 
 
-def cd_model_passes(
-    preds: Mapping,
-    max_worlds: int,
-    max_domain: int,
-    up_to_iso: bool = False,
-    cap: Optional[int] = None,
-):
-    """Yield the batches of cd_model_batches in passes: runs of
-    consecutive batches, in walk order, on frames of one world count and
-    of at most MAX_BATCH_WIDTH models in all, each pass a list. The last
-    pass of a world count is yielded as soon as the walk has finished
-    that world count, before any batch of the next one is made. When
-    the walk raises EnumerationCapError, the pending pass is yielded
-    first."""
-    pending: list = []
+def _packed(batches):
+    """Maximal runs of consecutive batches of at most MAX_BATCH_WIDTH
+    models in all, each run a list, in order: one Lanes.for_batches
+    each. When the batches raise EnumerationCapError, the pending run is
+    yielded first."""
+    run: list = []
     width = 0
     try:
-        for batch in _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap):
-            if pending and (batch is None or width + batch.width > MAX_BATCH_WIDTH):
-                yield pending
-                pending, width = [], 0
-            if batch is not None:
-                pending.append(batch)
-                width += batch.width
+        for batch in batches:
+            if run and width + batch.width > MAX_BATCH_WIDTH:
+                yield run
+                run, width = [], 0
+            run.append(batch)
+            width += batch.width
     except EnumerationCapError:
-        if pending:
-            yield pending
+        if run:
+            yield run
         raise
-
-
-def joined_passes(passes):
-    """Runs of consecutive passes of cd_model_passes, of at most
-    MAX_BATCH_WIDTH models in all and of any world counts, each run one
-    list of its passes' batches in walk order."""
-    joined: list = []
-    width = 0
-    for batches in passes:
-        more = sum(batch.width for batch in batches)
-        if joined and width + more > MAX_BATCH_WIDTH:
-            yield joined
-            joined, width = [], 0
-        joined += batches
-        width += more
-    if joined:
-        yield joined
+    if run:
+        yield run
 
 
 def enumerate_cd_models(
@@ -638,6 +620,8 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     """(batch, model index, world, assignment) of the first refutation of
     s over preds in the order of bounded_cd_countermodel_search, or None.
     That search and, with one world, the classical deciders share it.
+    Each world count's batches are packed on their own, so its last run
+    is evaluated before any frame of the next world count is listed.
 
     Whether some model of a frame refutes s does not change under
     relabeling the frame's worlds, and in enumerate_preorders order the
@@ -647,12 +631,11 @@ def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
     frames still count against the cap, which is met where the labeled
     search meets it."""
     fv = sorted(free_vars(s))
-    for batches in cd_model_passes(preds, max_worlds, max_domain, True, cap):
-        lanes = Lanes.for_batches(batches, sig)
-        found = _batch_refutation(lanes, batches, s, fv)
-        lanes.clear()
-        if found is not None:
-            return found
+    for batches in _cd_walk(preds, max_worlds, max_domain, True, cap):
+        for run in _packed(batches):
+            found = _batch_refutation(Lanes.for_batches(run, sig), run, s, fv)
+            if found is not None:
+                return found
     return None
 
 
@@ -691,9 +674,9 @@ def bounded_cd_countermodel_search(
     """Look for a constant-domain Kripke countermodel within the bounds.
 
     Searches the models of enumerate_cd_models over the predicates
-    occurring in s, one pass of cd_model_passes at a time: the sequent
-    is evaluated on every interpretation of the pass's frames, all of
-    one world count, and of every domain size in one lane set, each
+    occurring in s, one run of consecutive batches of one world count at
+    a time: the sequent is evaluated on every interpretation of the
+    run's frames and of every domain size in one lane set, each
     assignment read on the models whose domain holds its values.
     The refutation returned is the first in (model, world, assignment)
     order, models in enumerate_cd_models order and worlds and

@@ -69,7 +69,7 @@ class Lanes:
     exists is None, and for_models and for_batches turn it on where
     every model's domain is constant. The memo is keyed by formula
     structure and the assignment restricted to the formula's free
-    variables; call clear() when the models are done with.
+    variables, and is freed with the lane set.
     """
 
     def __init__(self, sig: Signature, frames: Sequence[tuple], domain: tuple,
@@ -200,9 +200,6 @@ class Lanes:
                 atoms[slot] = _bits(vec) * every
         windex = {w: i for i, w in enumerate(worlds)}
         return tuple(tuple(windex[v] for v in batch.future[w]) for w in worlds), atoms
-
-    def clear(self):
-        self._memo.clear()
 
     def segment(self, mask: int, index: int) -> int:
         """mask's bits on the index-th segment of frames, its first lane

@@ -181,7 +181,7 @@ class TestSmallSweep:
 
     @pytest.mark.parametrize("max_worlds, values", [(2, 2_089_654), (3, 61_552_366)])
     def test_sweep_counts_every_live_comparison_once(self, max_worlds, values):
-        # a pass holds both domain sizes in one lane set; an assignment
+        # a lane set holds both domain sizes; an assignment
         # of a2 is compared on the domain-2 models only
         report = run_collapse_sweep(MONO, max_worlds=max_worlds, max_domain=2, depth=3)
         assert report.agreement

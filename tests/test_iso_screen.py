@@ -96,7 +96,7 @@ def test_cap_parity(sig, text):
 def test_one_batch_per_class(monkeypatch):
     # classically valid and/or: no frame refutes it, so the search
     # evaluates one batch for each of the 1 + 3 + 9 isomorphism classes
-    # of frames, not 1 + 4 + 29 for the labeled frames, in one lane pass
+    # of frames, not 1 + 4 + 29 for the labeled frames, in one lane set
     # per world count
     s = parse_sequent("and(p, q) => or(q, p)", MONOTONE_SIGNATURE)
     calls = []

@@ -1,8 +1,9 @@
-"""Passes: the search and the sweep evaluate every batch of a run of
-consecutive batches on frames of one world count together, in one Lanes
-whatever the batches' domain sizes. The differential tests below patch
-MAX_BATCH_WIDTH narrow, so that passes end inside a world count, and
-compare each pass with the one-model lanes and the one-model-at-a-time
+"""Runs: the search and the sweep evaluate every batch of a run of
+consecutive batches together, in one Lanes whatever the batches' domain
+sizes. The search packs each world count's batches on their own, the
+sweep packs the whole walk. The differential tests below patch
+MAX_BATCH_WIDTH narrow, so that runs end inside a world count, and
+compare each run with the one-model lanes and the one-model-at-a-time
 search.
 
 Also the monotone side of the collapse: every monotone table of arity
@@ -15,14 +16,16 @@ import random
 
 import pytest
 
+from cdkripke import kripke
 from cdkripke.collapse import enumerate_formulas, run_collapse_sweep
 from cdkripke.kripke import (
     MAX_BATCH_WIDTH,
     CdBatch,
     _batch_refutation,
+    _cd_walk,
+    _packed,
     bounded_cd_countermodel_search,
     cd_model_batches,
-    cd_model_passes,
     validate_kripke_model,
 )
 from cdkripke.lanes import Lanes
@@ -36,7 +39,7 @@ ATOMS = [Atom("p"), Atom("q"), Atom("P", ("x",))]
 
 # classically valid on domains of up to 2 and never refuted on 2 worlds;
 # on 3 worlds it is refuted first by a domain-2 model of the third frame,
-# and by domain-1 models of the sixth: one pass holds both, and the
+# and by domain-1 models of the sixth: one run holds both, and the
 # winner's lanes lie before the later frame's
 EARLIER_SIZE_2 = ("not(forall x. nand(P(x), q)) => exists x. forall x. p, "
                   "forall x. exists x. implies(p, P(x))")
@@ -50,20 +53,50 @@ def cell(batch):
     return batch.worlds, batch.order, batch.domain, tuple(batch.slots), tuple(batch.fixed)
 
 
+def search_runs(max_worlds, max_domain):
+    """The runs that the search evaluates, one lane set each: each world
+    count's batches, packed."""
+    return [run for batches in _cd_walk(PREDS, max_worlds, max_domain, True, None)
+            for run in _packed(batches)]
+
+
+def assert_maximal(runs, width, joined):
+    """Each run holds at most width models, and the next run's first
+    batch would take it past width, unless that batch starts a world
+    count and runs are not joined across world counts."""
+    for run, after in zip(runs, runs[1:] + [None]):
+        total = sum(b.width for b in run)
+        assert total <= width
+        if after is not None and (joined or len(after[0].worlds) == len(run[0].worlds)):
+            assert total + after[0].width > width
+
+
 @pytest.mark.parametrize("width", [1, 5, 64, 600, MAX_BATCH_WIDTH])
 def test_passes_are_maximal_runs_of_one_world_count(width, monkeypatch):
     narrow(monkeypatch, width)
     batches = [cell(b) for b in cd_model_batches(PREDS, 3, 2, up_to_iso=True)]
-    passes = list(cd_model_passes(PREDS, 3, 2, up_to_iso=True))
-    assert [cell(b) for p in passes for b in p] == batches
-    for p, after in zip(passes, passes[1:] + [None]):
-        assert len({len(b.worlds) for b in p}) == 1
-        total = sum(b.width for b in p)
-        assert total <= width
-        if after is not None and len(after[0].worlds) == len(p[0].worlds):
-            assert total + after[0].width > width
-    # one pass per world count at the default width
-    assert len(passes) == 3 or width < MAX_BATCH_WIDTH
+    runs = search_runs(3, 2)
+    assert [cell(b) for run in runs for b in run] == batches
+    assert all(len({len(b.worlds) for b in run}) == 1 for run in runs)
+    assert_maximal(runs, width, joined=False)
+    # one run per world count at the default width
+    assert len(runs) == 3 or width < MAX_BATCH_WIDTH
+
+
+@pytest.mark.parametrize("width", [1, 5, 64, 600, MAX_BATCH_WIDTH])
+def test_sweep_runs_are_maximal_across_world_counts(width, monkeypatch):
+    narrow(monkeypatch, width)
+    batches = list(cd_model_batches(PREDS, 3, 2, up_to_iso=True))
+    runs = list(_packed(batches))
+    assert [cell(b) for run in runs for b in run] == [cell(b) for b in batches]
+    assert_maximal(runs, width, joined=True)
+    # a run holds two world counts where a world count's last batches
+    # leave room for the next one's first, and at the default width one
+    # run holds the whole walk
+    counts = [sorted({len(b.worlds) for b in run}) for run in runs]
+    assert [c for c in counts if len(c) > 1] == {
+        1: [], 5: [[2, 3]], 64: [], 600: [[1, 2]], MAX_BATCH_WIDTH: [[1, 2, 3]]}[width]
+    assert len(runs) == 1 or width < MAX_BATCH_WIDTH
 
 
 @pytest.mark.parametrize("width", [4, 40, MAX_BATCH_WIDTH])
@@ -72,8 +105,8 @@ def test_pass_lanes_match_single_models(bounds, width, monkeypatch):
     narrow(monkeypatch, width)
     sig = standard_signature("implies", "not", "xor")
     formulas = enumerate_formulas(sig, ATOMS, 3)[::13]
-    most = 0  # the most domain sizes that one pass holds
-    for batches in cd_model_passes(PREDS, *bounds, up_to_iso=True):
+    most = 0  # the most domain sizes that one run holds
+    for batches in search_runs(*bounds):
         lanes = Lanes.for_batches(batches, sig)
         assert lanes.cross_check
         assert len(lanes.domain) == max(len(b.domain) for b in batches)
@@ -94,8 +127,8 @@ def test_pass_lanes_match_single_models(bounds, width, monkeypatch):
                                 c >> model * n & (1 << n) - 1) == single.value(f, {"x": a})
                 model += 1
         assert model == lanes.width
-    # from a width of 40 on, some pass holds two domain sizes, and at
-    # the default width the one-world pass at (2, 3) holds all three
+    # from a width of 40 on, some run holds two domain sizes, and at
+    # the default width the one-world run at (2, 3) holds all three
     assert most == (1 if width == 4 or bounds[1] == 1 else
                     3 if width == MAX_BATCH_WIDTH and bounds[1] == 3 else 2)
 
@@ -112,20 +145,28 @@ def test_cross_check_only_where_each_model_has_one_domain():
 
 
 def test_one_world_refutation_makes_no_two_world_batch(monkeypatch):
-    # the one-world pass ends with the one-world frames: the search does
-    # not make a batch of the next world count to learn that
-    made = []
+    # the one-world run ends with the one-world frames: the search
+    # neither lists the frames of the next world count nor makes a batch
+    # of them to learn that
+    made, listed = [], []
     init = CdBatch.__init__
+    frames = kripke._frames
 
     def recorded(self, worlds, *args):
         made.append(len(worlds))
         init(self, worlds, *args)
 
+    def listing(n):
+        listed.append(n)
+        return frames(n)
+
     monkeypatch.setattr(CdBatch, "__init__", recorded)
+    monkeypatch.setattr(kripke, "_frames", listing)
     s = parse_sequent("p => q", MIXED_SIGNATURE)
     verdict = bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 3, 1)
     assert len(verdict.model.worlds) == 1
     assert made and set(made) == {1}
+    assert listed == [1]
 
 
 @pytest.mark.parametrize("width", [2, 16, 200, MAX_BATCH_WIDTH])
@@ -157,7 +198,7 @@ def test_cd_search_with_narrow_passes(bounds, monkeypatch):
 
 
 def test_sweep_reports_disagreements_in_walk_order(monkeypatch):
-    # narrow passes split the walk elsewhere; the report still lists
+    # narrow runs split the walk elsewhere; the report still lists
     # models in walk order
     monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
     sig = standard_signature("implies")
@@ -259,21 +300,25 @@ def scalar_reference(names, bounds):
 @pytest.mark.parametrize("names", [("implies",), ("xor", "and"), ("not", "or")],
                          ids=["implies", "xor-and", "not-or"])
 def test_unguarded_sweep_matches_scalar(names, bounds, width, monkeypatch):
-    # passes are joined into lane sets of up to the width's models: at 8
-    # and 40 they end inside a world count and at its end, at 120 a lane
-    # set of one and two worlds ends inside the two-world count, and at
-    # the default width one lane set holds the whole sweep
+    # batches are packed into lane sets of up to the width's models,
+    # whatever their world counts: at 8 each lane set is of one world
+    # count, at 40 the last models of a world count share a lane set with
+    # the first of the next, except at (2, 3) where each world count
+    # ends a lane set, at 120 a lane set of one and two worlds ends
+    # inside the two-world count, and at the default width one lane set
+    # holds the whole sweep
     monkeypatch.setattr("cdkripke.collapse.require_monotone", lambda *args: None)
     narrow(monkeypatch, width)
     calls = lane_sets(monkeypatch)
     report = run_collapse_sweep(standard_signature(*names), *bounds, 2)
     assert (report.models, report.values, report.disagreements) == (
         scalar_reference(names, bounds))
-    mixed = [counts for counts in calls if len(set(counts)) > 1]
+    mixed = [sorted(set(counts)) for counts in calls if len(set(counts)) > 1]
     if width == MAX_BATCH_WIDTH:
-        assert len(calls) == 1 and len(mixed) == 1
+        assert len(calls) == 1 and mixed == [list(range(1, bounds[0] + 1))]
     else:
-        assert len(mixed) == (width == 120)
+        assert mixed == {8: [], 40: [[1, 2], [2, 3]] if bounds == (3, 2) else [],
+                         120: [[1, 2]]}[width]
 
 
 @pytest.mark.parametrize("max_worlds", [2, 3])

@@ -4,8 +4,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from cdkripke import kripke, separator
-from cdkripke.truthfn import all_tables, monotonicity_witness
+from cdkripke.collapse import run_collapse_sweep
+from cdkripke.errors import UsageError
+from cdkripke.truthfn import all_tables, monotonicity_witness, standard_signature
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -63,3 +67,26 @@ def test_collapse_sweep_reports_an_infeasible_bound(monkeypatch, capsys):
     assert script.main() == 2
     assert capsys.readouterr().err == (
         "error: bound infeasible: frames of more than 6 worlds are not enumerated, worlds<=7\n")
+
+
+@pytest.mark.parametrize("bounds", [(0, 2, 3), (3, 0, 3), (-1, 2, 3), (3, 2, 0), (3, 2, -3)])
+def test_collapse_sweep_refuses_a_bound_below_one(bounds, monkeypatch, capsys):
+    # refused before the walk: no frame is listed
+    monkeypatch.setattr(kripke, "_frames", None)
+    with pytest.raises(UsageError, match="^bounds must be >= 1$"):
+        run_collapse_sweep(standard_signature("and", "or"), *bounds)
+    script = load_script("collapse_sweep")
+    argv = ["--max-worlds", "--max-domain", "--depth"]
+    monkeypatch.setattr(sys, "argv", ["collapse_sweep.py"] + [
+        str(x) for pair in zip(argv, bounds) for x in pair])
+    assert script.main() == 2
+    assert capsys.readouterr() == ("", "error: bounds must be >= 1\n")
+
+
+@pytest.mark.parametrize("arity", [0, -1, 5])
+def test_separate_sweep_refuses_an_arity_outside_one_to_four(arity, monkeypatch, capsys):
+    script = load_script("separate_all_small_tables")
+    monkeypatch.setattr(script, "all_tables", None)
+    monkeypatch.setattr(sys, "argv", ["separate_all_small_tables.py", "--max-arity", str(arity)])
+    assert script.main() == 2
+    assert capsys.readouterr() == ("", f"error: --max-arity must be 1-4, got {arity}\n")
