@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
@@ -57,10 +57,10 @@ class CollapseReport:
         return not self.disagreements
 
 
-def require_monotone(formulas: Sequence[Formula], sig: Signature):
-    """Reject any non-monotonic connective occurring in the formulas,
-    naming it together with its witness pair."""
-    for name in sorted(connective_names(formulas)):
+def require_monotone(names: Iterable[str], sig: Signature):
+    """Reject any non-monotonic connective of the names, naming the first
+    in name order together with its witness pair."""
+    for name in sorted(names):
         witness = monotonicity_witness(sig.table(name))
         if witness is not None:
             raise UsageError(
@@ -103,12 +103,13 @@ def check_collapse(
     half of the story). Each formula is checked under every assignment
     of its free variables into the domain.
     Callers that sweep many models with one formula inventory may run
-    require_monotone once themselves and pass precheck=False.
+    require_monotone on its connective names once themselves and pass
+    precheck=False.
     """
     if not model.constant_domain:
         raise UsageError("check_collapse needs a constant-domain model")
     if precheck:
-        require_monotone(formulas, sig)
+        require_monotone(connective_names(formulas), sig)
     return segment_collapse(Lanes.for_model(model, sig), 0, model, formulas, keep_pairs)
 
 
@@ -222,8 +223,9 @@ def run_collapse_sweep(
     atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
     formulas = enumerate_formulas(sig, atoms, depth)
     if depth >= 2:
-        # every connective of sig occurs in the formulas of depth 2
-        require_monotone(enumerate_formulas(sig, atoms, 2), sig)
+        # the formulas of depth 2 hold every connective of sig, and those
+        # of depth 1 none
+        require_monotone(sig.names(), sig)
     report = SweepReport()
     for batches in _packed(cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap)):
         # every interpretation of the run's frames in one Lanes, models

@@ -14,7 +14,8 @@ consecutive frames of one world count and of every domain size at
 once, each element existing on the models whose domain holds it.
 check_heredity reads one model's segment through segment_heredity,
 which the heredity suite runs on the segments of many models'
-Lanes.for_models.
+Lanes.for_models: the drops along the order on the lanes where the
+assignment's values exist.
 Heredity and domain monotonicity are enforced when a model is validated;
 evaluation assumes them and never re-checks.
 """
@@ -304,19 +305,16 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     """
     lanes = Lanes.for_model(model, sig)
     lanes.cross_check = False
-    return segment_heredity(lanes, 0, model, f, rho)
+    return segment_heredity(lanes, 0, f, rho)
 
 
-def segment_heredity(lanes: Lanes, segment: int, model: KripkeModel, f: Formula,
-                     rho: Mapping) -> bool:
-    """check_heredity of model, read from lanes, in which model alone is
-    the given segment; lanes.cross_check must be off where a model may
-    not be hereditary."""
+def segment_heredity(lanes: Lanes, segment: int, f: Formula, rho: Mapping) -> bool:
+    """check_heredity of the model that is the given segment of lanes;
+    lanes.cross_check must be off where a model may not be hereditary."""
     value = lanes.value(f, rho)[0]
-    # the worlds where f holds but fails at some world above
-    drops = lanes.segment(value & ~lanes.box(value), segment)
-    return not any(drops >> i & 1 and all(rho[x] in model.domains[w] for x in f.fv)
-                   for i, w in enumerate(model.worlds))
+    # the worlds where rho's values exist and f holds but fails at some
+    # world above
+    return not lanes.segment(value & ~lanes.box(value) & lanes.alive(rho, f.fv), segment)
 
 
 # --- enumeration of small constant-domain models ---------------------------
@@ -327,8 +325,8 @@ def enumerate_preorders(n: int, up_to_iso: bool = False) -> list:
     their row-major bit string. With up_to_iso=True, only the first
     matrix of each class of matrices equal up to a permutation of the
     points is kept, which is the class's minimum row-major code."""
-    return [matrix for matrix, *_, representative in _frames(n)
-            if representative or not up_to_iso]
+    return [tuple(tuple(bool(row >> (n - 1 - j) & 1) for j in range(n)) for row in rows)
+            for rows, *_, representative in _frames(n) if representative or not up_to_iso]
 
 
 # ceiling on the number of models a bounded search may enumerate
@@ -368,21 +366,21 @@ class Valid:
 
 @functools.lru_cache(maxsize=None)
 def _frames(n: int) -> tuple:
-    """(matrix, worlds, order, future, vectors, representative) per
-    preorder on n worlds, in enumerate_preorders order: future a
-    read-only map from each world to the worlds above it, vectors the
-    0/1 world vectors that never drop along the order, as binary numbers
-    in increasing order (first world most significant), and
-    representative true for the first frame of each isomorphism class.
+    """(rows, worlds, future, vectors, representative) per preorder on n
+    worlds, in enumerate_preorders order: rows its row masks, as
+    _preorder_rows lists them, future a read-only map from each world to
+    the worlds above it, vectors the 0/1 world vectors that never drop
+    along the order, as binary numbers in increasing order (first world
+    most significant), and representative true for the first frame of
+    each isomorphism class.
 
     Computed once per process, so every value is immutable."""
     worlds = tuple(f"w{i}" for i in range(n))
     points = range(n)
     masks = range(1 << n)
-    # for each row mask: its bits as a world vector, as a matrix row, and
-    # the worlds it holds
+    # for each row mask: its bits as a world vector, and the worlds it
+    # holds
     bits = [tuple(row >> (n - 1 - j) & 1 for j in points) for row in masks]
-    matrix_rows = [tuple(map(bool, b)) for b in bits]
     held = [tuple(w for w, x in zip(worlds, b) if x) for b in bits]
     # the row mask of every permutation's image of every row mask
     perms = [(p, [sum(b[p[j]] << (n - 1 - j) for j in points) for b in bits])
@@ -393,15 +391,13 @@ def _frames(n: int) -> tuple:
         if representative:
             covered.update(tuple(image[rows[p[i]]] for i in points) for p, image in perms)
         future = MappingProxyType({w: held[row] for w, row in zip(worlds, rows)})
-        order = frozenset((w, v) for w in worlds for v in future[w])
         # up-sets: need[v] is every world reached from the worlds of v
         need = [0] * (1 << n)
         for v in masks[1:]:
             low = v & -v
             need[v] = need[v ^ low] | rows[n - low.bit_length()]
         vectors = tuple(bits[v] for v in masks if need[v] == v)
-        frames.append((tuple(matrix_rows[row] for row in rows), worlds, order, future,
-                       vectors, representative))
+        frames.append((rows, worlds, future, vectors, representative))
     return tuple(frames)
 
 
@@ -447,10 +443,9 @@ class CdBatch:
     the package import and a dataclass takes most of a millisecond to
     create."""
 
-    def __init__(self, worlds: tuple, order: frozenset, future: Mapping,
-                 domain: tuple, slots: list, vectors: Sequence, fixed: Sequence = ()):
+    def __init__(self, worlds: tuple, future: Mapping, domain: tuple, slots: list,
+                 vectors: Sequence, fixed: Sequence = ()):
         self.worlds = worlds
-        self.order = order
         self.future = future
         self.domain = domain
         self.slots = slots
@@ -473,8 +468,10 @@ class CdBatch:
             for w, val in zip(self.worlds, vec):
                 if val:
                     interp[(w, pred, args)] = 1
-        domains = {w: self.domain for w in self.worlds}
-        return KripkeModel(self.worlds, self.order, domains, interp, True, self.future)
+        worlds, future = self.worlds, self.future
+        order = frozenset((w, v) for w in worlds for v in future[w])
+        domains = {w: self.domain for w in worlds}
+        return KripkeModel(worlds, order, domains, interp, True, future)
 
     def models(self):
         return (self.model(index) for index in range(self.width))
@@ -483,6 +480,11 @@ class CdBatch:
 # the most worlds a walk lists the frames of: _frames(7) alone would list
 # all 9,535,241 labeled preorders (OEIS A000798) before a model is counted
 MAX_FRAME_WORLDS = 6
+
+# the largest domain a walk lists: with a predicate of arity >= 1, size
+# 65 alone has over 2**64 models, and with only 0-ary ones the size
+# changes no value but costs a batch and an existence mask
+MAX_DOMAIN = 64
 
 # the most models in one batch of cd_model_batches and in one run of
 # _packed: each lane mask holds models * worlds bits, and a lane set
@@ -507,8 +509,9 @@ def cd_model_batches(
     size that would take the cumulative model count past the cap. The
     count runs over every labeled frame and domain size, yielded or
     not, so a bound meets the cap where the labeled walk meets it.
-    Frames of more than MAX_FRAME_WORLDS worlds are refused the same way,
-    when the walk reaches them."""
+    Frames of more than MAX_FRAME_WORLDS worlds and domains of more than
+    MAX_DOMAIN elements are refused the same way, when the walk reaches
+    them."""
     return itertools.chain.from_iterable(
         _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap))
 
@@ -518,15 +521,22 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
     """The batches of cd_model_batches as one lazy iterator per world
     count, in order. The cap count runs on across the iterators, so each
     must be used up before the next is asked for; asking for the
-    iterator of more than MAX_FRAME_WORLDS worlds raises the refusal."""
+    iterator of more than MAX_FRAME_WORLDS worlds raises the refusal, and
+    an iterator raises it on reaching a domain of more than MAX_DOMAIN
+    elements."""
     ceiling = enum_cap(cap)
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
 
     def world_count(n):
         nonlocal produced
-        for _, worlds, order, future, vectors, representative in _frames(n):
+        for _, worlds, future, vectors, representative in _frames(n):
             for size in range(1, max_domain + 1):
+                if size > MAX_DOMAIN:
+                    raise EnumerationCapError(
+                        f"bound infeasible: domains of more than {MAX_DOMAIN} elements "
+                        f"are not enumerated, domain<={max_domain}"
+                    )
                 if len(sizes) < size:
                     domain = tuple(f"a{i + 1}" for i in range(size))
                     sizes.append((domain, interpretation_slots(preds, domain)))
@@ -545,8 +555,8 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
                 while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
                     lead += 1
                 for fixed in itertools.product(vectors, repeat=lead):
-                    yield CdBatch(worlds, order, future, domain, slots[lead:],
-                                  vectors, list(zip(slots, fixed)))
+                    yield CdBatch(worlds, future, domain, slots[lead:], vectors,
+                                  list(zip(slots, fixed)))
 
     for n in range(1, max_worlds + 1):
         if n > MAX_FRAME_WORLDS:

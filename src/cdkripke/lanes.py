@@ -224,11 +224,15 @@ class Lanes:
         return out
 
     def alive(self, rho: Mapping, variables) -> int:
-        """The lanes where every value rho gives the variables exists."""
+        """The lanes where every value rho gives the variables exists: no
+        lane for a value outside the domain."""
+        exists = self.exists
+        if exists is None:
+            domain = self.domain
+            return self.full if all(rho[x] in domain for x in variables) else 0
         mask = self.full
-        if self.exists is not None:
-            for x in variables:
-                mask &= self.exists.get(rho[x], 0)
+        for x in variables:
+            mask &= exists.get(rho[x], 0)
         return mask
 
     def _table(self, name: str, masks: Sequence[int]) -> int:
@@ -236,15 +240,6 @@ class Lanes:
         if table is None:
             raise UsageError(f"unknown connective {name!r}")
         conjunctive, terms = table.lane_terms
-        if self._lanes < len(terms):
-            # fewer lanes than terms: look each lane's row up
-            outputs, out = table.outputs, 0
-            for lane in range(self._lanes):
-                row = 0
-                for mask in masks:
-                    row = (row << 1) | (mask >> lane & 1)
-                out |= outputs[row] << lane
-            return out
         full = self.full
         if conjunctive:
             out = full

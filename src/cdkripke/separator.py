@@ -316,8 +316,9 @@ def _case_c(table: TruthTable, a: tuple, b: tuple) -> tuple:
 def _case_b(table: TruthTable, a: tuple, b: tuple) -> tuple:
     """f(0...0) = 0 and f(1...1) = 1, yet non-monotonic. Subcase 1
     (f on the inversion of a is 1) refutes phi => chi; subcase 2 reuses
-    the case-d stack with its tau slots replaced by r and refutes
-    psi => phi."""
+    the case-d stack, in the layer subcase that f selects on the relative
+    inversion rel of the witness pair, with its tau slots replaced by r,
+    and refutes psi => phi."""
     name = table.name
     if eval_table(table, invert(a)) == 1:
         n = len(a)
@@ -364,83 +365,58 @@ def _case_b(table: TruthTable, a: tuple, b: tuple) -> tuple:
             tables=tables,
         )
         return _checked(result)
-    return _case_b_subcase2(table, a, b)
+    layer_subcase = 1 if eval_table(table, relative_invert(a, b)) == 1 else 2
+    return _checked(_case_b_subcase2(table, a, b, layer_subcase))
 
 
-def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple) -> tuple:
+def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple, layer_subcase: int) -> SeparationResult:
+    """The unverified candidate psi => phi on the case-d stack of the layer
+    subcase, tau replaced by r: variant PP for layer subcase 1, QQ for 2.
+    _case_b passes 1 exactly when f(rel) = 1. The other variant cannot
+    verify: at the classical row p=0, q=1, r=1 the arguments of
+    sigma_layer are rel, and PP's table states sigma_layer = 1 there, QQ's
+    0. So the notes, which are not verified, name the variant as the one
+    preferred and as the only one that verifies."""
     rel = relative_invert(a, b)
     name = table.name
     psi = Conn(name, tuple(R if x else Q for x in a))
-    candidates = {}
-    for variant, layer_subcase in (("PP", 1), ("QQ", 2)):
-        sigma_r, psi_r, phi_r = _layer_stack(name, a, b, layer_subcase, R)
-        layer_cls, layer_kr = _layer_tables(
-            layer_subcase,
-            a,
-            b,
-            rel,
-            keys=("sigma_layer", "psi_layer", "phi"),
-            extra_valuation=(("r", 1),),
-        )
-        tables = (
-            ExpectedTable(
-                "classical-facts",
-                (
-                    _classical_row((("q", 0), ("r", 0)), (_val("psi", 0),)),
-                    _classical_row((("q", 1), ("r", 0)), (_val("psi", 0),)),
-                ),
+    sigma_r, psi_r, phi_r = _layer_stack(name, a, b, layer_subcase, R)
+    layer_cls, layer_kr = _layer_tables(layer_subcase, a, b, rel,
+                                        keys=("sigma_layer", "psi_layer", "phi"),
+                                        extra_valuation=(("r", 1),))
+    tables = (
+        ExpectedTable(
+            "classical-facts",
+            (
+                _classical_row((("q", 0), ("r", 0)), (_val("psi", 0),)),
+                _classical_row((("q", 1), ("r", 0)), (_val("psi", 0),)),
             ),
-            layer_cls,
-            ExpectedTable(
-                layer_kr.name,
-                layer_kr.rows
-                + (
-                    _kripke_row("w1", (_val("psi", 1),)),
-                    _kripke_row("w0", (_val("psi", 1),)),
-                ),
-            ),
-        )
-        candidates[variant] = SeparationResult(
-            connective=table,
-            case="b",
-            subcase=2,
-            witness_a=a,
-            witness_b=b,
-            formulas={
-                "psi": psi,
-                "sigma_layer": sigma_r,
-                "psi_layer": psi_r,
-                "phi": phi_r,
-            },
-            sequent=Sequent((psi,), (phi_r,)),
-            countermodel=chain_countermodel(with_r=True),
-            failing_world="w0",
-            tables=tables,
-            notes=(f"variant={variant}",),
-        )
-    preferred = "PP" if eval_table(table, rel) == 1 else "QQ"
-    other = "QQ" if preferred == "PP" else "PP"
-    reports = {v: verify_separation(r) for v, r in candidates.items()}
-    if reports[preferred].passed:
-        variant = preferred
-    elif reports[other].passed:
-        variant = other
-    else:
-        raise ConstructionError(
-            f"neither candidate verifies for {table.name} ({table.bits()}): "
-            f"PP: {reports['PP'].summary()}; QQ: {reports['QQ'].summary()}"
-        )
-    chosen = candidates[variant]
-    # the notes are not verified, so the candidate's report stands
-    return replace(
-        chosen,
-        notes=chosen.notes
-        + (
-            f"preferred={preferred}",
-            f"PP_verified={reports['PP'].passed}",
-            f"QQ_verified={reports['QQ'].passed}",
         ),
-    ), reports[variant]
+        layer_cls,
+        ExpectedTable(
+            layer_kr.name,
+            layer_kr.rows
+            + (
+                _kripke_row("w1", (_val("psi", 1),)),
+                _kripke_row("w0", (_val("psi", 1),)),
+            ),
+        ),
+    )
+    variant = "PP" if layer_subcase == 1 else "QQ"
+    return SeparationResult(
+        connective=table,
+        case="b",
+        subcase=2,
+        witness_a=a,
+        witness_b=b,
+        formulas={"psi": psi, "sigma_layer": sigma_r, "psi_layer": psi_r, "phi": phi_r},
+        sequent=Sequent((psi,), (phi_r,)),
+        countermodel=chain_countermodel(with_r=True),
+        failing_world="w0",
+        tables=tables,
+        notes=(f"variant={variant}", f"preferred={variant}",
+               f"PP_verified={variant == 'PP'}", f"QQ_verified={variant == 'QQ'}"),
+    )
 
 
 def _case_a(table: TruthTable, a: tuple, b: tuple) -> tuple:

@@ -218,7 +218,7 @@ def run_heredity_suite(
         lanes.cross_check = False
         for segment, (model, f) in enumerate(drawn):
             rho = {"x": "a1"} if f.fv else {}
-            if not segment_heredity(lanes, segment, model, f, rho):
+            if not segment_heredity(lanes, segment, f, rho):
                 report.violations.append(
                     f"trial {first + segment}: {f} drops along the order of {model}")
     return report
@@ -257,7 +257,7 @@ def run_collapse_suite(
     a monotonic signature; a signature with a non-monotonic connective
     is refused, as require_monotone refuses it, before the first trial."""
     sig = sig or MONOTONE_SIGNATURE
-    require_monotone([Conn(name, (_ATOMS[0],) * sig.arity(name)) for name in sig.names()], sig)
+    require_monotone(sig.names(), sig)
     rng = random.Random(seed)
     report = SuiteReport("collapse", seed, trials)
 

@@ -20,8 +20,6 @@ from .errors import ParseError, UsageError
 
 TruthVector = tuple
 
-CASE_LABELS = ("a", "b", "c", "d")
-
 
 def zeros(n: int) -> TruthVector:
     return (0,) * n

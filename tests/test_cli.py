@@ -286,6 +286,25 @@ class TestBadInput:
             "worlds<=7\n")
         assert listed == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("mode", ["classical-bounded", "cd-search"])
+    def test_domains_of_more_than_64_elements_are_refused(self, files, capsys, mode):
+        code = main(
+            ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", mode,
+             "--max-domain", "100000", "--sequent", "p => p"]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: bound infeasible: domains of more than 64 elements are not enumerated, "
+            "domain<=100000\n")
+
+    def test_a_large_domain_bound_keeps_a_one_element_refutation(self, files, capsys):
+        code = main(
+            ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", "classical-bounded",
+             "--max-domain", "100000", "--sequent", "=> p", "--format", "json"]
+        )
+        assert code == EXIT_NEGATIVE
+        assert json.loads(capsys.readouterr().out)["model"]["domain"] == ["a1"]
+
 
 class TestArgumentsFromFiles:
     def test_sequent_from_at_file(self, files, capsys):

@@ -20,7 +20,7 @@ from cdkripke.kripke import (
     model_validity,
     validate_kripke_model,
 )
-from cdkripke.syntax import Atom, Conn, Exists, Forall, parse_formula
+from cdkripke.syntax import Atom, Conn, Exists, Forall, connective_names, parse_formula
 from cdkripke.truthfn import standard_signature
 
 MONO = standard_signature("and", "or")
@@ -199,7 +199,7 @@ class TestSmallSweep:
         atoms = [Atom("p"), Atom("q"), Atom("P", ("x",))]
         sig = standard_signature("xor", "and", "not", "implies")
         try:
-            require_monotone(enumerate_formulas(sig, atoms, depth), sig)
+            require_monotone(connective_names(enumerate_formulas(sig, atoms, depth)), sig)
         except UsageError as exc:
             expected = str(exc)
         else:

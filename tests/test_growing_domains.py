@@ -19,6 +19,7 @@ from cdkripke.kripke import (
     NoCountermodelUpTo,
     bounded_cd_countermodel_search,
     check_heredity,
+    kripke_violations,
     model_validity,
     validate_kripke_model,
 )
@@ -154,3 +155,79 @@ class TestRepeatedNames:
     def test_repeated_classical_element(self):
         with pytest.raises(ModelValidationError, match="repeated-element"):
             ClassicalModel(("a1", "a2", "a1"), {})
+
+
+def shrinking_model(rng):
+    """An assembled model whose domains need not grow along the order and
+    whose interpretation need not be hereditary, with now and then an
+    atom on an element outside the world's domain: validation refuses
+    most of them."""
+    worlds = [f"w{i}" for i in range(rng.randint(2, 4))]
+    pairs = [(v, u) for v in worlds for u in worlds if v != u and rng.random() < 0.4]
+    pool = ("a1", "a2", "a3")
+    domains = {w: tuple(a for a in pool if rng.random() < 0.6) or (rng.choice(pool),)
+               for w in worlds}
+    interp = {}
+    for w in worlds:
+        for key in [("p", ()), ("q", ())] + [("P", (a,)) for a in pool + ("a4",)]:
+            if (not key[1] or key[1][0] in domains[w] or rng.random() < 0.2) and rng.random() < 0.5:
+                interp[(w, *key)] = 1
+    return assemble_kripke_model(worlds, pairs, domains, interp)
+
+
+def heredity_by_domains(model, f, rho, sig):
+    """check_heredity as a loop over the worlds: f's drops along the
+    order, read on lanes, where rho's values all lie in the world's
+    domain."""
+    lanes = Lanes.for_model(model, sig)
+    lanes.cross_check = False
+    value = lanes.value(f, rho)[0]
+    drops = value & ~lanes.box(value)
+    return not any(drops >> i & 1 and all(rho[x] in model.domains[w] for x in f.fv)
+                   for i, w in enumerate(model.worlds))
+
+
+class TestShrinkingDomains:
+    """check_heredity compares w <= v only where rho's values lie in D(w),
+    read from the existence masks. On models whose domains shrink along
+    the order, and under assignments to an element of no domain, it
+    agrees with a loop over the worlds' domains and, where the scalar
+    reference defines every value it compares, with that reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heredity_matches_the_domains(self, seed):
+        rng = random.Random(6_300 + seed)
+        shrinking = compared = dropped = undefined = 0
+        for _ in range(50):
+            model = shrinking_model(rng)
+            shrinking += any(v.code == "domain-monotonicity" for v in kripke_violations(model))
+            for _ in range(5):
+                f = random_formula(rng, MIXED_SIGNATURE, depth=4, atoms=ATOMS)
+                rhos = [{}]
+                for x in f.fvs:
+                    rhos = [{**rho, x: a} for rho in rhos for a in ("a1", "a2", "a3", "a4")]
+                for rho in rhos:
+                    verdict = check_heredity(model, f, rho, MIXED_SIGNATURE)
+                    assert verdict == heredity_by_domains(model, f, rho, MIXED_SIGNATURE)
+                    try:
+                        expected = scalar_reference.check_heredity(model, f, rho, MIXED_SIGNATURE)
+                    except (UsageError, TypeError):
+                        # the reference leaves a value undefined at a world
+                        # missing one of rho's elements, and a world below
+                        # it then cannot read it
+                        undefined += 1
+                        continue
+                    assert verdict == expected, (str(f), rho)
+                    compared += 1
+                    dropped += not verdict
+        assert shrinking >= 20 and compared >= 300 and dropped >= 10 and undefined >= 30
+
+    def test_an_element_of_no_domain_compares_no_world(self):
+        # P(a1) and P(a9) drop from w0 to w1, but a9 lies in no domain
+        model = assemble_kripke_model(["w0", "w1"], [("w0", "w1")],
+                                      {"w0": ("a1",), "w1": ("a1",)},
+                                      {("w0", "P", ("a1",)): 1, ("w0", "P", ("a9",)): 1})
+        f = Atom("P", ("x",))
+        for rho, holds in (({"x": "a9"}, True), ({"x": "a1"}, False)):
+            assert check_heredity(model, f, rho, MIXED_SIGNATURE) is holds
+            assert scalar_reference.check_heredity(model, f, rho, MIXED_SIGNATURE) is holds

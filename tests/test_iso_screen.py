@@ -118,7 +118,8 @@ def walked(preds, max_worlds, max_domain, up_to_iso, cap):
     batches = []
     try:
         for b in cd_model_batches(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
-            batches.append((b.worlds, b.order, b.domain, tuple(b.slots), tuple(b.fixed), b.width))
+            order = frozenset((w, v) for w in b.worlds for v in b.future[w])
+            batches.append((b.worlds, order, b.domain, tuple(b.slots), tuple(b.fixed), b.width))
     except EnumerationCapError as exc:
         return batches, str(exc)
     return batches, None

@@ -325,11 +325,10 @@ class TestPreorders:
 
     def test_frame_vectors_are_the_monotone_world_vectors(self):
         for n in range(5):
-            for matrix, worlds, order, future, vectors, _ in _frames(n):
+            for matrix, (_, worlds, future, vectors, _) in zip(enumerate_preorders(n), _frames(n)):
                 assert vectors == tuple(scalar_reference.monotone_world_vectors(matrix))
-                assert order == closed_frame(worlds, order)[0]
-                assert all(future[w] == tuple(v for v in worlds if (w, v) in order)
-                           for w in worlds)
+                pairs = [(worlds[i], worlds[j]) for i in range(n) for j in range(n) if matrix[i][j]]
+                assert future == closed_frame(worlds, pairs)[1]
 
     def test_matrices_are_reflexive_transitive(self):
         for matrix in enumerate_preorders(3):

@@ -415,8 +415,7 @@ class TestSplitBatches:
 def test_tables_apply_row_by_row(worlds, width):
     """Each lane of a connective's mask is the table's output on the
     row its argument masks spell there, over several worlds and widths,
-    whichever of the row lookup and the term application the lane count
-    picks."""
+    lane counts below and above the table's term count among them."""
     rng = random.Random(worlds * 100 + width)
     tables = [t for n in (1, 2, 3) for t in all_tables(n)]
     tables += [TruthTable.from_bits("c", 4, format(rng.getrandbits(16), "016b"))
@@ -433,9 +432,9 @@ def test_tables_apply_row_by_row(worlds, width):
 @pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_every_table_applies_row_by_row(arity):
     """Each lane of a connective's mask is the table's output on the
-    row its argument masks spell there, for every table of arity 1-4:
-    at one lane fewer than the table has terms, where each lane's row is
-    looked up, and at one lane more, where the terms are applied."""
+    row its argument masks spell there, for every table of arity 1-4, at
+    one lane fewer and one lane more than the table has terms: the terms
+    apply exactly at every lane count."""
     rng = random.Random(arity)
     for table in all_tables(arity):
         terms = len(table.lane_terms[1])

@@ -50,7 +50,7 @@ def narrow(monkeypatch, width):
 
 
 def cell(batch):
-    return batch.worlds, batch.order, batch.domain, tuple(batch.slots), tuple(batch.fixed)
+    return batch.worlds, dict(batch.future), batch.domain, tuple(batch.slots), tuple(batch.fixed)
 
 
 def search_runs(max_worlds, max_domain):
@@ -232,7 +232,7 @@ def test_mixed_lane_set_matches_single_models(monkeypatch):
     formulas = enumerate_formulas(sig, ATOMS, 3)[::13]
     first: dict = {}
     for b in cd_model_batches(PREDS, 3, 2, up_to_iso=True):
-        first.setdefault((len(b.worlds), len(b.domain), len(b.order)), b)
+        first.setdefault((len(b.worlds), len(b.domain), sum(map(len, b.future.values()))), b)
     batches = [first[key] for key in [(2, 2, 3), (1, 1, 1), (3, 1, 6), (1, 2, 1),
                                       (3, 2, 4), (2, 1, 2)]]
     lanes = Lanes.for_batches(batches, sig)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from cdkripke.kripke import (
     model_validity,
     validate_kripke_model,
 )
+from cdkripke import separator
 from cdkripke.separator import (
     AllMonotone,
     SeparationResult,
@@ -36,7 +38,10 @@ from cdkripke.truthfn import (
     TruthTable,
     all_tables,
     classify_case,
+    eval_table,
+    invert,
     monotonicity_witness,
+    relative_invert,
     standard_signature,
     standard_table,
 )
@@ -267,6 +272,54 @@ class TestCaseB:
         assert result.sequent.antecedent == frozenset({psi})
         assert model_validity(result.countermodel, result.sequent, result.signature()) == Failure("w0", {})
         assert isinstance(decide_propositional(result.signature(), result.sequent), Valid)
+
+    @staticmethod
+    def subcase2_tables():
+        """(table, a, b) for every case-b subcase-2 table of arity 3 and of
+        a seeded sample of arity-4 tables, (a, b) its witness."""
+        rng = random.Random(2021)
+        sample = [TruthTable.from_bits("c", 4, format(rng.getrandbits(16), "016b"))
+                  for _ in range(6000)]
+        for table in [*all_tables(3), *sample]:
+            witness = monotonicity_witness(table)
+            if (witness is not None and classify_case(table) == "b"
+                    and eval_table(table, invert(witness[0])) == 0):
+                yield table, *witness
+
+    def test_subcase2_builds_the_candidate_that_f_rel_selects(self):
+        # the other layer subcase's candidate fails verification where
+        # its table states sigma_layer's value at p=0, q=1, r=1, whose
+        # arguments are rel
+        count = 0
+        for table, a, b in self.subcase2_tables():
+            f_rel = eval_table(table, relative_invert(a, b))
+            chosen, other = (1, 2) if f_rel == 1 else (2, 1)
+            variant = "PP" if chosen == 1 else "QQ"
+            result = separate(Signature.of(table))
+            assert (result.case, result.subcase) == ("b", 2)
+            assert result.tables[1].name == f"classical-subcase-{chosen}"
+            assert result.notes == (f"variant={variant}", f"preferred={variant}",
+                                    f"PP_verified={chosen == 1}", f"QQ_verified={chosen == 2}")
+            report = verify_separation(separator._case_b_subcase2(table, a, b, other))
+            assert not report.passed
+            assert any(c.name == f"table:classical-subcase-{other}/p=0,q=1,r=1/sigma_layer"
+                       and c.detail == f"expected {1 - f_rel}, got {f_rel}"
+                       for c in report.failures()), table.bits()
+            count += 1
+        assert count >= 200
+
+    def test_subcase2_is_verified_once(self, monkeypatch):
+        calls = []
+        verify = separator.verify_separation
+
+        def counted(result):
+            calls.append(result)
+            return verify(result)
+
+        monkeypatch.setattr(separator, "verify_separation", counted)
+        result = separate(Signature.of(B_SUB2))
+        assert (result.case, result.subcase) == ("b", 2)
+        assert len(calls) == 1 and calls[0] is result
 
     def test_arity2_has_no_case_b_nonmonotone(self):
         for table in all_tables(2):

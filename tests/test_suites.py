@@ -16,7 +16,7 @@ from cdkripke.suites import (
     run_heredity_suite,
     run_lift_suite,
 )
-from cdkripke.syntax import Atom, Conn, free_vars, predicate_shape
+from cdkripke.syntax import Atom, Conn, connective_names, free_vars, predicate_shape
 from cdkripke.truthfn import standard_signature
 
 import scalar_reference
@@ -279,7 +279,8 @@ class TestCollapseGuard:
         with pytest.raises(UsageError) as err:
             run_collapse_suite(seed, trials=50, sig=NON_MONOTONE)
         with pytest.raises(UsageError) as expected:
-            require_monotone([Conn("implies", (Atom("p"), Atom("q")))], NON_MONOTONE)
+            require_monotone(connective_names([Conn("implies", (Atom("p"), Atom("q")))]),
+                             NON_MONOTONE)
         assert str(err.value) == str(expected.value)
 
     def test_refused_before_the_generator_is_drawn(self, monkeypatch):
