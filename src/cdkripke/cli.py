@@ -14,8 +14,9 @@ The environment variable CDKRIPKE_MAX_ENUM caps how many models the
 bounded searches (classical-bounded, cd-search) may enumerate, counted
 over every labeled frame and domain size (a positive integer, default
 2**24); the exact classical-prop decision is not capped. A search that
-reaches frames of more than six worlds or domains of more than 64
-elements exits 2 the same way. Unreadable,
+reaches frames of more than six worlds exits 2 the same way, as does a
+bound of more than 64 domain elements once the domains up to 64 are
+searched on every world count. Unreadable,
 non-UTF-8 or malformed input files exit 2.
 """
 

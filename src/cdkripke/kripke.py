@@ -509,9 +509,10 @@ def cd_model_batches(
     size that would take the cumulative model count past the cap. The
     count runs over every labeled frame and domain size, yielded or
     not, so a bound meets the cap where the labeled walk meets it.
-    Frames of more than MAX_FRAME_WORLDS worlds and domains of more than
-    MAX_DOMAIN elements are refused the same way, when the walk reaches
-    them."""
+    Frames of more than MAX_FRAME_WORLDS worlds are refused the same way
+    when the walk reaches them, and domains of more than MAX_DOMAIN
+    elements once the batches of every world count up to that size are
+    yielded."""
     return itertools.chain.from_iterable(
         _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap))
 
@@ -521,22 +522,18 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
     """The batches of cd_model_batches as one lazy iterator per world
     count, in order. The cap count runs on across the iterators, so each
     must be used up before the next is asked for; asking for the
-    iterator of more than MAX_FRAME_WORLDS worlds raises the refusal, and
-    an iterator raises it on reaching a domain of more than MAX_DOMAIN
-    elements."""
+    iterator of more than MAX_FRAME_WORLDS worlds raises the refusal.
+    Each iterator walks the domain sizes up to MAX_DOMAIN, and a bound
+    past it is refused when the iterator after the last is asked for."""
     ceiling = enum_cap(cap)
+    largest = min(max_domain, MAX_DOMAIN)
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
 
     def world_count(n):
         nonlocal produced
         for _, worlds, future, vectors, representative in _frames(n):
-            for size in range(1, max_domain + 1):
-                if size > MAX_DOMAIN:
-                    raise EnumerationCapError(
-                        f"bound infeasible: domains of more than {MAX_DOMAIN} elements "
-                        f"are not enumerated, domain<={max_domain}"
-                    )
+            for size in range(1, largest + 1):
                 if len(sizes) < size:
                     domain = tuple(f"a{i + 1}" for i in range(size))
                     sizes.append((domain, interpretation_slots(preds, domain)))
@@ -565,6 +562,11 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
                 f"are not enumerated, worlds<={max_worlds}"
             )
         yield world_count(n)
+    if max_domain > MAX_DOMAIN:
+        raise EnumerationCapError(
+            f"bound infeasible: domains of more than {MAX_DOMAIN} elements "
+            f"are not enumerated, domain<={max_domain}"
+        )
 
 
 def _packed(batches):

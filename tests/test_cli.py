@@ -305,6 +305,20 @@ class TestBadInput:
         assert code == EXIT_NEGATIVE
         assert json.loads(capsys.readouterr().out)["model"]["domain"] == ["a1"]
 
+    def test_a_large_domain_bound_keeps_a_two_world_refutation(self, files, capsys):
+        # every domain size of one world is searched before two worlds
+        code = main(
+            ["valid", "--sig", files("s.txt", IMPLIES_SIG), "--mode", "cd-search",
+             "--max-worlds", "2", "--max-domain", "100",
+             "--sequent", "=> implies(implies(implies(p,q),p),p)", "--format", "json"]
+        )
+        assert code == EXIT_NEGATIVE
+        out = json.loads(capsys.readouterr().out)
+        assert out["world"] == "w1"
+        assert out["model"]["worlds"] == ["w0", "w1"]
+        assert out["model"]["order"] == [["w0", "w0"], ["w1", "w0"], ["w1", "w1"]]
+        assert out["model"]["domain"] == ["a1"]
+
 
 class TestArgumentsFromFiles:
     def test_sequent_from_at_file(self, files, capsys):
