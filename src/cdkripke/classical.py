@@ -113,9 +113,7 @@ def decide_propositional(sig: Signature, s: Sequent):
     return Valid() if verdict is None else verdict
 
 
-def bounded_fo_validity(
-    sig: Signature, s: Sequent, max_domain: int, cap: Optional[int] = None
-):
+def bounded_fo_validity(sig: Signature, s: Sequent, max_domain: int):
     """Search for a classical countermodel over domains of size 1..max_domain.
 
     Enumeration order is deterministic: domain size ascending; for each
@@ -129,7 +127,7 @@ def bounded_fo_validity(
     """
     if max_domain < 1:
         raise UsageError("max_domain must be >= 1")
-    verdict = _refutation(sig, s, predicates(s), max_domain, cap)
+    verdict = _refutation(sig, s, predicates(s), max_domain, None)
     return NoCountermodelUpTo(1, max_domain) if verdict is None else verdict
 
 

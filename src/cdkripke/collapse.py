@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .classical import ClassicalModel
 from .errors import UsageError
@@ -110,7 +110,7 @@ def check_collapse(
         raise UsageError("check_collapse needs a constant-domain model")
     if precheck:
         require_monotone(connective_names(formulas), sig)
-    return segment_collapse(Lanes.for_model(model, sig), 0, model, formulas, keep_pairs)
+    return segment_collapse(Lanes.for_models((model,), sig), 0, model, formulas, keep_pairs)
 
 
 def segment_collapse(lanes: Lanes, segment: int, model: KripkeModel,
@@ -195,7 +195,6 @@ def run_collapse_sweep(
     max_domain: int = 2,
     depth: int = 3,
     up_to_iso: bool = True,
-    cap: Optional[int] = None,
 ) -> SweepReport:
     """Exhaustively compare the two semantics on small models.
 
@@ -205,8 +204,8 @@ def run_collapse_sweep(
     size 1..max_domain, and every hereditary interpretation of one unary
     predicate P and two propositional symbols p, q. Formulas: every
     formula of depth <= depth over the signature, the atoms p, q, P(x),
-    and quantifiers over x. The cap counts labeled models, as in
-    cd_model_batches, also where one frame per class is walked. Raises
+    and quantifiers over x. The enumeration cap counts labeled models, as
+    in cd_model_batches, also where one frame per class is walked. Raises
     UsageError when a bound or the depth is below 1.
 
     Consecutive batches are packed while they hold at most
@@ -227,7 +226,7 @@ def run_collapse_sweep(
         # of depth 1 none
         require_monotone(sig.names(), sig)
     report = SweepReport()
-    for batches in _packed(cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap)):
+    for batches in _packed(cd_model_batches(preds, max_worlds, max_domain, up_to_iso)):
         # every interpretation of the run's frames in one Lanes, models
         # in walk order; each model keeps its first 100 disagreements in
         # check order

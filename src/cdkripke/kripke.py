@@ -8,10 +8,11 @@ universal quantifier likewise ranges over future worlds and their
 domains; the existential quantifier stays at the present world.
 
 Every evaluation runs on the lane core of ``lanes``: one model is
-Lanes.for_model, its growing domains existence masks, and a search
-evaluates one lane set per run of _packed, the interpretations of
-consecutive frames of one world count and of every domain size at
-once, each element existing on the models whose domain holds it.
+Lanes.for_models of that model alone, its growing domains existence
+masks, and a search evaluates one lane set per run of _packed, the
+interpretations of consecutive frames of one world count and of every
+domain size at once, each element existing on the models whose domain
+holds it.
 check_heredity reads one model's segment through segment_heredity,
 which the heredity suite runs on the segments of many models'
 Lanes.for_models: the drops along the order on the lanes where the
@@ -49,35 +50,41 @@ class Violation:
 class KripkeModel:
     """Worlds, a reflexive-transitive order, domains, and interpretation.
 
-    ``order`` always stores the full reflexive-transitive closure;
-    ``future`` maps each world to the worlds above it, in ``worlds``
-    order. ``interp`` maps (world, predicate, argument tuple) to 1, with
-    absent triples reading as 0.
+    ``future`` is the order: it maps each world to the worlds above it,
+    in ``worlds`` order, and every check and evaluation reads the frame
+    from it. ``interp`` maps (world, predicate, argument tuple) to 1,
+    with absent triples reading as 0.
     """
 
     worlds: tuple
-    order: frozenset
+    future: Mapping
     domains: Mapping
     interp: Mapping
-    constant_domain: bool
-    future: Mapping
+
+    @functools.cached_property
+    def constant_domain(self) -> bool:
+        """Whether every world has a domain, and all of them one set;
+        computed once per model from ``domains``."""
+        domains = self.domains
+        return (len(self.worlds) > 0 and len(domains) == len(self.worlds)
+                and len({frozenset(d) for d in domains.values()}) <= 1)
 
 
-def closed_frame(worlds: Sequence[str], pairs: Iterable) -> tuple:
-    """(order, future) of a frame: the reflexive-transitive closure of
-    the pairs, ignoring pairs that name unknown worlds, and a read-only
-    map from each world to the worlds above it, in ``worlds`` order.
+def closed_frame(worlds: Sequence[str], pairs: Iterable) -> Mapping:
+    """The future map of a frame: a read-only map from each world to the
+    worlds above it in the reflexive-transitive closure of the pairs, in
+    ``worlds`` order, ignoring pairs that name unknown worlds.
 
     The last 1024 distinct frames are kept closed, so a frame met again
-    while it is among them is not closed again, and the result is shared
-    by every caller: neither part may be mutated. Pairs may be any
+    while it is among them is not closed again, and the map is shared
+    by every caller: it may not be mutated. Pairs may be any
     2-sequences, lists included.
     """
     return _closed_frame(tuple(worlds), frozenset(tuple(p) for p in pairs))
 
 
 @functools.lru_cache(maxsize=1024)
-def _closed_frame(worlds: tuple, pairs: frozenset) -> tuple:
+def _closed_frame(worlds: tuple, pairs: frozenset) -> Mapping:
     index = {w: i for i, w in enumerate(worlds)}
     n = len(worlds)
     reach = [[False] * n for _ in range(n)]
@@ -94,11 +101,12 @@ def _closed_frame(worlds: tuple, pairs: frozenset) -> tuple:
                 for j in range(n):
                     if rk[j]:
                         ri[j] = True
+    # read off the pairs, not the matrix rows, so that a repeated name
+    # is listed once per copy among the worlds above
     order = frozenset(
         (worlds[i], worlds[j]) for i in range(n) for j in range(n) if reach[i][j]
     )
-    future = {w: tuple(v for v in worlds if (w, v) in order) for w in worlds}
-    return order, MappingProxyType(future)
+    return MappingProxyType({w: tuple(v for v in worlds if (w, v) in order) for w in worlds})
 
 
 def assemble_kripke_model(
@@ -113,25 +121,16 @@ def assemble_kripke_model(
     this raw assembler exists so tests can inject broken models.
     """
     worlds = tuple(worlds)
-    order, future = closed_frame(worlds, order_pairs)
+    future = closed_frame(worlds, order_pairs)
     domains = {w: tuple(domains[w]) for w in worlds if w in domains}
-    return package_kripke_model(worlds, order, future, domains, dict(interp))
+    return KripkeModel(worlds, dict(future), domains, dict(interp))
 
 
-def package_kripke_model(
-    worlds: tuple,
-    order: frozenset,
-    future: Mapping,
-    domains: dict,
-    interp: dict,
-) -> KripkeModel:
-    """Package a model on a frame that closed_frame closed, *without*
-    checking invariants: domains maps worlds to tuples, and the model
-    keeps domains and interp themselves, so the caller hands over maps
-    that nothing else holds."""
-    domain_sets = [frozenset(d) for d in domains.values()]
-    constant = len(worlds) > 0 and len(domains) == len(worlds) and len(set(domain_sets)) <= 1
-    return KripkeModel(worlds, order, domains, interp, constant, dict(future))
+def _order_pairs(model: KripkeModel) -> set:
+    """The pairs (w, v) of the model's order, v above w, read from its
+    future map; a repeated world name gives each of its pairs once."""
+    future = model.future
+    return {(w, v) for w in model.worlds for v in future[w]}
 
 
 def _repeats(names: Sequence) -> list:
@@ -149,8 +148,8 @@ def kripke_violations(model: KripkeModel) -> list:
 
 
 def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
-    """The violations of kripke_violations, reading the closed order and
-    the interpretation entries in the order of ordered(...)."""
+    """The violations of kripke_violations, reading the pairs of the
+    order and the interpretation entries in the order of ordered(...)."""
     worlds, domains, interp = model.worlds, model.domains, model.interp
     if not worlds:
         yield Violation("empty-worlds", {})
@@ -173,8 +172,8 @@ def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
                 yield Violation("repeated-element", {"world": w, "element": a})
     if not complete:
         return
-    # domain monotonicity along the closed order
-    for w, v in ordered(model.order):
+    # domain monotonicity along the order
+    for w, v in ordered(_order_pairs(model)):
         if w != v and not domain_sets[v].issuperset(domains[w]):
             missing = tuple(a for a in domains[w] if a not in domain_sets[v])
             yield Violation("domain-monotonicity", {"from": w, "to": v, "missing": missing})
@@ -215,7 +214,7 @@ def require_valid(model: KripkeModel) -> KripkeModel:
 
 
 class KripkeEvaluator:
-    """Evaluation of formulas on one model, a view of Lanes.for_model.
+    """Evaluation of formulas on one model, a view of its Lanes.for_models.
 
     On models with growing domains an assignment may be meaningless at
     some worlds (a value missing from the domain there); those profile
@@ -227,7 +226,7 @@ class KripkeEvaluator:
     def __init__(self, model: KripkeModel, sig: Signature):
         self.model = model
         self.sig = sig
-        self._lanes = Lanes.for_model(model, sig)
+        self._lanes = Lanes.for_models((model,), sig)
         self._windex = {w: i for i, w in enumerate(model.worlds)}
 
     def value(self, f: Formula, w: str, rho: Mapping) -> int:
@@ -281,11 +280,11 @@ def model_validity(model: KripkeModel, s: Sequent, sig: Signature):
     sequent's free variables (sorted) over the world's domain in domain
     order, lexicographically.
     """
-    return _first_failure(Lanes.for_model(model, sig), model, s)
+    return _first_failure(Lanes.for_models((model,), sig), model, s)
 
 
 def _first_failure(lanes: Lanes, model: KripkeModel, s: Sequent):
-    """model_validity read from lanes, Lanes.for_model of the model,
+    """model_validity read from lanes, Lanes.for_models of the model,
     so that a caller may share them with other checks."""
     fv = sorted(free_vars(s))
     for i, w in enumerate(model.worlds):
@@ -303,7 +302,7 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     Runs with the constant-domain cross-check off, so it can diagnose
     models that bypassed validation.
     """
-    lanes = Lanes.for_model(model, sig)
+    lanes = Lanes.for_models((model,), sig)
     lanes.cross_check = False
     return segment_heredity(lanes, 0, f, rho)
 
@@ -468,10 +467,8 @@ class CdBatch:
             for w, val in zip(self.worlds, vec):
                 if val:
                     interp[(w, pred, args)] = 1
-        worlds, future = self.worlds, self.future
-        order = frozenset((w, v) for w in worlds for v in future[w])
-        domains = {w: self.domain for w in worlds}
-        return KripkeModel(worlds, order, domains, interp, True, future)
+        worlds = self.worlds
+        return KripkeModel(worlds, self.future, {w: self.domain for w in worlds}, interp)
 
     def models(self):
         return (self.model(index) for index in range(self.width))
@@ -596,7 +593,6 @@ def enumerate_cd_models(
     max_worlds: int,
     max_domain: int,
     up_to_iso: bool = False,
-    cap: Optional[int] = None,
 ):
     """Yield every constant-domain model over the given predicates within
     the bounds, in a deterministic order.
@@ -607,7 +603,7 @@ def enumerate_cd_models(
     earlier slots varying slowest. Raises EnumerationCapError when the
     cumulative count of labeled models would exceed the cap.
     """
-    for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso, cap):
+    for batch in cd_model_batches(preds, max_worlds, max_domain, up_to_iso):
         yield from batch.models()
 
 
@@ -681,7 +677,6 @@ def bounded_cd_countermodel_search(
     s: Sequent,
     max_worlds: int,
     max_domain: int,
-    cap: Optional[int] = None,
 ):
     """Look for a constant-domain Kripke countermodel within the bounds.
 
@@ -701,7 +696,7 @@ def bounded_cd_countermodel_search(
     """
     if max_worlds < 1 or max_domain < 1:
         raise UsageError("bounds must be >= 1")
-    found = _first_refutation(sig, s, predicates(s), max_worlds, max_domain, cap)
+    found = _first_refutation(sig, s, predicates(s), max_worlds, max_domain, None)
     if found is None:
         return NoCountermodelUpTo(max_worlds, max_domain)
     batch, index, world, rho = found
@@ -714,7 +709,7 @@ def bounded_cd_countermodel_search(
 def kripke_model_to_json(model: KripkeModel) -> dict:
     obj: dict = {
         "worlds": list(model.worlds),
-        "order": sorted([w, v] for (w, v) in model.order),
+        "order": sorted([w, v] for w, v in _order_pairs(model)),
     }
     if model.constant_domain:
         obj["domain"] = list(model.domains[model.worlds[0]])

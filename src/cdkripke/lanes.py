@@ -67,9 +67,10 @@ class Lanes:
     universal equals its present-world reading, which relies on heredity
     and so on each model's domain being constant: it starts on when
     exists is None, and for_models and for_batches turn it on where
-    every model's domain is constant. The memo is keyed by formula
-    structure and the assignment restricted to the formula's free
-    variables, and is freed with the lane set.
+    every model's domain is constant. One model's lanes are
+    for_models((model,), sig): lane i is world i of the model. The memo
+    is keyed by formula structure and the assignment restricted to the
+    formula's free variables, and is freed with the lane set.
     """
 
     def __init__(self, sig: Signature, frames: Sequence[tuple], domain: tuple,
@@ -84,13 +85,6 @@ class Lanes:
         self._atoms = atoms
         self._tables = sig.connectives
         self._memo: dict = {}
-
-    @classmethod
-    def for_model(cls, model: KripkeModel, sig: Signature) -> Lanes:
-        """Lanes.for_models of the one model: lane i is world i, and a
-        growing domain gets existence masks."""
-        # exists is None exactly where the one model's domain is constant
-        return cls(sig, *cls.layout((model,)))
 
     @classmethod
     def for_models(cls, models: Sequence[KripkeModel], sig: Signature) -> Lanes:

@@ -34,6 +34,7 @@ from .kripke import (
     KripkeModel,
     _batch_refutation,
     _first_failure,
+    _order_pairs,
     cd_model_batches,
     kripke_model_to_json,
     validate_kripke_model,
@@ -586,9 +587,10 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     sig = result.signature()
     model, sequent = result.countermodel, result.sequent
 
-    # the countermodel must itself validate
+    # the countermodel must itself validate, on the frame it is
+    # evaluated on
     try:
-        validate_kripke_model(model.worlds, model.order, model.domains, model.interp)
+        validate_kripke_model(model.worlds, _order_pairs(model), model.domains, model.interp)
         report.add("countermodel-validates", True)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         report.add("countermodel-validates", False, str(exc))
@@ -698,19 +700,19 @@ def _valuations(symbols: tuple) -> Optional[CdBatch]:
 
 
 def _model_lanes(model: KripkeModel, sig: Signature) -> Lanes:
-    """Lanes.for_model(model, sig), from the layout kept with a chain
+    """Lanes.for_models((model,), sig), from the layout kept with a chain
     countermodel when model is one."""
     for with_r in (False, True):
         chain, layout = _chain(with_r)
         if model is chain:
             return Lanes(sig, *layout)
-    return Lanes.for_model(model, sig)
+    return Lanes.for_models((model,), sig)
 
 
 def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
                symbols: tuple = (), valuations: Optional[Lanes] = None):
     """row(world, valuation) gives the (lanes, lane) that an expected-table
-    row is read at. A Kripke row is read from kripke, Lanes.for_model of
+    row is read at. A Kripke row is read from kripke, Lanes.for_models of
     the countermodel whose worlds are given, or gives None when its
     world is not one of them. A classical row that names only the given
     symbols is read from valuations, when given, the lanes of

@@ -41,7 +41,6 @@ from .kripke import (
     KripkeModel,
     closed_frame,
     model_validity,
-    package_kripke_model,
     require_valid,
     segment_heredity,
 )
@@ -92,7 +91,7 @@ def random_kripke_model(
     worlds, candidates = _frame_menu(rng.randint(1, max_worlds))
     coin = rng.random
     pairs = [pair for pair in candidates if coin() < 0.5]
-    order, future = closed_frame(worlds, pairs)
+    future = closed_frame(worlds, pairs)
 
     pool, preds = _element_menu(max_domain)
     members = {w: {"a1"} for w in worlds}
@@ -117,7 +116,7 @@ def random_kripke_model(
                     for v in future[w]:
                         interp[(v, pred, args)] = 1
     domains = {w: tuple(sorted(members[w])) for w in worlds}
-    return require_valid(package_kripke_model(worlds, order, future, domains, interp))
+    return require_valid(KripkeModel(worlds, dict(future), domains, interp))
 
 
 def random_formula(

@@ -10,7 +10,9 @@ with cdkripke.lanes.
 
 close_preorder and assemble_kripke_model close a frame from scratch on
 every call and build each world's future by scanning the closed order,
-as before frames were closed once per process.
+as before frames were closed once per process. constant_domain is the
+test a model's constant_domain property must agree with, and
+order_pairs lists the pairs of a model's order, read from its future.
 
 preorders lists the preorders on n points as the closures of every
 digraph, deduplicated and sorted, as before the frame table kept the
@@ -120,6 +122,18 @@ def monotone_world_vectors(matrix) -> list:
     return out
 
 
+def order_pairs(model: KripkeModel) -> set:
+    """The pairs (w, v) of the model's order, v above w."""
+    return {(w, v) for w in model.worlds for v in model.future[w]}
+
+
+def constant_domain(model: KripkeModel) -> bool:
+    """Every world has a domain, and all of them are one set."""
+    domain_sets = [frozenset(d) for d in model.domains.values()]
+    return (len(model.worlds) > 0 and len(model.domains) == len(model.worlds)
+            and len(set(domain_sets)) <= 1)
+
+
 def _repeats(names: Sequence) -> list:
     """The names occurring more than once, sorted."""
     return sorted({a for a in names if names.count(a) > 1})
@@ -147,7 +161,7 @@ def kripke_violations(model: KripkeModel) -> list:
     if any(v.code in ("missing-domain",) for v in out):
         return out
     # domain monotonicity along the closed order
-    for w, v in sorted(model.order):
+    for w, v in sorted(order_pairs(model)):
         if w == v:
             continue
         missing = [a for a in model.domains[w] if a not in domain_sets[v]]
@@ -199,9 +213,7 @@ def assemble_kripke_model(
     future = {
         w: tuple(v for v in worlds if (w, v) in order) for w in worlds
     }
-    domain_sets = [frozenset(d) for d in domains.values()]
-    constant = len(worlds) > 0 and len(domains) == len(worlds) and len(set(domain_sets)) <= 1
-    return KripkeModel(worlds, order, domains, dict(interp), constant, future)
+    return KripkeModel(worlds, future, domains, dict(interp))
 
 
 class KripkeEvaluator:
@@ -227,8 +239,8 @@ class KripkeEvaluator:
         self.sig = sig
         if check_cd_universal is None:
             check_cd_universal = __debug__
-        self._check_cd = bool(check_cd_universal) and model.constant_domain
-        self._cd = model.constant_domain
+        self._check_cd = bool(check_cd_universal) and constant_domain(model)
+        self._cd = constant_domain(model)
         worlds = model.worlds
         self._worlds = worlds
         self._windex = {w: i for i, w in enumerate(worlds)}
@@ -495,7 +507,7 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     models that bypassed validation.
     """
     evaluator = KripkeEvaluator(model, sig, check_cd_universal=False)
-    for w, v in sorted(model.order):
+    for w, v in sorted(order_pairs(model)):
         dom_w = set(model.domains[w])
         if any(rho[x] not in dom_w for x in f.fv):
             continue
@@ -545,7 +557,7 @@ def verify_separation(result) -> VerificationReport:
     try:
         validate_kripke_model(
             result.countermodel.worlds,
-            result.countermodel.order,
+            order_pairs(result.countermodel),
             result.countermodel.domains,
             result.countermodel.interp,
         )
@@ -632,7 +644,7 @@ def random_kripke_model(
         if i != j and rng.random() < 0.5
     ]
     # future sets under the closure, needed to close things upward
-    future = closed_frame(worlds, pairs)[1]
+    future = closed_frame(worlds, pairs)
 
     pool = [f"a{i + 1}" for i in range(max_domain)]
     domains = {w: {"a1"} for w in worlds}

@@ -181,12 +181,13 @@ class TestBoundedValidity:
             if isinstance(prop, Countermodel):
                 assert prop.model.interp == bounded.model.interp
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         # identity sequent is never refuted, so the search must reach the
         # size-3 stage whose 2**9 interpretations burst the tiny cap
         s = parse_sequent("P(x, y) => P(x, y)", SIG)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "16")
         with pytest.raises(EnumerationCapError):
-            bounded_fo_validity(SIG, s, 3, cap=16)
+            bounded_fo_validity(SIG, s, 3)
 
     def test_bad_bound(self):
         with pytest.raises(UsageError):

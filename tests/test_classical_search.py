@@ -183,14 +183,16 @@ class TestCapRule:
         s = parse_sequent("p => or(p, q)", MONOTONE_SIGNATURE)
         assert decide_propositional(MONOTONE_SIGNATURE, s) == Valid()
 
-    def test_cap_counts_models_across_domain_sizes(self):
+    def test_cap_counts_models_across_domain_sizes(self, monkeypatch):
         # two interpretations at size 1 and four at size 2: six in all
         s = parse_sequent(self.EXISTS_FORALL, MIXED_SIGNATURE)
-        verdict = bounded_fo_validity(MIXED_SIGNATURE, s, 2, cap=6)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "6")
+        verdict = bounded_fo_validity(MIXED_SIGNATURE, s, 2)
         assert verdict == scalar_bounded_fo_validity(MIXED_SIGNATURE, s, 2)
         assert len(verdict.model.domain) == 2
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "4")
         with pytest.raises(EnumerationCapError):
-            bounded_fo_validity(MIXED_SIGNATURE, s, 2, cap=4)
+            bounded_fo_validity(MIXED_SIGNATURE, s, 2)
 
     def test_env_var_caps_bounded_fo_validity(self, monkeypatch):
         s = parse_sequent(self.EXISTS_FORALL, MIXED_SIGNATURE)
@@ -205,19 +207,22 @@ class TestCapRule:
         # holds the countermodel; the cap still sees all four at once
         monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", 2)
         s = parse_sequent(self.EXISTS_FORALL, MIXED_SIGNATURE)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "4")
         with pytest.raises(EnumerationCapError):
-            bounded_fo_validity(MIXED_SIGNATURE, s, 2, cap=4)
-        assert bounded_fo_validity(MIXED_SIGNATURE, s, 2, cap=6) == (
+            bounded_fo_validity(MIXED_SIGNATURE, s, 2)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "6")
+        assert bounded_fo_validity(MIXED_SIGNATURE, s, 2) == (
             scalar_bounded_fo_validity(MIXED_SIGNATURE, s, 2))
 
-    def test_cap_error_names_the_bounds_set(self):
+    def test_cap_error_names_the_bounds_set(self, monkeypatch):
         s = parse_sequent(self.EXISTS_FORALL, MIXED_SIGNATURE)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "4")
         with pytest.raises(EnumerationCapError) as classical_error:
-            bounded_fo_validity(MIXED_SIGNATURE, s, 2, cap=4)
+            bounded_fo_validity(MIXED_SIGNATURE, s, 2)
         assert str(classical_error.value) == (
             "bound infeasible: more than 4 models within domain<=2")
         with pytest.raises(EnumerationCapError) as cd_error:
-            bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 2, cap=4)
+            bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 2)
         assert str(cd_error.value) == (
             "bound infeasible: more than 4 constant-domain models within "
             "worlds<=2, domain<=2")

@@ -5,7 +5,8 @@ and every model assembled on that frame shares the result. The
 reference in scalar_reference closes the frame again on every call and
 scans the closed order for each world's future. On seeded random
 frames and models, many of them broken, both must give the same order,
-the same future sets and the same violations in the same order.
+the same future sets, the same constant-domain verdict and the same
+violations in the same order.
 """
 
 import random
@@ -72,9 +73,10 @@ def test_order_and_future_match_the_reference(seed):
     for _ in range(300):
         worlds, pairs = random_frame(rng)
         expected = scalar_reference.close_preorder(worlds, pairs)
-        assert closed_frame(worlds, pairs)[0] == expected
-        order, future = closed_frame(worlds, iter(pairs))
-        assert order == expected
+        future = closed_frame(worlds, pairs)
+        assert {(w, v) for w in worlds for v in future[w]} == expected
+        future = closed_frame(worlds, iter(pairs))
+        assert {(w, v) for w in worlds for v in future[w]} == expected
         assert dict(future) == {
             w: tuple(v for v in worlds if (w, v) in expected) for w in worlds
         }
@@ -89,6 +91,7 @@ def test_models_and_violations_match_the_reference(seed):
         reference = scalar_reference.assemble_kripke_model(*parts)
         assert model == reference
         assert list(model.future) == list(reference.future)
+        assert model.constant_domain == scalar_reference.constant_domain(reference)
         violations = kripke_violations(model)
         assert violations == kripke_violations(reference)
         assert [str(v) for v in violations] == [str(v) for v in kripke_violations(reference)]
@@ -119,6 +122,6 @@ def test_each_model_owns_its_future():
 
 
 def test_shared_future_is_read_only():
-    _, future = closed_frame(["w0", "w1"], [("w0", "w1")])
+    future = closed_frame(["w0", "w1"], [("w0", "w1")])
     with pytest.raises(TypeError):
         future["w0"] = ()

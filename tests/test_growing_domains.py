@@ -113,7 +113,7 @@ class TestUniversalCrossCheck:
         cases = (("forall x. P(x)", {}), ("P(x)", {"x": "a1"}), ("or(P(x), p)", {"x": "a1"}))
         for text, rho in cases:
             f = parse_formula(text, self.SIG)
-            lanes = Lanes.for_model(model, self.SIG)
+            lanes = Lanes.for_models((model,), self.SIG)
             lanes.cross_check = False
             mask, alive = lanes.value(f, rho)[0], lanes.alive(rho, f.fvs)
             profile = tuple(mask >> i & 1 if alive >> i & 1 else None
@@ -179,7 +179,7 @@ def heredity_by_domains(model, f, rho, sig):
     """check_heredity as a loop over the worlds: f's drops along the
     order, read on lanes, where rho's values all lie in the world's
     domain."""
-    lanes = Lanes.for_model(model, sig)
+    lanes = Lanes.for_models((model,), sig)
     lanes.cross_check = False
     value = lanes.value(f, rho)[0]
     drops = value & ~lanes.box(value)
@@ -201,7 +201,7 @@ def missing_above(model, f, rho):
     if binds(f):
         elements.update(*model.domains.values())
     return any(a in model.domains[w] and a not in model.domains[v]
-               for a in elements for w, v in model.order)
+               for a in elements for w in model.worlds for v in model.future[w])
 
 
 class TestShrinkingDomains:

@@ -74,19 +74,21 @@ def test_representatives_come_first_in_their_class():
     (MIXED_SIGNATURE, THREE_WORLDS),
     (MONOTONE_SIGNATURE, "and(p, q) => or(q, p)"),
 ])
-def test_cap_parity(sig, text):
+def test_cap_parity(sig, text, monkeypatch):
     # every cap up to the labeled total: the frames left out of the walk
     # still count against the cap
     s = parse_sequent(text, sig)
     expected, total = capped_scalar_search(sig, s, 3, 1)
     outcomes = []
     for cap in range(1, total + 1):
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", str(cap))
         try:
-            got = bounded_cd_countermodel_search(sig, s, 3, 1, cap=cap)
+            got = bounded_cd_countermodel_search(sig, s, 3, 1)
         except EnumerationCapError as exc:
             got = ("cap", str(exc))
         assert got == expected(cap), cap
         outcomes.append(got)
+    monkeypatch.delenv("CDKRIPKE_MAX_ENUM")
     assert isinstance(outcomes[0], tuple)
     assert outcomes[-1] == bounded_cd_countermodel_search(sig, s, 3, 1)
     if text == THREE_WORLDS:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -109,9 +110,9 @@ class TestValidation:
         assert [v.code for v in kripke_violations(model)] == ["empty-worlds"]
 
     def test_order_is_closed(self):
-        order = closed_frame(("w0", "w1", "w2"), [("w0", "w1"), ("w1", "w2")])[0]
-        assert ("w0", "w2") in order
-        assert ("w0", "w0") in order
+        future = closed_frame(("w0", "w1", "w2"), [("w0", "w1"), ("w1", "w2")])
+        assert "w2" in future["w0"]
+        assert "w0" in future["w0"]
 
     def test_growing_domains_accepted(self):
         model = validate_kripke_model(
@@ -181,7 +182,8 @@ class TestViolationsAgainstScalar:
                 interp[(w, rng.choice("pq"), ())] = rng.choice((0, 1, 1, 2))
             else:
                 domains[w] = domains[w][:-1] or domains[w] + domains[w]
-            broken = assemble_kripke_model(model.worlds, model.order, domains, interp)
+            broken = assemble_kripke_model(
+                model.worlds, scalar_reference.order_pairs(model), domains, interp)
             violations = kripke_violations(broken)
             assert violations == scalar_reference.kripke_violations(broken)
             seen.update(v.code for v in violations)
@@ -328,7 +330,7 @@ class TestPreorders:
             for matrix, (_, worlds, future, vectors, _) in zip(enumerate_preorders(n), _frames(n)):
                 assert vectors == tuple(scalar_reference.monotone_world_vectors(matrix))
                 pairs = [(worlds[i], worlds[j]) for i in range(n) for j in range(n) if matrix[i][j]]
-                assert future == closed_frame(worlds, pairs)[1]
+                assert future == closed_frame(worlds, pairs)
 
     def test_matrices_are_reflexive_transitive(self):
         for matrix in enumerate_preorders(3):
@@ -363,10 +365,11 @@ class TestCdSearch:
         s = parse_sequent("=> implies(s, s)", SIG)
         assert bounded_cd_countermodel_search(SIG, s, 3, 2) == NoCountermodelUpTo(3, 2)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         s = parse_sequent("P(x) => P(x)", SIG)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "50")
         with pytest.raises(EnumerationCapError):
-            bounded_cd_countermodel_search(SIG, s, 3, 2, cap=50)
+            bounded_cd_countermodel_search(SIG, s, 3, 2)
 
     def test_enumerated_models_are_valid_and_constant_domain(self):
         count = 0
@@ -456,6 +459,31 @@ class TestPresentWorldEquivalence:
                     )
                 )
                 assert evaluator.value(f, w, {}) == present
+
+
+class TestStoredFrame:
+    """A model stores its frame once, as future, and derives
+    constant_domain from its domains, so a model that
+    dataclasses.replace changes reads the fields it was given."""
+
+    def test_replaced_domains_are_read(self):
+        constant = validate_kripke_model(
+            ["w0", "w1"], [("w0", "w1")], {"w0": ("a1",), "w1": ("a1",)},
+            {("w0", "P", ("a1",)): 1, ("w1", "P", ("a1",)): 1})
+        assert constant.constant_domain
+        growing = replace(constant, domains={"w0": ("a1",), "w1": ("a1", "a2")})
+        assert not growing.constant_domain
+        assert not kripke_violations(growing)
+        # a2 exists at w1 and lacks P there
+        evaluator = KripkeEvaluator(growing, SIG)
+        assert [evaluator.value(parse_formula("forall x. P(x)", SIG), w, {})
+                for w in growing.worlds] == [0, 0]
+
+    def test_model_file_writes_the_replaced_frame(self):
+        discrete = validate_kripke_model(["w0", "w1"], [], {"w0": ("a1",), "w1": ("a1",)}, {})
+        assert kripke_model_to_json(discrete)["order"] == [["w0", "w0"], ["w1", "w1"]]
+        chain = replace(discrete, future={"w0": ("w0", "w1"), "w1": ("w1",)})
+        assert kripke_model_to_json(chain)["order"] == [["w0", "w0"], ["w0", "w1"], ["w1", "w1"]]
 
 
 class TestModelFiles:

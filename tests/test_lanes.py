@@ -56,6 +56,7 @@ from scalar_reference import (
     KripkeEvaluator,
     close_preorder,
     model_validity,
+    order_pairs,
 )
 
 PREDS = {"p": 0, "q": 0, "P": 1}
@@ -150,7 +151,7 @@ class TestSweepAgainstScalar:
             lanes = Lanes.for_batches([batch], sig)
             width, n = lanes.width, len(batch.worlds)
             for index, model in enumerate(batch.models()):
-                single = Lanes.for_model(model, sig)
+                single = Lanes.for_models((model,), sig)
 
                 def column(mask):
                     return mask >> (index * n) & ((1 << n) - 1)
@@ -181,7 +182,7 @@ class TestMetamorphic:
             wmap, emap = dict(zip(worlds, new_worlds)), dict(zip(domain, new_elems))
             renamed = validate_kripke_model(
                 [wmap[w] for w in rng.sample(worlds, len(worlds))],
-                [(wmap[w], wmap[v]) for (w, v) in model.order],
+                [(wmap[w], wmap[v]) for (w, v) in order_pairs(model)],
                 {wmap[w]: tuple(emap[a] for a in model.domains[w]) for w in worlds},
                 {(wmap[w], pred, tuple(emap[a] for a in args)): value
                  for (w, pred, args), value in model.interp.items()},
@@ -316,7 +317,7 @@ class TestForModels:
         for k, model in enumerate(models):
             worlds = model.worlds
             assert lanes.segment(lanes.full, k) == (1 << len(worlds)) - 1
-            order = close_preorder(worlds, model.order)
+            order = close_preorder(worlds, order_pairs(model))
             x = rng.getrandbits(lanes.full.bit_length())
             boxed = lanes.segment(lanes.box(x), k)
             bits = lanes.segment(x, k)
@@ -372,7 +373,7 @@ class TestSplitBatches:
             lanes = Lanes.for_batches([batch], sig)
             width, n = lanes.width, len(batch.worlds)
             for index, model in enumerate(batch.models()):
-                single = Lanes.for_model(model, sig)
+                single = Lanes.for_models((model,), sig)
 
                 def column(mask):
                     return mask >> (index * n) & ((1 << n) - 1)
@@ -406,9 +407,11 @@ class TestSplitBatches:
         s = parse_sequent("=> or(p, not(p)), q, r", MIXED_SIGNATURE)
         whole = bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1)
         monkeypatch.setattr("cdkripke.kripke.MAX_BATCH_WIDTH", self.NARROW)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "84")
         with pytest.raises(EnumerationCapError):
-            bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1, cap=84)
-        assert bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1, cap=99) == whole
+            bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1)
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", "99")
+        assert bounded_cd_countermodel_search(MIXED_SIGNATURE, s, 2, 1) == whole
 
 
 @pytest.mark.parametrize("worlds,width", [(1, 1), (2, 1), (1, 8), (2, 8), (1, 16)])

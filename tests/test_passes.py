@@ -114,7 +114,7 @@ def test_pass_lanes_match_single_models(bounds, width, monkeypatch):
         n, model = len(batches[0].worlds), 0
         for batch in batches:
             for index in range(batch.width):
-                single = Lanes.for_model(batch.model(index), sig)
+                single = Lanes.for_models((batch.model(index),), sig)
                 for a in lanes.domain:
                     # an assignment is alive on exactly the models whose
                     # domain holds its value, and read only there
@@ -138,10 +138,10 @@ def test_cross_check_only_where_each_model_has_one_domain():
     sig = standard_signature("implies")
     growing = validate_kripke_model(["w0", "w1"], [("w0", "w1")],
                                     {"w0": ("a1",), "w1": ("a1", "a2")}, {})
-    assert not Lanes.for_model(growing, sig).cross_check
+    assert not Lanes.for_models((growing,), sig).cross_check
     constant = validate_kripke_model(["w0", "w1"], [("w0", "w1")],
                                      {"w0": ("a1", "a2"), "w1": ("a1", "a2")}, {})
-    assert Lanes.for_model(constant, sig).cross_check
+    assert Lanes.for_models((constant,), sig).cross_check
 
 
 def test_one_world_refutation_makes_no_two_world_batch(monkeypatch):
@@ -244,7 +244,7 @@ def test_mixed_lane_set_matches_single_models(monkeypatch):
     for segment, batch in enumerate(batches):
         n = len(batch.worlds)
         for index in range(batch.width):
-            single = Lanes.for_model(batch.model(index), sig)
+            single = Lanes.for_models((batch.model(index),), sig)
             bits = (1 << n) - 1
             # lane start + j holds world j of this model, which the
             # model's own lanes read at bit j

@@ -17,7 +17,7 @@ import pytest
 import scalar_reference
 from cdkripke.classical import ClassicalEvaluator, ClassicalModel
 from cdkripke.errors import UsageError
-from cdkripke.kripke import MAX_BATCH_WIDTH
+from cdkripke.kripke import MAX_BATCH_WIDTH, validate_kripke_model
 from cdkripke.lanes import Lanes
 from cdkripke.separator import (
     AllMonotone,
@@ -176,6 +176,17 @@ class TestTampered:
         details = {c.name: c.detail for c in report.checks}
         assert "heredity" in details["countermodel-validates"]
 
+    def test_frame_replaced_under_a_valid_model(self, base):
+        # valid on its discrete order, but evaluated on the chain it is
+        # given, along which p drops: the check validates that chain
+        discrete = validate_kripke_model(["w0", "w1"], [], {"w0": ("a1",), "w1": ("a1",)},
+                                         {("w0", "p", ()): 1})
+        model = dataclasses.replace(discrete, future={"w0": ("w0", "w1"), "w1": ("w1",)})
+        report = assert_same_report(dataclasses.replace(base, countermodel=model))
+        details = {c.name: c.detail for c in report.checks}
+        assert "countermodel-validates" in failed(report)
+        assert "heredity" in details["countermodel-validates"]
+
     def test_row_beyond_the_sequent_symbols(self, base):
         # t occurs in no sequent: the row reads the one lane of its own valuation
         row = ExpectedRow("p=1,t=1", (base.tables[0].rows[0].cells[0],),
@@ -263,7 +274,8 @@ def test_shared_valuation_lanes_read_unnamed_symbols_as_zero():
     sig = result.signature()
     symbols = tuple(sorted(predicates(result.sequent)))
     assert symbols == ("p", "q", "r")
-    shared = _row_lanes(Lanes.for_model(result.countermodel, sig), result.countermodel.worlds,
+    model = result.countermodel
+    shared = _row_lanes(Lanes.for_models((model,), sig), model.worlds,
                         sig, symbols, Lanes.for_batches([_valuations(symbols)], sig))
     fresh = scalar_reference.cell_reader(result.countermodel, sig)
     rows = []
