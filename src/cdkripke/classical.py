@@ -12,18 +12,20 @@ constant-domain countermodel search of ``kripke`` with one world.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import ModelValidationError, UsageError
 from .kripke import (
     NoCountermodelUpTo,
     Valid,
+    _cd_walk,
     _check_assignment,
     _first_refutation,
     _malformed,
     _model_file_interp,
     _model_file_strings,
     _repeats,
+    valuation_batches,
 )
 from .lanes import Lanes
 from .syntax import Formula, Sequent, predicate_shape, predicates
@@ -82,11 +84,11 @@ class Countermodel:
     assignment: Mapping = field(default_factory=dict)
 
 
-def _refutation(sig: Signature, s: Sequent, preds: Mapping, max_domain: int,
-                cap: Optional[int]) -> Optional[Countermodel]:
-    """The first one-world refutation of s, as a classical model whose
-    interp lists every slot, zero-valued ones included, or None."""
-    found = _first_refutation(sig, s, preds, 1, max_domain, cap)
+def _refutation(sig: Signature, s: Sequent, walk: Iterable) -> Optional[Countermodel]:
+    """The first refutation of s in walk, _first_refutation's iterators
+    of one-world batches, as a classical model whose interp lists every
+    slot, zero-valued ones included, or None."""
+    found = _first_refutation(sig, s, walk)
     if found is None:
         return None
     batch, index, _, rho = found
@@ -101,7 +103,8 @@ def decide_propositional(sig: Signature, s: Sequent):
     occurring in s, symbols in sorted name order, valuations in
     lexicographic order with 0 before 1. Returns Valid() or the first
     falsifying valuation packaged as a one-element-domain Countermodel.
-    The enumeration cap does not apply: the decision is exact.
+    The valuations are the batches of valuation_batches, which the
+    enumeration cap does not count: the decision is exact.
     """
     try:
         preds, propositional = predicate_shape(s)
@@ -109,7 +112,7 @@ def decide_propositional(sig: Signature, s: Sequent):
         propositional = False  # only an atom with arguments can clash
     if not propositional:
         raise UsageError("decide_propositional expects a propositional sequent")
-    verdict = _refutation(sig, s, preds, 1, 2 ** len(preds))
+    verdict = _refutation(sig, s, [valuation_batches(sorted(preds))])
     return Valid() if verdict is None else verdict
 
 
@@ -127,7 +130,7 @@ def bounded_fo_validity(sig: Signature, s: Sequent, max_domain: int):
     """
     if max_domain < 1:
         raise UsageError("max_domain must be >= 1")
-    verdict = _refutation(sig, s, predicates(s), max_domain, None)
+    verdict = _refutation(sig, s, _cd_walk(predicates(s), 1, max_domain, True))
     return NoCountermodelUpTo(1, max_domain) if verdict is None else verdict
 
 

@@ -28,7 +28,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EnumerationCapError, ModelValidationError, UsageError
 from .lanes import Lanes
@@ -170,7 +170,21 @@ def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
         elif len(domain_sets[w]) < len(domains[w]):
             for a in _repeats(domains[w]):
                 yield Violation("repeated-element", {"world": w, "element": a})
-    if not complete:
+    # the frame as stored, which evaluation reads unchecked
+    future, frame = model.future, []
+    for w in worlds:
+        above = future.get(w, ())
+        if w not in above:
+            frame.append(Violation("non-reflexive", {"world": w}))
+        for v in above:
+            if v not in world_set:
+                frame.append(Violation("unknown-world-in-future", {"from": w, "to": v}))
+            elif v != w:
+                for u in future.get(v, ()):
+                    if u not in above:
+                        frame.append(Violation("non-transitive", {"from": w, "via": v, "to": u}))
+    yield from frame
+    if frame or not complete:
         return
     # domain monotonicity along the order
     for w, v in ordered(_order_pairs(model)):
@@ -179,7 +193,6 @@ def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
             yield Violation("domain-monotonicity", {"from": w, "to": v, "missing": missing})
     # interpretation sanity plus atomic heredity; absent entries read 0,
     # so only explicit 1-entries can break heredity
-    future = model.future
     for (w, pred, args), value in ordered(interp.items()):
         if w not in world_set:
             yield Violation("interp-unknown-world", {"world": w, "pred": pred})
@@ -333,9 +346,7 @@ DEFAULT_ENUM_CAP = 2 ** 24
 ENUM_CAP_ENV = "CDKRIPKE_MAX_ENUM"
 
 
-def enum_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def enum_cap() -> int:
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
@@ -431,34 +442,37 @@ def _preorder_rows(n: int) -> list:
 
 
 class CdBatch:
-    """Interpretations of one frame and domain size: the leading slots
-    hold the world vectors of ``fixed`` (slot, vector) pairs, and the
-    models are the product of per-slot monotone world vectors over the
-    other ``slots``, in interpretation_slots order, earlier slots varying
-    slowest; ``width`` counts them. ``lane_masks`` is filled in by the
-    first Lanes.for_batches that holds the batch.
+    """Interpretations of one frame and domain: the models are the
+    product of ``choices``, one tuple of world vectors per slot of
+    ``slots``, earlier slots varying slowest; ``width`` counts them.
+    ``lane_masks`` is filled in by the first Lanes.for_batches that
+    holds the batch.
 
     A plain class rather than a dataclass, because every CLI call pays
     the package import and a dataclass takes most of a millisecond to
     create."""
 
-    def __init__(self, worlds: tuple, future: Mapping, domain: tuple, slots: list,
-                 vectors: Sequence, fixed: Sequence = ()):
+    def __init__(self, worlds: tuple, future: Mapping, domain: tuple, slots: Sequence,
+                 choices: Sequence):
         self.worlds = worlds
         self.future = future
         self.domain = domain
         self.slots = slots
-        self.vectors = vectors
-        self.fixed = fixed
-        self.width = len(vectors) ** len(slots)
+        self.choices = choices
+        width = 1
+        for choice in choices:
+            width *= len(choice)
+        self.width = width
         self.lane_masks = None
 
     def slot_vectors(self, index: int) -> list:
         """(slot, world vector) pairs of the index-th model, 0 <= index <
-        width, slots in interpretation_slots order."""
-        nvec, last = len(self.vectors), len(self.slots) - 1
-        return list(self.fixed) + [(slot, self.vectors[index // nvec ** (last - s) % nvec])
-                                   for s, slot in enumerate(self.slots)]
+        width, in slot order."""
+        out = []
+        for choice in reversed(self.choices):
+            index, at = divmod(index, len(choice))
+            out.append(choice[at])
+        return list(zip(self.slots, reversed(out)))
 
     def model(self, index: int) -> KripkeModel:
         """The index-th model of the batch, 0 <= index < width."""
@@ -489,40 +503,32 @@ MAX_DOMAIN = 64
 MAX_BATCH_WIDTH = 2 ** 14
 
 
-def cd_model_batches(
-    preds: Mapping,
-    max_worlds: int,
-    max_domain: int,
-    up_to_iso: bool = False,
-    cap: Optional[int] = None,
-):
+def cd_model_batches(preds: Mapping, max_worlds: int, max_domain: int,
+                     up_to_iso: bool = False):
     """Yield the models of each (frame, domain size) as CdBatches in
-    enumerate_cd_models order, splitting the models of a frame and
-    domain size that number more than MAX_BATCH_WIDTH on their leading
-    slots. With up_to_iso=True, a frame that does not represent its
-    isomorphism class yields no batches.
+    enumerate_cd_models order, each slot ranging over the frame's
+    monotone world vectors, split by _split. With up_to_iso=True, a
+    frame that does not represent its isomorphism class yields no batches.
 
     Raises EnumerationCapError before the models of the frame and domain
-    size that would take the cumulative model count past the cap. The
+    size that would take the cumulative model count past enum_cap(). The
     count runs over every labeled frame and domain size, yielded or
     not, so a bound meets the cap where the labeled walk meets it.
     Frames of more than MAX_FRAME_WORLDS worlds are refused the same way
     when the walk reaches them, and domains of more than MAX_DOMAIN
     elements once the batches of every world count up to that size are
     yielded."""
-    return itertools.chain.from_iterable(
-        _cd_walk(preds, max_worlds, max_domain, up_to_iso, cap))
+    return itertools.chain.from_iterable(_cd_walk(preds, max_worlds, max_domain, up_to_iso))
 
 
-def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
-             cap: Optional[int]):
+def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool):
     """The batches of cd_model_batches as one lazy iterator per world
     count, in order. The cap count runs on across the iterators, so each
     must be used up before the next is asked for; asking for the
     iterator of more than MAX_FRAME_WORLDS worlds raises the refusal.
     Each iterator walks the domain sizes up to MAX_DOMAIN, and a bound
     past it is refused when the iterator after the last is asked for."""
-    ceiling = enum_cap(cap)
+    ceiling = enum_cap()
     largest = min(max_domain, MAX_DOMAIN)
     produced = 0
     sizes = []  # (domain, slots) per domain size, listed by the first frame
@@ -545,12 +551,7 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
                     )
                 if up_to_iso and not representative:
                     continue
-                lead = 0
-                while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
-                    lead += 1
-                for fixed in itertools.product(vectors, repeat=lead):
-                    yield CdBatch(worlds, future, domain, slots[lead:], vectors,
-                                  list(zip(slots, fixed)))
+                yield from _split(worlds, future, domain, slots, vectors)
 
     for n in range(1, max_worlds + 1):
         if n > MAX_FRAME_WORLDS:
@@ -564,6 +565,27 @@ def _cd_walk(preds: Mapping, max_worlds: int, max_domain: int, up_to_iso: bool,
             f"bound infeasible: domains of more than {MAX_DOMAIN} elements "
             f"are not enumerated, domain<={max_domain}"
         )
+
+
+def _split(worlds: tuple, future: Mapping, domain: tuple, slots: Sequence, vectors: tuple):
+    """The models of one frame and domain, every slot ranging over
+    vectors, as CdBatches of at most MAX_BATCH_WIDTH models in order:
+    each batch holds one vector of each of the fewest leading slots
+    that bring the rest within that width."""
+    lead = 0
+    while lead < len(slots) and len(vectors) ** (len(slots) - lead) > MAX_BATCH_WIDTH:
+        lead += 1
+    rest = [vectors] * (len(slots) - lead)
+    for fixed in itertools.product(zip(vectors), repeat=lead):
+        yield CdBatch(worlds, future, domain, slots, [*fixed, *rest])
+
+
+def valuation_batches(symbols: Sequence[str]):
+    """Every valuation of the symbols, as the batches that
+    cd_model_batches(dict.fromkeys(symbols, 0), 1, 1) lists for sorted
+    symbols, but not counted against the cap."""
+    _, worlds, future, vectors, _ = _frames(1)[0]
+    return _split(worlds, future, ("a1",), [(sym, ()) for sym in symbols], vectors)
 
 
 def _packed(batches):
@@ -623,23 +645,13 @@ class NoCountermodelUpTo:
     max_domain: int
 
 
-def _first_refutation(sig: Signature, s: Sequent, preds: Mapping,
-                      max_worlds: int, max_domain: int, cap: Optional[int]):
+def _first_refutation(sig: Signature, s: Sequent, walk: Iterable):
     """(batch, model index, world, assignment) of the first refutation of
-    s over preds in the order of bounded_cd_countermodel_search, or None.
-    That search and, with one world, the classical deciders share it.
-    Each world count's batches are packed on their own, so its last run
-    is evaluated before any frame of the next world count is listed.
-
-    Whether some model of a frame refutes s does not change under
-    relabeling the frame's worlds, and in enumerate_preorders order the
-    representative of an isomorphism class comes before every other
-    frame of the class. So the first labeled frame that refutes s is a
-    representative, and only representatives are searched; the other
-    frames still count against the cap, which is met where the labeled
-    search meets it."""
+    s in walk, one iterator of batches per world count as _cd_walk lists
+    them, or None. Each world count's batches are packed on their own,
+    so its last run is evaluated before the next world count is listed."""
     fv = sorted(free_vars(s))
-    for batches in _cd_walk(preds, max_worlds, max_domain, True, cap):
+    for batches in walk:
         for run in _packed(batches):
             found = _batch_refutation(Lanes.for_batches(run, sig), run, s, fv)
             if found is not None:
@@ -672,12 +684,8 @@ def _batch_refutation(lanes: Lanes, batches: Sequence[CdBatch], s: Sequent, fv: 
     return batch, index, batch.worlds[world], rho
 
 
-def bounded_cd_countermodel_search(
-    sig: Signature,
-    s: Sequent,
-    max_worlds: int,
-    max_domain: int,
-):
+def bounded_cd_countermodel_search(sig: Signature, s: Sequent, max_worlds: int,
+                                   max_domain: int):
     """Look for a constant-domain Kripke countermodel within the bounds.
 
     Searches the models of enumerate_cd_models over the predicates
@@ -687,16 +695,22 @@ def bounded_cd_countermodel_search(
     assignment read on the models whose domain holds its values.
     The refutation returned is the first in (model, world, assignment)
     order, models in enumerate_cd_models order and worlds and
-    assignments in model_validity order; only that model is built. From
-    two worlds on, the frames searched are one per isomorphism class,
-    which holds the same first refutation (see _first_refutation).
+    assignments in model_validity order; only that model is built.
     Otherwise a bound report is returned. The bound report is a
     semi-check only: it never certifies validity beyond the searched
     space.
+
+    Whether some model of a frame refutes s does not change under
+    relabeling the frame's worlds, and in enumerate_preorders order the
+    representative of an isomorphism class comes before every other
+    frame of the class. So the first labeled frame that refutes s is a
+    representative, and only representatives are searched; the other
+    frames still count against the cap, which is met where the labeled
+    search meets it.
     """
     if max_worlds < 1 or max_domain < 1:
         raise UsageError("bounds must be >= 1")
-    found = _first_refutation(sig, s, predicates(s), max_worlds, max_domain, None)
+    found = _first_refutation(sig, s, _cd_walk(predicates(s), max_worlds, max_domain, True))
     if found is None:
         return NoCountermodelUpTo(max_worlds, max_domain)
     batch, index, world, rho = found

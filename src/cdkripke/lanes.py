@@ -68,8 +68,9 @@ class Lanes:
     and so on each model's domain being constant: it starts on when
     exists is None, and for_models and for_batches turn it on where
     every model's domain is constant. One model's lanes are
-    for_models((model,), sig): lane i is world i of the model. The memo
-    is keyed by formula structure and the assignment restricted to the
+    for_models((model,), sig): lane i is world i of the model; a
+    CdBatch's are for_batches([batch], sig), from masks it keeps. The
+    memo is keyed by formula structure and the assignment restricted to the
     formula's free variables, and is freed with the lane set.
     """
 
@@ -93,20 +94,10 @@ class Lanes:
         segment starts at start, and segment(mask, k) reads the k-th
         model's bits. The domain is every element of every model, and
         an element exists on the lanes of the worlds whose domain holds
-        it. The universals are cross-checked when every model's domain
-        is constant."""
-        lanes = cls(sig, *cls.layout(models))
-        if lanes.exists is not None:
-            lanes.cross_check = all(model.constant_domain for model in models)
-        return lanes
-
-    @staticmethod
-    def layout(models: Sequence[KripkeModel]) -> tuple:
-        """The arguments after sig that Lanes.for_models passes to Lanes;
-        none of them is mutated later, so one layout may serve many
-        Lanes of models that do not change. Unless every model has the
-        same constant domain, in the same order, each element gets an
-        existence mask, the elements in order of first appearance."""
+        it: unless every model has the same constant domain, in the same
+        order, each element gets an existence mask, the elements in
+        order of first appearance. The universals are cross-checked when
+        every model's domain is constant."""
         first = models[0]
         domain = first.domains[first.worlds[0]] if first.constant_domain else None
         exists = None if domain is not None else {}
@@ -131,15 +122,16 @@ class Lanes:
                         exists[a] = exists.get(a, 0) | 1 << start + i
             start += len(worlds)
         if exists is None:
-            return frames, domain, atoms
-        return frames, tuple(exists), atoms, exists
+            return cls(sig, frames, domain, atoms)
+        lanes = cls(sig, frames, tuple(exists), atoms, exists)
+        lanes.cross_check = all(model.constant_domain for model in models)
+        return lanes
 
     @classmethod
     def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
         """Every interpretation of CdBatches, of one world count or of
         several: each batch a segment of its models, in the batch's model
-        order, the batches one after another; a fixed slot has the same
-        value on every model of its batch. The domain is the largest
+        order, the batches one after another. The domain is the largest
         batch domain, which holds the others. A model's domain is
         constant, so the universals are cross-checked. The atom masks
         and the future lists of a batch are kept on it, so Lanes of a
@@ -175,23 +167,20 @@ class Lanes:
     def _batch_masks(batch: CdBatch) -> tuple:
         """(future, atoms) of one batch on its own, models from 0; neither
         is mutated later."""
-        worlds, vectors, width = batch.worlds, batch.vectors, batch.width
-        n, nvec = len(worlds), len(vectors)
+        worlds, width = batch.worlds, batch.width
+        n = len(worlds)
         atoms = {}
         stride = width
-        for slot in batch.slots:
-            # the slot holds vector v on a run of `stride` consecutive
-            # models; the runs cycle through the vectors every `period`
-            period, stride = stride, stride // nvec
+        for slot, choice in zip(batch.slots, batch.choices):
+            # the slot holds its v-th vector on a run of `stride`
+            # consecutive models; the runs cycle through its vectors
+            # every `period`
+            period, stride = stride, stride // len(choice)
             run = _spread(stride, n)
             block = 0
-            for v, vec in enumerate(vectors):
+            for v, vec in enumerate(choice):
                 block |= _bits(vec) * run << v * stride * n
             atoms[slot] = block * _spread(width // period, period * n)
-        if batch.fixed:
-            every = _spread(width, n)
-            for slot, vec in batch.fixed:
-                atoms[slot] = _bits(vec) * every
         windex = {w: i for i, w in enumerate(worlds)}
         return tuple(tuple(windex[v] for v in batch.future[w]) for w in worlds), atoms
 

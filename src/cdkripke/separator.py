@@ -34,10 +34,10 @@ from .kripke import (
     KripkeModel,
     _batch_refutation,
     _first_failure,
-    _order_pairs,
-    cd_model_batches,
+    closed_frame,
     kripke_model_to_json,
-    validate_kripke_model,
+    require_valid,
+    valuation_batches,
 )
 from .lanes import Lanes
 from .syntax import (
@@ -122,24 +122,16 @@ def chain_countermodel(with_r: bool) -> KripkeModel:
 
 @functools.lru_cache(maxsize=2)
 def _chain(with_r: bool) -> tuple:
-    """(chain_countermodel(with_r), its Lanes.layout)."""
-    interp = {("w1", "p", ()): 1}
-    if with_r:
-        interp[("w0", "r", ())] = 1
-        interp[("w1", "r", ())] = 1
-    model = validate_kripke_model(
-        ["w0", "w1"],
-        [("w0", "w1")],
-        {"w0": ("a1",), "w1": ("a1",)},
-        interp,
-    )
-    model = replace(
-        model,
-        domains=MappingProxyType(model.domains),
-        interp=MappingProxyType(model.interp),
-        future=MappingProxyType(model.future),
-    )
-    return model, Lanes.layout((model,))
+    """(chain_countermodel(with_r), the one-model CdBatch that keeps its
+    lane masks): w0 < w1 over a1, p rising from 0 to 1 and, when with_r,
+    r 1 at both worlds."""
+    worlds, n = ("w0", "w1"), 1 + with_r
+    slots, choices = [("p", ()), ("r", ())][:n], [((0, 1),), ((1, 1),)][:n]
+    batch = CdBatch(worlds, closed_frame(worlds, [("w0", "w1")]), ("a1",), slots, choices)
+    model = require_valid(batch.model(0))
+    model = replace(model, domains=MappingProxyType(model.domains),
+                    interp=MappingProxyType(model.interp))
+    return model, batch
 
 
 def build_negation(table: TruthTable, f: Formula) -> Formula:
@@ -588,9 +580,9 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     model, sequent = result.countermodel, result.sequent
 
     # the countermodel must itself validate, on the frame it is
-    # evaluated on
+    # evaluated on, as stored
     try:
-        validate_kripke_model(model.worlds, _order_pairs(model), model.domains, model.interp)
+        require_valid(model)
         report.add("countermodel-validates", True)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         report.add("countermodel-validates", False, str(exc))
@@ -690,22 +682,23 @@ def judge_cells(result: SeparationResult, tables: Sequence, read_row=None):
 
 @functools.lru_cache(maxsize=64)
 def _valuations(symbols: tuple) -> Optional[CdBatch]:
-    """Every valuation of the symbols, one lane each: the one-world,
-    one-element models over them as propositional symbols. None when
+    """Every valuation of the symbols, one lane each: the one batch of
+    valuation_batches(symbols), which keeps its lane masks. None when
     there are more than MAX_BATCH_WIDTH, too many for one batch."""
     if 2 ** len(symbols) > MAX_BATCH_WIDTH:
         return None
-    batch, = cd_model_batches(dict.fromkeys(symbols, 0), 1, 1, cap=2 ** len(symbols))
+    batch, = valuation_batches(symbols)
     return batch
 
 
 def _model_lanes(model: KripkeModel, sig: Signature) -> Lanes:
-    """Lanes.for_models((model,), sig), from the layout kept with a chain
-    countermodel when model is one."""
+    """The lanes of model alone, world i at lane i: those of its
+    one-model batch when model is a chain countermodel, whose masks the
+    batch keeps, else Lanes.for_models((model,), sig)."""
     for with_r in (False, True):
-        chain, layout = _chain(with_r)
+        chain, batch = _chain(with_r)
         if model is chain:
-            return Lanes(sig, *layout)
+            return Lanes.for_batches([batch], sig)
     return Lanes.for_models((model,), sig)
 
 

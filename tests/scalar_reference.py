@@ -21,7 +21,9 @@ preorder's up-sets by testing every pair of points of every vector.
 
 kripke_violations is the invariant scan as it was before a valid model
 was passed by one unsorted scan that stops at the first violation: it
-sorts the order and the interpretation on every call.
+sorts the order and the interpretation on every call. It checks the
+frame as stored, reflexive, transitive and within the worlds, before
+reading domains and heredity along it.
 
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
@@ -40,7 +42,7 @@ import random
 from typing import Iterable, Mapping, Optional, Sequence
 
 from cdkripke.classical import ClassicalModel, decide_propositional
-from cdkripke.errors import UsageError
+from cdkripke.errors import ModelValidationError, UsageError
 from cdkripke.kripke import (
     Failure,
     KripkeModel,
@@ -123,8 +125,9 @@ def monotone_world_vectors(matrix) -> list:
 
 
 def order_pairs(model: KripkeModel) -> set:
-    """The pairs (w, v) of the model's order, v above w."""
-    return {(w, v) for w in model.worlds for v in model.future[w]}
+    """The pairs (w, v) of the model's order, v above w; a world missing
+    from the future map has none."""
+    return {(w, v) for w in model.worlds for v in model.future.get(w, ())}
 
 
 def constant_domain(model: KripkeModel) -> bool:
@@ -158,10 +161,24 @@ def kripke_violations(model: KripkeModel) -> list:
         elif len(domain_sets[w]) < len(model.domains[w]):
             out += [Violation("repeated-element", {"world": w, "element": a})
                     for a in _repeats(model.domains[w])]
-    if any(v.code in ("missing-domain",) for v in out):
+    # the frame as stored, per world in model order and per world above
+    # it in future order: reflexive, within the worlds and transitive
+    pairs = order_pairs(model)
+    frame = []
+    for w in model.worlds:
+        if (w, w) not in pairs:
+            frame.append(Violation("non-reflexive", {"world": w}))
+        for v in model.future.get(w, ()):
+            if v not in world_set:
+                frame.append(Violation("unknown-world-in-future", {"from": w, "to": v}))
+                continue
+            frame += [Violation("non-transitive", {"from": w, "via": v, "to": u})
+                      for u in model.future.get(v, ()) if (w, u) not in pairs]
+    out += frame
+    if frame or any(v.code in ("missing-domain",) for v in out):
         return out
     # domain monotonicity along the closed order
-    for w, v in sorted(order_pairs(model)):
+    for w, v in sorted(pairs):
         if w == v:
             continue
         missing = [a for a in model.domains[w] if a not in domain_sets[v]]
@@ -553,14 +570,11 @@ def verify_separation(result) -> VerificationReport:
     report = VerificationReport()
     sig = result.signature()
 
-    # the countermodel must itself validate
+    # the countermodel must itself validate, on its frame as stored
     try:
-        validate_kripke_model(
-            result.countermodel.worlds,
-            order_pairs(result.countermodel),
-            result.countermodel.domains,
-            result.countermodel.interp,
-        )
+        violations = kripke_violations(result.countermodel)
+        if violations:
+            raise ModelValidationError(violations)
         report.add("countermodel-validates", True)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         report.add("countermodel-validates", False, str(exc))

@@ -259,6 +259,24 @@ class TestBadInput:
         assert code == EXIT_INPUT
         assert "bound infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1", "abc"])
+    def test_exact_decision_and_separation_ignore_the_ceiling(self, value, files, capsys,
+                                                               monkeypatch):
+        sig = files("s.txt", IMPLIES_SIG)
+        commands = [
+            ["valid", "--sig", sig, "--mode", "classical-prop", "--format", "json",
+             "--sequent", sequent] for sequent in ("p, q, r => implies(p, r)", "p, q => r")
+        ] + [["separate", "--sig", sig, "--format", "json"]]
+
+        def outputs():
+            return [(main(argv), *capsys.readouterr()) for argv in commands]
+
+        monkeypatch.delenv("CDKRIPKE_MAX_ENUM", raising=False)
+        unset = outputs()
+        assert [code for code, *_ in unset] == [EXIT_OK, EXIT_NEGATIVE, EXIT_OK]
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", value)
+        assert outputs() == unset
+
     def test_seven_worlds_keep_a_one_world_refutation(self, files, capsys):
         code = main(
             ["valid", "--sig", files("s.txt", MONO_SIG), "--mode", "cd-search",

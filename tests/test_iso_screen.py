@@ -30,19 +30,22 @@ from scalar_reference import model_validity
 THREE_WORLDS = "r => not(r), or(xor(q, or(r, q)), not(not(q)))"
 
 
-def capped_scalar_search(sig, s, max_worlds, max_domain):
+def capped_scalar_search(sig, s, max_worlds, max_domain, monkeypatch):
     """outcome(cap) of the labeled one-model-at-a-time search: models in
     enumerate_cd_models order, first model_validity Failure wins, with
-    the cap met where cd_model_batches meets it."""
+    the cap met where cd_model_batches meets it under
+    CDKRIPKE_MAX_ENUM=cap, which outcome sets."""
     preds = predicates(s)
+    monkeypatch.delenv("CDKRIPKE_MAX_ENUM", raising=False)
     models = list(enumerate_cd_models(preds, max_worlds, max_domain))
     first = next(((i, v) for i, v in enumerate(model_validity(m, s, sig) for m in models)
                   if isinstance(v, Failure)), None)
 
     def outcome(cap):
+        monkeypatch.setenv("CDKRIPKE_MAX_ENUM", str(cap))
         reached = 0
         try:
-            for batch in cd_model_batches(preds, max_worlds, max_domain, cap=cap):
+            for batch in cd_model_batches(preds, max_worlds, max_domain):
                 reached += batch.width
                 if first is not None and first[0] < reached:
                     break
@@ -78,7 +81,7 @@ def test_cap_parity(sig, text, monkeypatch):
     # every cap up to the labeled total: the frames left out of the walk
     # still count against the cap
     s = parse_sequent(text, sig)
-    expected, total = capped_scalar_search(sig, s, 3, 1)
+    expected, total = capped_scalar_search(sig, s, 3, 1, monkeypatch)
     outcomes = []
     for cap in range(1, total + 1):
         monkeypatch.setenv("CDKRIPKE_MAX_ENUM", str(cap))
@@ -114,20 +117,21 @@ def test_one_batch_per_class(monkeypatch):
     assert [[len(b.worlds) for b in batches] for batches in calls] == [[1], [2] * 3, [3] * 9]
 
 
-def walked(preds, max_worlds, max_domain, up_to_iso, cap):
-    """(the batches cd_model_batches yields, as comparable tuples, and the
-    cap error's message or None)."""
+def walked(preds, max_worlds, max_domain, up_to_iso, cap, monkeypatch):
+    """(the batches cd_model_batches yields under CDKRIPKE_MAX_ENUM=cap,
+    as comparable tuples, and the cap error's message or None)."""
+    monkeypatch.setenv("CDKRIPKE_MAX_ENUM", str(cap))
     batches = []
     try:
-        for b in cd_model_batches(preds, max_worlds, max_domain, up_to_iso=up_to_iso, cap=cap):
+        for b in cd_model_batches(preds, max_worlds, max_domain, up_to_iso=up_to_iso):
             order = frozenset((w, v) for w in b.worlds for v in b.future[w])
-            batches.append((b.worlds, order, b.domain, tuple(b.slots), tuple(b.fixed), b.width))
+            batches.append((b.worlds, order, b.domain, tuple(b.slots), tuple(b.choices), b.width))
     except EnumerationCapError as exc:
         return batches, str(exc)
     return batches, None
 
 
-def test_cap_parity_across_walks():
+def test_cap_parity_across_walks(monkeypatch):
     # every cap up to one past the 674 labeled models: the walk over one
     # frame per class meets the cap where the labeled walk meets it, with
     # the same message, and until then yields the labeled batches of the
@@ -138,8 +142,8 @@ def test_cap_parity_across_walks():
         for n in (1, 2, 3) for matrix in enumerate_preorders(n, up_to_iso=True)
     }
     for cap in range(1, 676):
-        labeled, labeled_error = walked(preds, 3, 1, False, cap)
-        classes, classes_error = walked(preds, 3, 1, True, cap)
+        labeled, labeled_error = walked(preds, 3, 1, False, cap, monkeypatch)
+        classes, classes_error = walked(preds, 3, 1, True, cap, monkeypatch)
         assert classes_error == labeled_error, cap
         assert classes == [b for b in labeled if b[1] in representatives], cap
     assert labeled_error is None and len(classes) == 1 + 3 + 9

@@ -10,6 +10,7 @@ from cdkripke.kripke import (
     CdCountermodel,
     Failure,
     KripkeEvaluator,
+    KripkeModel,
     NoCountermodelUpTo,
     _frames,
     assemble_kripke_model,
@@ -22,6 +23,7 @@ from cdkripke.kripke import (
     kripke_model_to_json,
     kripke_violations,
     model_validity,
+    require_valid,
     validate_kripke_model,
 )
 from cdkripke.syntax import (
@@ -484,6 +486,28 @@ class TestStoredFrame:
         assert kripke_model_to_json(discrete)["order"] == [["w0", "w0"], ["w1", "w1"]]
         chain = replace(discrete, future={"w0": ("w0", "w1"), "w1": ("w1",)})
         assert kripke_model_to_json(chain)["order"] == [["w0", "w0"], ["w0", "w1"], ["w1", "w1"]]
+
+    @pytest.mark.parametrize("future, expected", [
+        # w0 not above itself, and w1 missing from the map
+        ({"w0": ("w1",), "w1": ("w1",)}, [("non-reflexive", {"world": "w0"})]),
+        ({"w0": ("w0", "w1")}, [("non-reflexive", {"world": "w1"})]),
+        # w0 sees w1 and w1 sees w2, but w0 does not see w2
+        ({"w0": ("w0", "w1"), "w1": ("w1", "w2"), "w2": ("w2",)},
+         [("non-transitive", {"from": "w0", "via": "w1", "to": "w2"})]),
+        ({"w0": ("w0", "w9"), "w1": ("w1",), "w2": ("w2",)},
+         [("unknown-world-in-future", {"from": "w0", "to": "w9"})]),
+    ])
+    def test_the_stored_frame_is_validated(self, future, expected):
+        # evaluation reads the frame unchecked, so validation checks it
+        # as stored rather than closing it again
+        worlds = ("w0", "w1", "w2") if "w2" in future else ("w0", "w1")
+        model = KripkeModel(worlds, future, {w: ("a1",) for w in worlds},
+                            {(w, "p", ()): 1 for w in worlds[1:]})
+        violations = kripke_violations(model)
+        assert [(v.code, v.details) for v in violations] == expected
+        assert violations == scalar_reference.kripke_violations(model)
+        with pytest.raises(ModelValidationError):
+            require_valid(model)
 
 
 class TestModelFiles:

@@ -50,13 +50,13 @@ def narrow(monkeypatch, width):
 
 
 def cell(batch):
-    return batch.worlds, dict(batch.future), batch.domain, tuple(batch.slots), tuple(batch.fixed)
+    return batch.worlds, dict(batch.future), batch.domain, tuple(batch.slots), tuple(batch.choices)
 
 
 def search_runs(max_worlds, max_domain):
     """The runs that the search evaluates, one lane set each: each world
     count's batches, packed."""
-    return [run for batches in _cd_walk(PREDS, max_worlds, max_domain, True, None)
+    return [run for batches in _cd_walk(PREDS, max_worlds, max_domain, True)
             for run in _packed(batches)]
 
 

@@ -131,6 +131,16 @@ class TestTampered:
         assert "cd-refuted" in failed(report)
         assert "countermodel-validates" not in failed(report)
 
+    def test_non_reflexive_stored_frame(self, base):
+        # the countermodel validates on the frame it is evaluated on, as
+        # stored, not closed again
+        model = dataclasses.replace(base.countermodel, future={"w0": ("w1",), "w1": ("w1",)})
+        result = dataclasses.replace(base, countermodel=model)
+        checks = [{c.name: c for c in report.checks}["countermodel-validates"]
+                  for report in (verify_separation(result), scalar_reference.verify_separation(result))]
+        assert not checks[0].ok and "non-reflexive" in checks[0].detail
+        assert (checks[0].ok, checks[0].detail) == (checks[1].ok, checks[1].detail)
+
     def test_wrong_failing_world(self, base):
         report = assert_same_report(dataclasses.replace(base, failing_world="w1"))
         assert failed(report) == {"cd-refuted"}
