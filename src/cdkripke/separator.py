@@ -21,7 +21,7 @@ are false everywhere, which keeps heredity trivially intact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -112,26 +112,25 @@ class SeparationResult:
 
 def chain_countermodel(with_r: bool) -> KripkeModel:
     """The two-world chain with p rising 0 -> 1, q constant 0, and r
-    constant 1 when requested.
+    constant 1 when requested: the countermodel of every separation.
 
     Each of the two models is built once per process and shared, so
     its domains, interpretation and future sets are read-only.
     """
-    return _chain(with_r)[0]
+    return _chain(with_r)
 
 
 @functools.lru_cache(maxsize=2)
-def _chain(with_r: bool) -> tuple:
-    """(chain_countermodel(with_r), the one-model CdBatch that keeps its
-    lane masks): w0 < w1 over a1, p rising from 0 to 1 and, when with_r,
-    r 1 at both worlds."""
-    worlds, n = ("w0", "w1"), 1 + with_r
-    slots, choices = [("p", ()), ("r", ())][:n], [((0, 1),), ((1, 1),)][:n]
-    batch = CdBatch(worlds, closed_frame(worlds, [("w0", "w1")]), ("a1",), slots, choices)
-    model = require_valid(batch.model(0))
-    model = replace(model, domains=MappingProxyType(model.domains),
-                    interp=MappingProxyType(model.interp))
-    return model, batch
+def _chain(with_r: bool) -> KripkeModel:
+    """chain_countermodel(with_r), validated: w0 < w1 over a1, p true at
+    w1 and, when with_r, r true at both worlds."""
+    worlds = ("w0", "w1")
+    interp = {("w1", "p", ()): 1}
+    if with_r:
+        interp.update({(w, "r", ()): 1 for w in worlds})
+    return require_valid(KripkeModel(worlds, closed_frame(worlds, [("w0", "w1")]),
+                                     MappingProxyType({w: ("a1",) for w in worlds}),
+                                     MappingProxyType(interp)))
 
 
 def build_negation(table: TruthTable, f: Formula) -> Formula:
@@ -239,12 +238,20 @@ def _layer_tables(
     )
 
 
+def _result(table: TruthTable, case: str, subcase: Optional[int], a: Optional[tuple],
+            b: Optional[tuple], formulas: dict, sequent: Sequent, with_r: bool,
+            tables: tuple, notes: tuple = ()) -> SeparationResult:
+    """The unverified separation of table, refuted at w0 of the chain."""
+    return SeparationResult(table, case, subcase, a, b, formulas, sequent,
+                            chain_countermodel(with_r), "w0", tables, notes)
+
+
 # Each case builder takes a non-monotonic table of its case and the
-# table's monotonicity witness (a, b), and returns (result, the report
-# that verified it).
+# table's monotonicity witness (a, b), and returns the unverified result;
+# _separated verifies it.
 
 
-def _case_d(table: TruthTable, a: tuple, b: tuple) -> tuple:
+def _case_d(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
     """f(0...0) = f(1...1) = 1: the sequent => phi, refuted at w0 of the
     p/q chain. Subcase 1 or 2 by the value of f on the relative
     inversion of the witness pair. tau = c(s, ..., s) is valid in every
@@ -254,22 +261,11 @@ def _case_d(table: TruthTable, a: tuple, b: tuple) -> tuple:
     subcase = 1 if eval_table(table, rel) == 1 else 2
     tau = Conn(table.name, (S,) * table.arity)
     sigma, psi, phi = _layer_stack(table.name, a, b, subcase, tau)
-    result = SeparationResult(
-        connective=table,
-        case="d",
-        subcase=subcase,
-        witness_a=a,
-        witness_b=b,
-        formulas={"tau": tau, "sigma": sigma, "psi": psi, "phi": phi},
-        sequent=Sequent((), (phi,)),
-        countermodel=chain_countermodel(with_r=False),
-        failing_world="w0",
-        tables=_layer_tables(subcase, a, b, rel),
-    )
-    return _checked(result)
+    return _result(table, "d", subcase, a, b, {"tau": tau, "sigma": sigma, "psi": psi, "phi": phi},
+                   Sequent((), (phi,)), False, _layer_tables(subcase, a, b, rel))
 
 
-def _case_c(table: TruthTable, a: tuple, b: tuple) -> tuple:
+def _case_c(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
     """f(0...0) = 1 and f(1...1) = 0: double c-negation of p is classically
     equivalent to p but fails at the root of the chain, where p only holds
     later. The witness is not used."""
@@ -291,22 +287,11 @@ def _case_c(table: TruthTable, a: tuple, b: tuple) -> tuple:
             ),
         ),
     )
-    result = SeparationResult(
-        connective=table,
-        case="c",
-        subcase=None,
-        witness_a=None,
-        witness_b=None,
-        formulas={"not_p": not_p, "not_not_p": not_not_p},
-        sequent=Sequent((not_not_p,), (P,)),
-        countermodel=chain_countermodel(with_r=False),
-        failing_world="w0",
-        tables=tables,
-    )
-    return _checked(result)
+    return _result(table, "c", None, None, None, {"not_p": not_p, "not_not_p": not_not_p},
+                   Sequent((not_not_p,), (P,)), False, tables)
 
 
-def _case_b(table: TruthTable, a: tuple, b: tuple) -> tuple:
+def _case_b(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
     """f(0...0) = 0 and f(1...1) = 1, yet non-monotonic. Subcase 1
     (f on the inversion of a is 1) refutes phi => chi; subcase 2 reuses
     the case-d stack, in the layer subcase that f selects on the relative
@@ -345,21 +330,10 @@ def _case_b(table: TruthTable, a: tuple, b: tuple) -> tuple:
                 ),
             ),
         )
-        result = SeparationResult(
-            connective=table,
-            case="b",
-            subcase=1,
-            witness_a=a,
-            witness_b=b,
-            formulas={"chi": chi, "psi": psi, "phi": phi},
-            sequent=Sequent((phi,), (chi,)),
-            countermodel=chain_countermodel(with_r=True),
-            failing_world="w0",
-            tables=tables,
-        )
-        return _checked(result)
+        return _result(table, "b", 1, a, b, {"chi": chi, "psi": psi, "phi": phi},
+                       Sequent((phi,), (chi,)), True, tables)
     layer_subcase = 1 if eval_table(table, relative_invert(a, b)) == 1 else 2
-    return _checked(_case_b_subcase2(table, a, b, layer_subcase))
+    return _case_b_subcase2(table, a, b, layer_subcase)
 
 
 def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple, layer_subcase: int) -> SeparationResult:
@@ -396,23 +370,14 @@ def _case_b_subcase2(table: TruthTable, a: tuple, b: tuple, layer_subcase: int) 
         ),
     )
     variant = "PP" if layer_subcase == 1 else "QQ"
-    return SeparationResult(
-        connective=table,
-        case="b",
-        subcase=2,
-        witness_a=a,
-        witness_b=b,
-        formulas={"psi": psi, "sigma_layer": sigma_r, "psi_layer": psi_r, "phi": phi_r},
-        sequent=Sequent((psi,), (phi_r,)),
-        countermodel=chain_countermodel(with_r=True),
-        failing_world="w0",
-        tables=tables,
-        notes=(f"variant={variant}", f"preferred={variant}",
-               f"PP_verified={variant == 'PP'}", f"QQ_verified={variant == 'QQ'}"),
-    )
+    return _result(table, "b", 2, a, b,
+                   {"psi": psi, "sigma_layer": sigma_r, "psi_layer": psi_r, "phi": phi_r},
+                   Sequent((psi,), (phi_r,)), True, tables,
+                   (f"variant={variant}", f"preferred={variant}",
+                    f"PP_verified={variant == 'PP'}", f"QQ_verified={variant == 'QQ'}"))
 
 
-def _case_a(table: TruthTable, a: tuple, b: tuple) -> tuple:
+def _case_a(table: TruthTable, a: tuple, b: tuple) -> SeparationResult:
     """f(0...0) = f(1...1) = 0 with f(a) = 1: phi => p is classically
     valid but the chain satisfies phi at w0 while p fails. Only a is
     used: the first row where f is 1, as every row lies below the
@@ -438,19 +403,8 @@ def _case_a(table: TruthTable, a: tuple, b: tuple) -> tuple:
             ),
         ),
     )
-    result = SeparationResult(
-        connective=table,
-        case="a",
-        subcase=None,
-        witness_a=a,
-        witness_b=None,
-        formulas={"psi": psi, "phi": phi},
-        sequent=Sequent((phi,), (P,)),
-        countermodel=chain_countermodel(with_r=True),
-        failing_world="w0",
-        tables=tables,
-    )
-    return _checked(result)
+    return _result(table, "a", None, a, None, {"psi": psi, "phi": phi},
+                   Sequent((phi,), (P,)), True, tables)
 
 
 _CASE_BUILDERS = {
@@ -469,9 +423,9 @@ def separate(sig: Signature):
 
 def _separated(sig: Signature) -> tuple:
     """(separate(sig), the report that verified it), or (AllMonotone(),
-    None), so that a caller needs no second verification. A connective
-    named like a symbol of the sequent is refused: the printed sequent
-    would not parse back."""
+    None): the case builder's result is verified here, once, so that a
+    caller needs no second verification. A connective named like a symbol
+    of the sequent is refused: the printed sequent would not parse back."""
     clash = sorted(ALLOWED_SYMBOLS.intersection(sig.connectives))
     if clash:
         raise UsageError(f"connective {clash[0]!r} has the name of a propositional symbol "
@@ -480,7 +434,7 @@ def _separated(sig: Signature) -> tuple:
         table = sig.connectives[name]
         witness = monotonicity_witness(table)
         if witness is not None:
-            return _CASE_BUILDERS[classify_case(table)](table, *witness)
+            return _checked(_CASE_BUILDERS[classify_case(table)](table, *witness))
     return AllMonotone(), None
 
 
@@ -574,7 +528,8 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     Each side is evaluated once, on lanes every check shares: the
     countermodel's lanes give cd-refuted and the Kripke rows, and the
     lanes of every valuation of the sequent's symbols give
-    classically-valid and the classical rows."""
+    classically-valid and the classical rows. A countermodel whose frame
+    or domains cannot be laid out fails cd-refuted and every Kripke row."""
     report = VerificationReport()
     sig = result.signature()
     model, sequent = result.countermodel, result.sequent
@@ -619,8 +574,8 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("classically-valid", False, str(exc))
 
     # constant-domain half: the countermodel refutes it at the stated world
-    kripke = _model_lanes(model, sig)
-    verdict = _first_failure(kripke, model, sequent)
+    kripke = _countermodel_lanes(model, sig)
+    verdict = kripke if isinstance(kripke, str) else _first_failure(kripke, model, sequent)
     if isinstance(verdict, Failure):
         report.add(
             "cd-refuted",
@@ -628,7 +583,8 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
             f"failure at {verdict.world}",
         )
     else:
-        report.add("cd-refuted", False, "countermodel does not refute the sequent")
+        report.add("cd-refuted", False, verdict if isinstance(verdict, str)
+                   else "countermodel does not refute the sequent")
 
     # every embedded expected table cell
     read_row = _row_lanes(kripke, model.worlds, sig, symbols, classical)
@@ -642,19 +598,19 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
 def judge_cells(result: SeparationResult, tables: Sequence, read_row=None):
     """(label, cell, ok, detail) for each cell of the expected tables, in
     order, read on lanes and judged against result's formulas. label is
-    the table name and the row label, joined by "/"; a row naming a world
-    the countermodel lacks gives one (label, None, False, detail) in place
-    of its cells. read_row is a _row_lanes reader, by default one over
-    the lanes of result's countermodel alone."""
+    the table name and the row label, joined by "/"; a row that cannot be
+    read gives one (label, None, False, why) in place of its cells.
+    read_row is a _row_lanes reader, by default one over the lanes of
+    result's countermodel alone."""
     if read_row is None:
         model, sig = result.countermodel, result.signature()
-        read_row = _row_lanes(_model_lanes(model, sig), model.worlds, sig)
+        read_row = _row_lanes(_countermodel_lanes(model, sig), model.worlds, sig)
     for table in tables:
         for row in table.rows:
             label = f"{table.name}/{row.label}"
             read = read_row(row.world, row.valuation)
-            if read is None:
-                yield label, None, False, f"countermodel has no world {row.world!r}"
+            if isinstance(read, str):
+                yield label, None, False, read
                 continue
             lanes, lane = read
             for cell in row.cells:
@@ -691,41 +647,55 @@ def _valuations(symbols: tuple) -> Optional[CdBatch]:
     return batch
 
 
-def _model_lanes(model: KripkeModel, sig: Signature) -> Lanes:
-    """The lanes of model alone, world i at lane i: those of its
-    one-model batch when model is a chain countermodel, whose masks the
-    batch keeps, else Lanes.for_models((model,), sig)."""
-    for with_r in (False, True):
-        chain, batch = _chain(with_r)
-        if model is chain:
-            return Lanes.for_batches([batch], sig)
+def _countermodel_lanes(model: KripkeModel, sig: Signature):
+    """Lanes.for_models((model,), sig), world i at lane i, or why model
+    cannot be laid out: a world with no future set or no domain, or a
+    future set naming a world the model lacks."""
+    worlds, future, domains = set(model.worlds), model.future, model.domains
+    for w in model.worlds:
+        if w not in future:
+            return f"countermodel frame gives world {w!r} no future"
+        for v in future[w]:
+            if v not in worlds:
+                return f"countermodel frame puts unknown world {v!r} above {w!r}"
+        if w not in domains:
+            return f"countermodel gives world {w!r} no domain"
     return Lanes.for_models((model,), sig)
 
 
-def _row_lanes(kripke: Lanes, worlds: tuple, sig: Signature,
+def _row_lanes(kripke, worlds: tuple, sig: Signature,
                symbols: tuple = (), valuations: Optional[Lanes] = None):
     """row(world, valuation) gives the (lanes, lane) that an expected-table
-    row is read at. A Kripke row is read from kripke, Lanes.for_models of
-    the countermodel whose worlds are given, or gives None when its
-    world is not one of them. A classical row that names only the given
-    symbols is read from valuations, when given, the lanes of
+    row is read at, or why it cannot be read. A Kripke row is read at its
+    world from kripke, _countermodel_lanes of the countermodel whose
+    worlds are given, or gets kripke's reason when that is one. A
+    classical row must give each symbol it names 0 or 1; one naming only
+    the given symbols is read from valuations, when given, the lanes of
     _valuations(symbols), with the symbols it does not name at 0; any
     other row from the one lane of its own valuation."""
     windex = {w: i for i, w in enumerate(worlds)}
-    shared = frozenset(symbols)
+    # a valuation's lane is its bits in symbol order, read in binary
+    place = {sym: 1 << i for i, sym in enumerate(reversed(symbols))}
 
-    def row(world: Optional[str], valuation: Sequence = ()):
+    def row(world: Optional[str], valuation: Optional[Sequence] = ()):
         if world is not None:
+            if isinstance(kripke, str):
+                return kripke
             lane = windex.get(world)
-            return None if lane is None else (kripke, lane)
-        bits = dict(valuation)
-        if valuations is None or not bits.keys() <= shared:
-            atoms = {(sym, ()): 1 for sym, bit in bits.items() if bit}
-            return Lanes(sig, [([(0,)], 1)], ("a1",), atoms), 0
-        # a valuation's lane is its bits in symbol order, read in binary
-        lane = 0
-        for sym in symbols:
-            lane = lane << 1 | bits.get(sym, 0)
+            return f"countermodel has no world {world!r}" if lane is None else (kripke, lane)
+        if valuation is None:
+            return "row names neither a world nor a valuation"
+        lane, own = 0, valuations is None
+        for sym, bit in valuation:
+            if bit not in (0, 1):
+                return f"valuation gives {sym!r} the value {bit!r}, not 0 or 1"
+            weight = place.get(sym)
+            if weight is None:
+                own = True
+            elif bit:
+                lane |= weight
+        if own:
+            return Lanes(sig, [([(0,)], 1)], ("a1",), {(sym, ()): 1 for sym, bit in valuation if bit}), 0
         return valuations, lane
 
     return row

@@ -29,6 +29,9 @@ verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
 decide_propositional and model_validity of cdkripke, and cell_reader
 reads every expected-table cell with the scalar evaluators above.
+layout_fault names what keeps a countermodel off the lanes, a world
+with no future or no domain or a future naming an unknown world; such a
+countermodel is neither evaluated nor searched.
 
 random_kripke_model, random_formula and random_propositional_sequent
 are the suites' generators as they were before a drawn model was
@@ -533,20 +536,47 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     return True
 
 
+def layout_fault(model: KripkeModel) -> str:
+    """Why the model's frame or domains cannot be evaluated, or "": the
+    first world, in model order, with no future or whose future names a
+    world the model lacks, or with no domain."""
+    for w in model.worlds:
+        if w not in model.future:
+            return f"countermodel frame gives world {w!r} no future"
+        unknown = [v for v in model.future[w] if v not in model.worlds]
+        if unknown:
+            return f"countermodel frame puts unknown world {unknown[0]!r} above {w!r}"
+        if w not in model.domains:
+            return f"countermodel gives world {w!r} no domain"
+    return ""
+
+
 def cell_reader(countermodel: KripkeModel, sig: Signature):
     """row(world, valuation) gives the cell function cell(f, kind) of one
-    expected-table row: a Kripke row is read at its world of the
-    countermodel, a classical row (world None) on the one-element model
-    of its ((symbol, bit), ...) valuation. cell(f, "value") is f's value;
-    cell(f, "args") is the tuple of the argument values of f's top
-    connective, or None when f is not a connective."""
-    kripke = KripkeEvaluator(countermodel, sig)
+    expected-table row, or why the row cannot be read: a Kripke row is
+    read at its world of the countermodel, a classical row (world None)
+    on the one-element model of its ((symbol, bit), ...) valuation, every
+    bit 0 or 1. cell(f, "value") is f's value; cell(f, "args") is the
+    tuple of the argument values of f's top connective, or None when f
+    is not a connective."""
+    fault = layout_fault(countermodel)
+    kripke = None if fault else KripkeEvaluator(countermodel, sig)
 
-    def row(world: Optional[str], valuation: Sequence = ()):
+    def row(world: Optional[str], valuation: Optional[Sequence] = ()):
         if world is not None:
+            if fault:
+                return fault
+            if world not in countermodel.worlds:
+                return f"countermodel has no world {world!r}"
+
             def value(f):
                 return kripke.value(f, world, {})
+        elif valuation is None:
+            return "row names neither a world nor a valuation"
         else:
+            bad = [(sym, bit) for sym, bit in valuation if bit not in (0, 1)]
+            if bad:
+                return f"valuation gives {bad[0][0]!r} the value {bad[0][1]!r}, not 0 or 1"
             model = ClassicalModel(("a1",), {(sym, ()): 1 for sym, bit in valuation if bit})
             classical = ClassicalEvaluator(model, sig)
 
@@ -610,7 +640,8 @@ def verify_separation(result) -> VerificationReport:
         report.add("classically-valid", False, str(exc))
 
     # constant-domain half: the countermodel refutes it at the stated world
-    verdict = lane_model_validity(result.countermodel, result.sequent, sig)
+    fault = layout_fault(result.countermodel)
+    verdict = None if fault else lane_model_validity(result.countermodel, result.sequent, sig)
     if isinstance(verdict, Failure):
         report.add(
             "cd-refuted",
@@ -618,13 +649,16 @@ def verify_separation(result) -> VerificationReport:
             f"failure at {verdict.world}",
         )
     else:
-        report.add("cd-refuted", False, "countermodel does not refute the sequent")
+        report.add("cd-refuted", False, fault or "countermodel does not refute the sequent")
 
     # every embedded expected table cell
     row_evaluator = cell_reader(result.countermodel, sig)
     for table in result.tables:
         for row in table.rows:
             cell_value = row_evaluator(row.world, row.valuation)
+            if isinstance(cell_value, str):
+                report.add(f"table:{table.name}/{row.label}", False, cell_value)
+                continue
             for cell in row.cells:
                 f = _resolve(result, cell.formula)
                 where = f"table:{table.name}/{row.label}/{cell.formula}"

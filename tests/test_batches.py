@@ -2,8 +2,8 @@
 
 The walk splits a frame and domain size of many models into batches
 whose leading slots hold one vector each; the valuations of the exact
-propositional decision and the separator's chain countermodels are
-batches of the same shape, built without the capped walk.
+propositional decision are batches of the same shape, built without the
+capped walk.
 """
 
 import itertools
@@ -16,9 +16,6 @@ from cdkripke.kripke import (
     cd_model_batches,
     valuation_batches,
 )
-from cdkripke.lanes import Lanes
-from cdkripke.separator import AllMonotone, _model_lanes, chain_countermodel, separate
-from cdkripke.truthfn import Signature, all_tables
 
 
 def shape(batch):
@@ -55,24 +52,3 @@ def test_split_batches_are_the_product_of_their_choices(monkeypatch):
             domains = {w: batch.domain for w in batch.worlds}
             assert batch.model(index) == KripkeModel(batch.worlds, batch.future, domains, interp)
     assert split
-
-
-def test_chain_batch_lanes_are_the_model_lanes():
-    chains = chain_countermodel(False), chain_countermodel(True)
-    seen = 0
-    for table in (t for n in (1, 2, 3) for t in all_tables(n)):
-        sig = Signature.of(table)
-        result = separate(sig)
-        if isinstance(result, AllMonotone):
-            continue
-        model = result.countermodel
-        assert any(model is chain for chain in chains)
-        batch, single = _model_lanes(model, sig), Lanes.for_models((model,), sig)
-        assert (batch.width, batch.full, batch.cross_check) == (
-            single.width, single.full, single.cross_check)
-        formulas = [*result.formulas.values(), *result.sequent.antecedent,
-                    *result.sequent.succedent]
-        for f in formulas:
-            assert batch.value(f, {}) == single.value(f, {}), (table, f)
-        seen += 1
-    assert seen == 276 - 3 - 6 - 20

@@ -5,8 +5,9 @@ lanes serve cd-refuted and every Kripke row, the lanes of every valuation
 of the sequent's symbols serve classically-valid and every classical row.
 scalar_reference.verify_separation runs each check on its own instead;
 the two reports must be equal in every check name, verdict and detail and
-in the classical symbols and valuation count, on fresh results and on
-results tampered to fail each kind of check.
+in the classical symbols and valuation count, on fresh results, on
+results tampered to fail each kind of check, and on countermodels and
+rows that cannot be read at all, which fail checks and never raise.
 """
 
 import dataclasses
@@ -223,7 +224,7 @@ class TestUnreadableCells:
     def test_row_names_a_world_the_countermodel_lacks(self, base):
         result, table, row = replace_first_row(
             base, True, lambda row: dataclasses.replace(row, world="w9"))
-        report = verify_separation(result)
+        report = assert_same_report(result)
         label = f"table:{table.name}/{row.label}"
         assert failed(report) == {label}
         assert {c.name: c.detail for c in report.checks}[label] == (
@@ -244,6 +245,113 @@ class TestUnreadableCells:
         assert {c.name: c.detail for c in report.checks}[where] == (
             "expected-table cell names unknown formula 'nosuch'")
         assert len(report.checks) == len(verify_separation(base).checks)
+
+
+class TestUnlaidCountermodel:
+    """A countermodel whose frame or domains cannot be laid out on lanes
+    is not evaluated: cd-refuted and each Kripke row fail with the fault,
+    countermodel-validates names its violation, and every other check
+    runs as on the intact countermodel."""
+
+    TAMPERINGS = {
+        "missing-future": ({"future": {"w0": ("w0", "w1")}},
+                           "countermodel frame gives world 'w1' no future",
+                           "non-reflexive(world='w1')"),
+        "unknown-world": ({"future": {"w0": ("w0", "w1", "w9"), "w1": ("w1",)}},
+                          "countermodel frame puts unknown world 'w9' above 'w0'",
+                          "unknown-world-in-future(from='w0', to='w9')"),
+        "missing-domain": ({"domains": {"w0": ("a1",)}},
+                           "countermodel gives world 'w1' no domain",
+                           "missing-domain(world='w1')"),
+    }
+
+    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+    def test_fault_fails_cd_refuted_and_each_kripke_row(self, base, tampering):
+        change, fault, violation = self.TAMPERINGS[tampering]
+        model = dataclasses.replace(base.countermodel, **change)
+        report = assert_same_report(dataclasses.replace(base, countermodel=model))
+        rows = [(f"table:{t.name}/{row.label}", len(row.cells))
+                for t in base.tables for row in t.rows if row.world is not None]
+        assert {c.name: c.detail for c in report.failures()} == {
+            "countermodel-validates": f"invalid model: {violation}",
+            "cd-refuted": fault,
+            **{label: fault for label, _ in rows},
+        }
+
+        def rest(report):
+            return [(c.name, c.ok, c.detail) for c in report.checks
+                    if c.name not in ("countermodel-validates", "cd-refuted")
+                    and not any(c.name == label or c.name.startswith(label + "/")
+                                for label, _ in rows)]
+
+        intact = verify_separation(base)
+        assert rest(report) == rest(intact)
+        assert len(report.checks) == len(intact.checks) - sum(n - 1 for _, n in rows)
+
+    def test_default_reader_of_judge_cells(self):
+        base = separate(standard_signature("implies"))
+        model = dataclasses.replace(base.countermodel, future={"w0": ("w0", "w1")})
+        judged = list(judge_cells(dataclasses.replace(base, countermodel=model), base.tables[1:]))
+        assert judged == [(f"{base.tables[1].name}/{w}", None, False,
+                           "countermodel frame gives world 'w1' no future") for w in ("w1", "w0")]
+
+
+class TestMalformedRows:
+    """A classical row whose valuation gives a symbol a value other than
+    0 or 1, or a row with neither a world nor a valuation, is one failed
+    check of its own, in place of its cells. A symbol a valuation names
+    twice is true if either of its bits is 1, as in the reference."""
+
+    @pytest.mark.parametrize("bit", [2, -1, "1", None, 0.5])
+    def test_valuation_value_not_0_or_1(self, base, bit):
+        def spoil(row):
+            (sym, _), *others = row.valuation
+            return dataclasses.replace(row, valuation=((sym, bit), *others))
+
+        result, table, row = replace_first_row(base, False, spoil)
+        report = assert_same_report(result)
+        sym = row.valuation[0][0]
+        assert {c.name: c.detail for c in report.failures()} == {
+            f"table:{table.name}/{row.label}": f"valuation gives {sym!r} the value {bit!r}, not 0 or 1"}
+        assert len(report.checks) == len(verify_separation(base).checks) - len(row.cells) + 1
+
+    def test_value_past_the_valuation_lanes(self):
+        # read as a bit, p=2 would give lane 8, past the 8 lanes of p, q and s
+        base = separate(standard_signature("implies"))
+        table = base.tables[0]
+        assert table.name == "classical-subcase-1"
+        rows = tuple(dataclasses.replace(row, valuation=(("p", 2), ("q", 0)))
+                     if row.label == "p=1,q=0" else row for row in table.rows)
+        result = dataclasses.replace(
+            base, tables=(dataclasses.replace(table, rows=rows),) + base.tables[1:])
+        report = assert_same_report(result)
+        assert [c.name for c in report.failures()] == ["table:classical-subcase-1/p=1,q=0"]
+        judged = [(label, ok) for label, cell, ok, _ in judge_cells(result, result.tables)
+                  if cell is None]
+        assert judged == [("classical-subcase-1/p=1,q=0", False)]
+
+    def test_bool_values_read_as_bits(self, base):
+        def as_bools(row):
+            return dataclasses.replace(row, valuation=tuple((sym, bool(bit))
+                                                            for sym, bit in row.valuation))
+
+        result, _, _ = replace_first_row(base, False, as_bools)
+        assert assert_same_report(result).passed
+
+    def test_repeated_symbol_is_true_if_any_of_its_bits_is(self, base):
+        def repeat(row):
+            (sym, _), *others = row.valuation
+            return dataclasses.replace(row, valuation=((sym, 1), (sym, 0), *others))
+
+        result, _, _ = replace_first_row(base, False, repeat)
+        assert_same_report(result)
+
+    def test_row_with_neither_world_nor_valuation(self, base):
+        result, table, row = replace_first_row(
+            base, False, lambda row: dataclasses.replace(row, valuation=None))
+        report = assert_same_report(result)
+        assert {c.name: c.detail for c in report.failures()} == {
+            f"table:{table.name}/{row.label}": "row names neither a world nor a valuation"}
 
 
 class TestWide:
