@@ -297,8 +297,8 @@ def model_validity(model: KripkeModel, s: Sequent, sig: Signature):
 
 
 def _first_failure(lanes: Lanes, model: KripkeModel, s: Sequent):
-    """model_validity read from lanes, Lanes.for_models of the model,
-    so that a caller may share them with other checks."""
+    """model_validity read from lanes whose first segment is the model,
+    world i at lane i, so that a caller may share them with other checks."""
     fv = sorted(free_vars(s))
     for i, w in enumerate(model.worlds):
         for values in itertools.product(model.domains[w], repeat=len(fv)):

@@ -9,9 +9,12 @@ at that world of the model_index-th model of the segment whose first
 lane is start. This module alone knows that layout: Lanes takes the
 segments as (future, models) pairs, Lanes.locate maps a lane back to
 its segment, model and world, and Lanes.segment reads a segment's bits.
-Lanes.for_models lays out KripkeModels, a segment each, and
-Lanes.for_batches the interpretations of CdBatches, a segment per
-batch. The classical side is the value in the world's projection.
+Lanes.of is the one layout of models and batches: KripkeModels first, a
+segment each, then the interpretations of CdBatches, a segment per
+batch, so that one lane set may hold a countermodel's worlds and every
+valuation of a sequent's symbols; Lanes.for_models and
+Lanes.for_batches lay out models alone and batches alone. The classical
+side is the value in the world's projection.
 Both sides read the same atomic masks; a connective applies its truth
 table lane by lane, through the terms compiled once per table
 (TruthTable.lane_terms). The Kripke side of a
@@ -30,7 +33,7 @@ An element that does not exist on every lane has an existence mask E_a:
 is ``OR_a (phi_a & E_a)``. A value is meaningful only on the lanes where
 every value of the assignment exists; no clause reads the other lanes'
 bits there. One model's growing domains have such masks, and so has a
-lane set of models or batches whose domains differ: its domain holds
+lane set of models and batches whose domains differ: its domain holds
 every element, and each element exists on the lanes whose domain
 holds it. Where each model's domain is constant, every Kripke
 value is hereditary on every lane, and each universal may be
@@ -66,12 +69,13 @@ class Lanes:
     every element exists everywhere. ``cross_check`` asserts that each
     universal equals its present-world reading, which relies on heredity
     and so on each model's domain being constant: it starts on when
-    exists is None, and for_models and for_batches turn it on where
-    every model's domain is constant. One model's lanes are
-    for_models((model,), sig): lane i is world i of the model; a
-    CdBatch's are for_batches([batch], sig), from masks it keeps. The
-    memo is keyed by formula structure and the assignment restricted to the
-    formula's free variables, and is freed with the lane set.
+    exists is None, and Lanes.of turns it on where every model's domain
+    is constant; a caller turns it off on a model that may not be
+    hereditary. One model's lanes are for_models((model,), sig): lane i
+    is world i of the model; a CdBatch's are for_batches([batch], sig),
+    from masks it keeps. The memo is keyed by formula structure and the
+    assignment restricted to the formula's free variables, and is freed
+    with the lane set.
     """
 
     def __init__(self, sig: Signature, frames: Sequence[tuple], domain: tuple,
@@ -89,22 +93,36 @@ class Lanes:
 
     @classmethod
     def for_models(cls, models: Sequence[KripkeModel], sig: Signature) -> Lanes:
-        """The models one after another, each a segment of its own, in
-        the given order: lane start + i is world i of the model whose
-        segment starts at start, and segment(mask, k) reads the k-th
-        model's bits. The domain is every element of every model, and
-        an element exists on the lanes of the worlds whose domain holds
-        it: unless every model has the same constant domain, in the same
-        order, each element gets an existence mask, the elements in
-        order of first appearance. The universals are cross-checked when
-        every model's domain is constant."""
-        first = models[0]
-        domain = first.domains[first.worlds[0]] if first.constant_domain else None
-        exists = None if domain is not None else {}
-        for model in models:
-            if exists is None and not (model.constant_domain
-                                       and model.domains[model.worlds[0]] == domain):
-                exists = {}
+        """Lanes.of(models, (), sig)."""
+        return cls.of(models, (), sig)
+
+    @classmethod
+    def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
+        """Lanes.of((), batches, sig)."""
+        return cls.of((), batches, sig)
+
+    @classmethod
+    def of(cls, models: Sequence[KripkeModel], batches: Sequence[CdBatch],
+           sig: Signature) -> Lanes:
+        """The models, a segment each, then the interpretations of each
+        batch, a segment per batch in its model order: lane start + i is
+        world i of the model whose segment starts at start, so the first
+        model's world i is lane i. The domain is every element of every
+        segment; unless every model and batch has one constant domain, in
+        one order, each element exists on the lanes of the worlds whose
+        domain holds it, in order of first appearance. The universals are
+        cross-checked when every model's domain is constant, as a batch's
+        is. A batch keeps its atom masks and future lists, so Lanes of it
+        built again, for another signature say, reuse them."""
+        if models:
+            first = models[0]
+            domain = first.domains[first.worlds[0]] if first.constant_domain else None
+        else:
+            domain = batches[0].domain
+        one_domain = domain is not None and all(
+            model.constant_domain and model.domains[model.worlds[0]] == domain
+            for model in models) and all(batch.domain == domain for batch in batches)
+        exists = None if one_domain else {}
         frames, atoms = [], {}
         start = 0
         for model in models:
@@ -121,46 +139,27 @@ class Lanes:
                     for a in domains[w]:
                         exists[a] = exists.get(a, 0) | 1 << start + i
             start += len(worlds)
-        if exists is None:
-            return cls(sig, frames, domain, atoms)
-        lanes = cls(sig, frames, tuple(exists), atoms, exists)
-        lanes.cross_check = all(model.constant_domain for model in models)
-        return lanes
-
-    @classmethod
-    def for_batches(cls, batches: Sequence[CdBatch], sig: Signature) -> Lanes:
-        """Every interpretation of CdBatches, of one world count or of
-        several: each batch a segment of its models, in the batch's model
-        order, the batches one after another. The domain is the largest
-        batch domain, which holds the others. A model's domain is
-        constant, so the universals are cross-checked. The atom masks
-        and the future lists of a batch are kept on it, so Lanes of a
-        batch built again, for another signature say, reuse them."""
-        domain = max((batch.domain for batch in batches), key=len)
-        exists = None
-        if any(len(batch.domain) < len(domain) for batch in batches):
-            exists = dict.fromkeys(domain, 0)
-        frames = []
         for batch in batches:
             if batch.lane_masks is None:
                 batch.lane_masks = cls._batch_masks(batch)
-            frames.append((batch.lane_masks[0], batch.width))
-        atoms: dict = {}
-        lanes = cls(sig, frames, domain, atoms, exists)
-        lanes.cross_check = True
-        # each batch's masks count its models from 0: shift them to the
-        # segment's first lane
-        for batch, start in zip(batches, lanes._starts):
-            masks = batch.lane_masks[1]
+            future, masks = batch.lane_masks
+            frames.append((future, batch.width))
+            # the batch's masks count its models from 0: shift them to
+            # the segment's first lane
             if not start:
                 atoms.update(masks)
             else:
                 for slot, mask in masks.items():
                     atoms[slot] = atoms.get(slot, 0) | mask << start
+            end = start + batch.width * len(future)
             if exists is not None:
-                models = ((1 << batch.width * len(batch.worlds)) - 1) << start
                 for a in batch.domain:
-                    exists[a] |= models
+                    exists[a] = exists.get(a, 0) | (1 << end) - (1 << start)
+            start = end
+        if exists is None:
+            return cls(sig, frames, domain, atoms)
+        lanes = cls(sig, frames, tuple(exists), atoms, exists)
+        lanes.cross_check = all(model.constant_domain for model in models)
         return lanes
 
     @staticmethod

@@ -32,8 +32,8 @@ from .kripke import (
     CdBatch,
     Failure,
     KripkeModel,
-    _batch_refutation,
     _first_failure,
+    _refuted,
     closed_frame,
     kripke_model_to_json,
     require_valid,
@@ -525,11 +525,14 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     """Re-derive everything the result claims; mismatches become failed
     checks, never exceptions.
 
-    Each side is evaluated once, on lanes every check shares: the
-    countermodel's lanes give cd-refuted and the Kripke rows, and the
-    lanes of every valuation of the sequent's symbols give
-    classically-valid and the classical rows. A countermodel whose frame
-    or domains cannot be laid out fails cd-refuted and every Kripke row."""
+    Both sides are evaluated once, on one lane set every check shares:
+    the countermodel's worlds, world i at lane i, give cd-refuted and
+    the Kripke rows, and the segment after them, every valuation of the
+    sequent's symbols, gives classically-valid and the classical rows. A
+    countermodel that cannot be laid out is left off the lanes and fails
+    cd-refuted and every Kripke row; a sequent that is quantified, or
+    has too many symbols for one batch, leaves the valuations off and
+    is decided by decide_propositional."""
     report = VerificationReport()
     sig = result.signature()
     model, sequent = result.countermodel, result.sequent
@@ -541,6 +544,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("countermodel-validates", True)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         report.add("countermodel-validates", False, str(exc))
+    valid = report.checks[-1].ok
 
     # shape of the sequent
     try:
@@ -553,11 +557,19 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
     report.add("sequent-symbols", *symbols_check)
     symbols = tuple(sorted(arities))
 
-    # classical half: exhaustive enumeration over the occurring symbols
+    # the countermodel's lanes, then every valuation of the occurring
+    # symbols: the lanes from first on, when there are few enough
     batch = _valuations(symbols) if propositional else None
-    classical = None if batch is None else Lanes.for_batches([batch], sig)
+    lanes, fault = _countermodel_lanes(model, sig, batch)
+    first = None if batch is None else 0 if fault else len(model.worlds)
+    if not valid and lanes is not None:
+        # a universal equals its present-world reading only where the
+        # countermodel is hereditary
+        lanes.cross_check = False
+
+    # classical half: exhaustive enumeration over the occurring symbols
     try:
-        if classical is not None and _batch_refutation(classical, [batch], sequent, ()) is None:
+        if first is not None and not _refuted(lanes, sequent, {}) >> first:
             verdict = Valid()
         else:
             # refuted, quantified or too wide for one batch: the decider
@@ -574,8 +586,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
         report.add("classically-valid", False, str(exc))
 
     # constant-domain half: the countermodel refutes it at the stated world
-    kripke = _countermodel_lanes(model, sig)
-    verdict = kripke if isinstance(kripke, str) else _first_failure(kripke, model, sequent)
+    verdict = fault or _first_failure(lanes, model, sequent)
     if isinstance(verdict, Failure):
         report.add(
             "cd-refuted",
@@ -587,7 +598,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
                    else "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    read_row = _row_lanes(kripke, model.worlds, sig, symbols, classical)
+    read_row = _row_lanes(lanes, fault, model.worlds, sig, symbols, first)
     report.checks += [
         Check(f"table:{label}" if cell is None else f"table:{label}/{cell.formula}", ok, detail)
         for label, cell, ok, detail in judge_cells(result, result.tables, read_row)
@@ -599,12 +610,14 @@ def judge_cells(result: SeparationResult, tables: Sequence, read_row=None):
     """(label, cell, ok, detail) for each cell of the expected tables, in
     order, read on lanes and judged against result's formulas. label is
     the table name and the row label, joined by "/"; a row that cannot be
-    read gives one (label, None, False, why) in place of its cells.
-    read_row is a _row_lanes reader, by default one over the lanes of
-    result's countermodel alone."""
+    read gives one (label, None, False, why) in place of its cells, and
+    a cell of a kind other than "value" or "args", or an args cell
+    whose expected value is not a tuple or list, one failed check. read_row
+    is a _row_lanes reader, by default one over the lanes of result's
+    countermodel alone."""
     if read_row is None:
         model, sig = result.countermodel, result.signature()
-        read_row = _row_lanes(_countermodel_lanes(model, sig), model.worlds, sig)
+        read_row = _row_lanes(*_countermodel_lanes(model, sig, None), model.worlds, sig)
     for table in tables:
         for row in table.rows:
             label = f"{table.name}/{row.label}"
@@ -619,18 +632,24 @@ def judge_cells(result: SeparationResult, tables: Sequence, read_row=None):
                 except UsageError as exc:
                     yield label, cell, False, str(exc)
                     continue
+                expected = cell.expected
                 if cell.kind == "value":
                     actual = lanes.mask(f) >> lane & 1
-                    expected = cell.expected
                     exact = type(expected) is int
-                elif isinstance(f, Conn):
-                    # the argument values of f's top connective
-                    actual = tuple([lanes.mask(g) >> lane & 1 for g in f.args])
-                    expected = tuple(cell.expected)
-                    exact = {*map(type, expected)} <= _INT
-                else:
+                elif cell.kind != "args":
+                    yield label, cell, False, f"cell kind {cell.kind!r} is neither 'value' nor 'args'"
+                    continue
+                elif not isinstance(f, Conn):
                     yield label, cell, False, "args cell on a non-connective"
                     continue
+                elif not isinstance(expected, (tuple, list)):
+                    yield label, cell, False, f"args cell expects {expected!r}, not a tuple or list"
+                    continue
+                else:
+                    # the argument values of f's top connective
+                    actual = tuple([lanes.mask(g) >> lane & 1 for g in f.args])
+                    expected = tuple(expected)
+                    exact = {*map(type, expected)} <= _INT
                 yield (label, cell, bool(actual == expected),
                        _cell_detail(expected, actual) if exact
                        else f"expected {expected}, got {actual}")
@@ -647,56 +666,89 @@ def _valuations(symbols: tuple) -> Optional[CdBatch]:
     return batch
 
 
-def _countermodel_lanes(model: KripkeModel, sig: Signature):
-    """Lanes.for_models((model,), sig), world i at lane i, or why model
-    cannot be laid out: a world with no future set or no domain, or a
-    future set naming a world the model lacks."""
+def _countermodel_lanes(model: KripkeModel, sig: Signature, batch: Optional[CdBatch]):
+    """(lanes, fault): the lanes of model, world i at lane i, then of
+    batch, unless it is None, as the segment after them, with fault "";
+    or, when model cannot be laid out, the lanes of batch alone, or
+    None without one, and why not: a world with no future set or no
+    domain, or one that is not a tuple or list, a future set naming a
+    world the model lacks, or an interpretation key that is not a
+    (world, predicate, arguments) triple."""
+    fault = _layout_fault(model)
+    batches = () if batch is None else (batch,)
+    if fault:
+        return (Lanes.of((), batches, sig) if batches else None), fault
+    return Lanes.of((model,), batches, sig), ""
+
+
+def _layout_fault(model: KripkeModel) -> str:
+    """Why model cannot be laid out on lanes, as _countermodel_lanes
+    lists the faults, or "": the first world in model order, then the
+    first interpretation key."""
     worlds, future, domains = set(model.worlds), model.future, model.domains
     for w in model.worlds:
         if w not in future:
             return f"countermodel frame gives world {w!r} no future"
-        for v in future[w]:
+        above = future[w]
+        if not isinstance(above, (tuple, list)):
+            return f"countermodel frame gives world {w!r} the future {above!r}, not a tuple or list"
+        for v in above:
             if v not in worlds:
                 return f"countermodel frame puts unknown world {v!r} above {w!r}"
         if w not in domains:
             return f"countermodel gives world {w!r} no domain"
-    return Lanes.for_models((model,), sig)
+        if not isinstance(domains[w], (tuple, list)):
+            return f"countermodel gives world {w!r} the domain {domains[w]!r}, not a tuple or list"
+    for key in model.interp:
+        if not (isinstance(key, tuple) and len(key) == 3):
+            return f"countermodel interpretation has key {key!r}, not a (world, predicate, arguments) triple"
+    return ""
 
 
-def _row_lanes(kripke, worlds: tuple, sig: Signature,
-               symbols: tuple = (), valuations: Optional[Lanes] = None):
+def _row_lanes(lanes: Optional[Lanes], fault: str, worlds: tuple, sig: Signature,
+               symbols: tuple = (), first: Optional[int] = None):
     """row(world, valuation) gives the (lanes, lane) that an expected-table
-    row is read at, or why it cannot be read. A Kripke row is read at its
-    world from kripke, _countermodel_lanes of the countermodel whose
-    worlds are given, or gets kripke's reason when that is one. A
-    classical row must give each symbol it names 0 or 1; one naming only
-    the given symbols is read from valuations, when given, the lanes of
-    _valuations(symbols), with the symbols it does not name at 0; any
-    other row from the one lane of its own valuation."""
+    row is read at, or why it cannot be read; lanes and fault are those
+    of _countermodel_lanes. A Kripke row is read at its world, of the
+    countermodel whose worlds are given, world i at lane i, or gets the
+    fault when there is one. A classical row must give each symbol it
+    names 0 or 1, as (symbol, bit) pairs; one naming only the given
+    symbols is read from the valuations of _valuations(symbols), the
+    segment of lanes from lane first, when first is given, with the
+    symbols it does not name at 0; any other row from the one lane of
+    its own valuation."""
     windex = {w: i for i, w in enumerate(worlds)}
     # a valuation's lane is its bits in symbol order, read in binary
     place = {sym: 1 << i for i, sym in enumerate(reversed(symbols))}
 
     def row(world: Optional[str], valuation: Optional[Sequence] = ()):
         if world is not None:
-            if isinstance(kripke, str):
-                return kripke
+            if fault:
+                return fault
             lane = windex.get(world)
-            return f"countermodel has no world {world!r}" if lane is None else (kripke, lane)
+            return f"countermodel has no world {world!r}" if lane is None else (lanes, lane)
         if valuation is None:
             return "row names neither a world nor a valuation"
-        lane, own = 0, valuations is None
-        for sym, bit in valuation:
+        if not isinstance(valuation, (tuple, list)):
+            return f"row valuation {valuation!r} is not a tuple or list"
+        lane, own = 0, first is None
+        for entry in valuation:
+            try:
+                sym, bit = entry
+                weight = place.get(sym)
+            except (TypeError, ValueError):
+                return f"valuation entry {entry!r} is not a (symbol, bit) pair"
             if bit not in (0, 1):
                 return f"valuation gives {sym!r} the value {bit!r}, not 0 or 1"
-            weight = place.get(sym)
             if weight is None:
                 own = True
             elif bit:
                 lane |= weight
         if own:
-            return Lanes(sig, [([(0,)], 1)], ("a1",), {(sym, ()): 1 for sym, bit in valuation if bit}), 0
-        return valuations, lane
+            one = KripkeModel(("v",), {"v": ("v",)}, {"v": ("a1",)},
+                              {("v", sym, ()): 1 for sym, bit in valuation if bit})
+            return Lanes.for_models((one,), sig), 0
+        return lanes, first + lane
 
     return row
 

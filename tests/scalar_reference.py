@@ -27,11 +27,15 @@ reading domains and heredity along it.
 
 verify_separation is the separator's verifier as it was before its
 checks shared lanes: each check runs on its own, through a fresh
-decide_propositional and model_validity of cdkripke, and cell_reader
-reads every expected-table cell with the scalar evaluators above.
-layout_fault names what keeps a countermodel off the lanes, a world
-with no future or no domain or a future naming an unknown world; such a
-countermodel is neither evaluated nor searched.
+decide_propositional of cdkripke and the scalar model_validity above,
+and cell_reader reads every expected-table cell with the scalar
+evaluators above, a row once valuation_fault finds its valuation
+readable. layout_fault names what keeps a countermodel off the lanes:
+a world with no future or no domain, or one that is not a tuple or
+list, a future naming an unknown world, or an interpretation key that
+is not a triple; such a countermodel is neither evaluated nor searched.
+A countermodel that fails validation is evaluated with the
+constant-domain cross-check off, as it may not be hereditary.
 
 random_kripke_model, random_formula and random_propositional_sequent
 are the suites' generators as they were before a drawn model was
@@ -54,7 +58,6 @@ from cdkripke.kripke import (
     closed_frame,
     validate_kripke_model,
 )
-from cdkripke.kripke import model_validity as lane_model_validity
 from cdkripke.separator import ALLOWED_SYMBOLS, VerificationReport, _resolve
 from cdkripke.syntax import (
     Atom,
@@ -502,15 +505,16 @@ class ClassicalEvaluator:
         return 1
 
 
-def model_validity(model: KripkeModel, s: Sequent, sig: Signature):
+def model_validity(model: KripkeModel, s: Sequent, sig: Signature,
+                   check_cd_universal: Optional[bool] = None):
     """Check s at every world and assignment; first failure wins.
 
     Worlds are visited in model order; assignments enumerate the
     sequent's free variables (sorted) over the world's domain in domain
-    order, lexicographically.
+    order, lexicographically. check_cd_universal is KripkeEvaluator's.
     """
     fv = sorted(free_vars(s))
-    evaluator = KripkeEvaluator(model, sig)
+    evaluator = KripkeEvaluator(model, sig, check_cd_universal)
     for w in model.worlds:
         for values in itertools.product(model.domains[w], repeat=len(fv)):
             rho = dict(zip(fv, values))
@@ -537,30 +541,62 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
 
 
 def layout_fault(model: KripkeModel) -> str:
-    """Why the model's frame or domains cannot be evaluated, or "": the
-    first world, in model order, with no future or whose future names a
-    world the model lacks, or with no domain."""
+    """Why the model's frame, domains or interpretation cannot be
+    evaluated, or "": the first world, in model order, with no future,
+    a future that is not a tuple or list or that names a world the model
+    lacks, or with no domain or one that is not a tuple or list; then
+    the first interpretation key that is not a (world, predicate,
+    arguments) triple."""
     for w in model.worlds:
         if w not in model.future:
             return f"countermodel frame gives world {w!r} no future"
-        unknown = [v for v in model.future[w] if v not in model.worlds]
+        above = model.future[w]
+        if not isinstance(above, (tuple, list)):
+            return f"countermodel frame gives world {w!r} the future {above!r}, not a tuple or list"
+        unknown = [v for v in above if v not in model.worlds]
         if unknown:
             return f"countermodel frame puts unknown world {unknown[0]!r} above {w!r}"
         if w not in model.domains:
             return f"countermodel gives world {w!r} no domain"
+        domain = model.domains[w]
+        if not isinstance(domain, (tuple, list)):
+            return f"countermodel gives world {w!r} the domain {domain!r}, not a tuple or list"
+    for key in model.interp:
+        if not (isinstance(key, tuple) and len(key) == 3):
+            return (f"countermodel interpretation has key {key!r}, "
+                    f"not a (world, predicate, arguments) triple")
     return ""
 
 
-def cell_reader(countermodel: KripkeModel, sig: Signature):
+def valuation_fault(valuation) -> str:
+    """Why a classical row's valuation cannot be read, or "": it is not a
+    tuple or list, or its first bad entry, in order, is not a (symbol,
+    bit) pair of a hashable symbol, or gives its symbol a value other
+    than 0 or 1."""
+    if not isinstance(valuation, (tuple, list)):
+        return f"row valuation {valuation!r} is not a tuple or list"
+    for entry in valuation:
+        try:
+            sym, bit = entry
+            hash(sym)
+        except (TypeError, ValueError):
+            return f"valuation entry {entry!r} is not a (symbol, bit) pair"
+        if bit not in (0, 1):
+            return f"valuation gives {sym!r} the value {bit!r}, not 0 or 1"
+    return ""
+
+
+def cell_reader(countermodel: KripkeModel, sig: Signature, valid: bool = True):
     """row(world, valuation) gives the cell function cell(f, kind) of one
     expected-table row, or why the row cannot be read: a Kripke row is
     read at its world of the countermodel, a classical row (world None)
-    on the one-element model of its ((symbol, bit), ...) valuation, every
-    bit 0 or 1. cell(f, "value") is f's value; cell(f, "args") is the
-    tuple of the argument values of f's top connective, or None when f
-    is not a connective."""
+    on the one-element model of its ((symbol, bit), ...) valuation, read
+    when valuation_fault finds nothing. cell(f, "value") is f's value;
+    cell(f, "args") is the tuple of the argument values of f's top
+    connective, or None when f is not a connective. A countermodel that
+    is not valid is evaluated with the constant-domain cross-check off."""
     fault = layout_fault(countermodel)
-    kripke = None if fault else KripkeEvaluator(countermodel, sig)
+    kripke = None if fault else KripkeEvaluator(countermodel, sig, None if valid else False)
 
     def row(world: Optional[str], valuation: Optional[Sequence] = ()):
         if world is not None:
@@ -574,9 +610,9 @@ def cell_reader(countermodel: KripkeModel, sig: Signature):
         elif valuation is None:
             return "row names neither a world nor a valuation"
         else:
-            bad = [(sym, bit) for sym, bit in valuation if bit not in (0, 1)]
+            bad = valuation_fault(valuation)
             if bad:
-                return f"valuation gives {bad[0][0]!r} the value {bad[0][1]!r}, not 0 or 1"
+                return bad
             model = ClassicalModel(("a1",), {(sym, ()): 1 for sym, bit in valuation if bit})
             classical = ClassicalEvaluator(model, sig)
 
@@ -596,7 +632,7 @@ def cell_reader(countermodel: KripkeModel, sig: Signature):
 
 
 def verify_separation(result) -> VerificationReport:
-    """cdkripke.separator.verify_separation, each check on fresh lanes."""
+    """cdkripke.separator.verify_separation, each check on its own."""
     report = VerificationReport()
     sig = result.signature()
 
@@ -608,6 +644,7 @@ def verify_separation(result) -> VerificationReport:
         report.add("countermodel-validates", True)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         report.add("countermodel-validates", False, str(exc))
+    valid = report.checks[-1].ok
 
     # shape of the sequent
     try:
@@ -641,7 +678,8 @@ def verify_separation(result) -> VerificationReport:
 
     # constant-domain half: the countermodel refutes it at the stated world
     fault = layout_fault(result.countermodel)
-    verdict = None if fault else lane_model_validity(result.countermodel, result.sequent, sig)
+    verdict = None if fault else model_validity(result.countermodel, result.sequent, sig,
+                                                None if valid else False)
     if isinstance(verdict, Failure):
         report.add(
             "cd-refuted",
@@ -652,7 +690,7 @@ def verify_separation(result) -> VerificationReport:
         report.add("cd-refuted", False, fault or "countermodel does not refute the sequent")
 
     # every embedded expected table cell
-    row_evaluator = cell_reader(result.countermodel, sig)
+    row_evaluator = cell_reader(result.countermodel, sig, valid)
     for table in result.tables:
         for row in table.rows:
             cell_value = row_evaluator(row.world, row.valuation)
@@ -662,9 +700,15 @@ def verify_separation(result) -> VerificationReport:
             for cell in row.cells:
                 f = _resolve(result, cell.formula)
                 where = f"table:{table.name}/{row.label}/{cell.formula}"
+                if cell.kind not in ("value", "args"):
+                    report.add(where, False, f"cell kind {cell.kind!r} is neither 'value' nor 'args'")
+                    continue
                 actual = cell_value(f, cell.kind)
                 if actual is None:
                     report.add(where, False, "args cell on a non-connective")
+                elif cell.kind == "args" and not isinstance(cell.expected, (tuple, list)):
+                    report.add(where, False,
+                               f"args cell expects {cell.expected!r}, not a tuple or list")
                 else:
                     expected = cell.expected if cell.kind == "value" else tuple(cell.expected)
                     report.add(where, actual == expected, f"expected {expected}, got {actual}")

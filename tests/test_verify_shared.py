@@ -1,8 +1,10 @@
 """verify_separation on shared lanes against the fresh-check reference.
 
-The verifier evaluates each side of a separation once: the countermodel's
-lanes serve cd-refuted and every Kripke row, the lanes of every valuation
-of the sequent's symbols serve classically-valid and every classical row.
+The verifier evaluates a separation once, on one lane set: the
+countermodel's worlds serve cd-refuted and every Kripke row, the segment
+after them, every valuation of the sequent's symbols, serves
+classically-valid and every classical row; on each segment the lane set
+agrees with the lanes of that part alone.
 scalar_reference.verify_separation runs each check on its own instead;
 the two reports must be equal in every check name, verdict and detail and
 in the classical symbols and valuation count, on fresh results, on
@@ -18,13 +20,14 @@ import pytest
 import scalar_reference
 from cdkripke.classical import ClassicalEvaluator, ClassicalModel
 from cdkripke.errors import UsageError
-from cdkripke.kripke import MAX_BATCH_WIDTH, validate_kripke_model
+from cdkripke.kripke import MAX_BATCH_WIDTH, kripke_violations, validate_kripke_model
 from cdkripke.lanes import Lanes
 from cdkripke.separator import (
     AllMonotone,
     ExpectedCell,
     ExpectedRow,
     ExpectedTable,
+    _countermodel_lanes,
     _row_lanes,
     _valuations,
     judge_cells,
@@ -198,6 +201,30 @@ class TestTampered:
         assert "countermodel-validates" in failed(report)
         assert "heredity" in details["countermodel-validates"]
 
+    @pytest.mark.parametrize("where", ["classical-row", "kripke-row", "sequent"])
+    def test_universal_on_a_heredity_breaking_model(self, base, where):
+        # a universal equals its present-world reading only on a
+        # hereditary model: on one that fails validation the universal
+        # is read at the worlds above, and nothing asserts the two agree
+        interp = dict(base.countermodel.interp)
+        interp[("w0", "q", ())] = 1  # q stays 0 at w1 above
+        model = dataclasses.replace(base.countermodel, interp=interp)
+        every_q = Forall("x", Q)
+        sequent, tables = base.sequent, base.tables
+        if where == "sequent":
+            sequent = Sequent(sequent.antecedent | {every_q}, sequent.succedent)
+        else:
+            row = (ExpectedRow("w0", (ExpectedCell("every_q", "value", 0),), world="w0")
+                   if where == "kripke-row"
+                   else ExpectedRow("q=1", (ExpectedCell("every_q", "value", 1),),
+                                    valuation=(("q", 1),)))
+            tables += (ExpectedTable("extra", (row,)),)
+        result = dataclasses.replace(base, countermodel=model, sequent=sequent, tables=tables,
+                                     formulas={**base.formulas, "every_q": every_q})
+        report = assert_same_report(result)
+        assert "countermodel-validates" in failed(report)
+        assert not any(name.startswith("table:extra") for name in failed(report))
+
     def test_row_beyond_the_sequent_symbols(self, base):
         # t occurs in no sequent: the row reads the one lane of its own valuation
         row = ExpectedRow("p=1,t=1", (base.tables[0].rows[0].cells[0],),
@@ -253,27 +280,35 @@ class TestUnlaidCountermodel:
     countermodel-validates names its violation, and every other check
     runs as on the intact countermodel."""
 
+    # the change, the fault, and the detail of countermodel-validates
     TAMPERINGS = {
         "missing-future": ({"future": {"w0": ("w0", "w1")}},
                            "countermodel frame gives world 'w1' no future",
-                           "non-reflexive(world='w1')"),
+                           "invalid model: non-reflexive(world='w1')"),
         "unknown-world": ({"future": {"w0": ("w0", "w1", "w9"), "w1": ("w1",)}},
                           "countermodel frame puts unknown world 'w9' above 'w0'",
-                          "unknown-world-in-future(from='w0', to='w9')"),
+                          "invalid model: unknown-world-in-future(from='w0', to='w9')"),
         "missing-domain": ({"domains": {"w0": ("a1",)}},
                            "countermodel gives world 'w1' no domain",
-                           "missing-domain(world='w1')"),
+                           "invalid model: missing-domain(world='w1')"),
+        "domain-not-a-sequence": ({"domains": {"w0": None, "w1": ("a1",)}},
+                                  "countermodel gives world 'w0' the domain None, not a tuple or list",
+                                  "'NoneType' object is not iterable"),
+        "interp-key-not-a-triple": ({"interp": {"x": 1}},
+                                    "countermodel interpretation has key 'x', "
+                                    "not a (world, predicate, arguments) triple",
+                                    "not enough values to unpack (expected 3, got 1)"),
     }
 
     @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
     def test_fault_fails_cd_refuted_and_each_kripke_row(self, base, tampering):
-        change, fault, violation = self.TAMPERINGS[tampering]
+        change, fault, invalid = self.TAMPERINGS[tampering]
         model = dataclasses.replace(base.countermodel, **change)
         report = assert_same_report(dataclasses.replace(base, countermodel=model))
         rows = [(f"table:{t.name}/{row.label}", len(row.cells))
                 for t in base.tables for row in t.rows if row.world is not None]
         assert {c.name: c.detail for c in report.failures()} == {
-            "countermodel-validates": f"invalid model: {violation}",
+            "countermodel-validates": invalid,
             "cd-refuted": fault,
             **{label: fault for label, _ in rows},
         }
@@ -288,12 +323,25 @@ class TestUnlaidCountermodel:
         assert rest(report) == rest(intact)
         assert len(report.checks) == len(intact.checks) - sum(n - 1 for _, n in rows)
 
-    def test_default_reader_of_judge_cells(self):
+    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+    def test_default_reader_of_judge_cells(self, tampering):
+        change, fault, _ = self.TAMPERINGS[tampering]
         base = separate(standard_signature("implies"))
-        model = dataclasses.replace(base.countermodel, future={"w0": ("w0", "w1")})
+        model = dataclasses.replace(base.countermodel, **change)
         judged = list(judge_cells(dataclasses.replace(base, countermodel=model), base.tables[1:]))
-        assert judged == [(f"{base.tables[1].name}/{w}", None, False,
-                           "countermodel frame gives world 'w1' no future") for w in ("w1", "w0")]
+        assert judged == [(f"{base.tables[1].name}/{w}", None, False, fault) for w in ("w1", "w0")]
+
+    def test_future_not_a_sequence(self, base):
+        # the two validators word the error of iterating None each their
+        # own way; every other check is the reference's
+        model = dataclasses.replace(base.countermodel, future={"w0": None, "w1": ("w1",)})
+        result = dataclasses.replace(base, countermodel=model)
+        reports = verify_separation(result), scalar_reference.verify_separation(result)
+        checks = [[(c.name, c.ok, c.detail) for c in report.checks[1:]] for report in reports]
+        assert checks[0] == checks[1]
+        assert [not report.checks[0].ok for report in reports] == [True, True]
+        assert {c.name: c.detail for c in reports[0].failures()}["cd-refuted"] == (
+            "countermodel frame gives world 'w0' the future None, not a tuple or list")
 
 
 class TestMalformedRows:
@@ -330,6 +378,20 @@ class TestMalformedRows:
                   if cell is None]
         assert judged == [("classical-subcase-1/p=1,q=0", False)]
 
+    @pytest.mark.parametrize("valuation, detail", [
+        ((("p",),), "valuation entry ('p',) is not a (symbol, bit) pair"),
+        (((["p"], 1),), "valuation entry (['p'], 1) is not a (symbol, bit) pair"),
+        ((("p", 1, 2),), "valuation entry ('p', 1, 2) is not a (symbol, bit) pair"),
+        (5, "row valuation 5 is not a tuple or list"),
+    ])
+    def test_entry_not_a_symbol_bit_pair(self, valuation, detail):
+        result = implies_row(lambda row: dataclasses.replace(row, valuation=valuation))
+        report = assert_same_report(result)
+        assert {c.name: c.detail for c in report.failures()} == {
+            "table:classical-subcase-1/p=1,q=0": detail}
+        judged = [judged for judged in judge_cells(result, result.tables) if not judged[2]]
+        assert judged == [("classical-subcase-1/p=1,q=0", None, False, detail)]
+
     def test_bool_values_read_as_bits(self, base):
         def as_bools(row):
             return dataclasses.replace(row, valuation=tuple((sym, bool(bit))
@@ -352,6 +414,105 @@ class TestMalformedRows:
         report = assert_same_report(result)
         assert {c.name: c.detail for c in report.failures()} == {
             f"table:{table.name}/{row.label}": "row names neither a world nor a valuation"}
+
+
+class TestMalformedCells:
+    """A cell of a kind other than "value" or "args", or an args cell
+    whose expected value is not a tuple or list, is one failed check."""
+
+    @pytest.mark.parametrize("cell, detail", [
+        (ExpectedCell("sigma", "args", 5), "args cell expects 5, not a tuple or list"),
+        (ExpectedCell("sigma", "bogus", 5), "cell kind 'bogus' is neither 'value' nor 'args'"),
+    ])
+    def test_one_failed_check(self, cell, detail):
+        result = implies_row(lambda row: dataclasses.replace(row, cells=(cell,) + row.cells[1:]))
+        report = assert_same_report(result)
+        assert [(c.name, c.detail) for c in report.failures()] == [
+            ("table:classical-subcase-1/p=1,q=0/sigma", detail)]
+        assert len(report.checks) == len(verify_separation(
+            separate(standard_signature("implies"))).checks)
+        judged = [(label, ok, why) for label, _, ok, why in judge_cells(result, result.tables)
+                  if not ok]
+        assert judged == [("classical-subcase-1/p=1,q=0", False, detail)]
+
+
+def implies_row(change):
+    """The implies separation with row p=1,q=0 of its classical table
+    changed by change(row)."""
+    base = separate(standard_signature("implies"))
+    table = base.tables[0]
+    assert table.name == "classical-subcase-1"
+    rows = tuple(change(row) if row.label == "p=1,q=0" else row for row in table.rows)
+    return dataclasses.replace(
+        base, tables=(dataclasses.replace(table, rows=rows),) + base.tables[1:])
+
+
+def formulas_of(result) -> list:
+    """Every subformula of result's formulas and sequent, each once."""
+    seen = {}
+    stack = [*result.formulas.values(), *result.sequent.antecedent, *result.sequent.succedent]
+    while stack:
+        f = stack.pop()
+        if f not in seen:
+            seen[f] = None
+            stack.extend(getattr(f, "args", ()))
+    return list(seen)
+
+
+class TestMergedLanes:
+    """The lane set of a verification holds the countermodel's worlds,
+    then every valuation of the sequent's symbols: on each segment every
+    formula has the Kripke mask of the lanes of that part alone, and an
+    intact verification builds that one lane set and no other."""
+
+    # universals and existentials over a domain the parts may not share
+    PROBES = (Forall("x", Q), Exists("x", P), Forall("x", Conn("or", (P, Q))))
+
+    @classmethod
+    def assert_segments_agree(cls, result):
+        sig = Signature.of(result.connective, standard_signature("or").table("or"))
+        model = result.countermodel
+        batch = _valuations(tuple(sorted(predicates(result.sequent))))
+        merged, fault = _countermodel_lanes(model, sig, batch)
+        assert fault == ""
+        alone = Lanes.for_models((model,), sig), Lanes.for_batches([batch], sig)
+        if kripke_violations(model):
+            merged.cross_check = alone[0].cross_check = False
+        for f in formulas_of(result) + list(cls.PROBES):
+            mask = merged.mask(f)
+            assert [merged.segment(mask, 0), merged.segment(mask, 1)] == [
+                lanes.mask(f) for lanes in alone], f
+
+    def test_every_separation_of_arity_1_to_3(self):
+        results = list(separated(t for n in (1, 2, 3) for t in all_tables(n)))
+        assert len(results) == 247
+        for result in results:
+            self.assert_segments_agree(result)
+
+    TAMPERINGS = {
+        "non-refuting": {"interp": {("w0", "p", ()): 1, ("w1", "p", ()): 1}},
+        "heredity-breaking": {"interp": {("w0", "q", ()): 1, ("w1", "p", ()): 1}},
+        "two-elements": {"domains": {"w0": ("a1", "a2"), "w1": ("a1", "a2")}},
+        "growing": {"domains": {"w0": ("a1",), "w1": ("a1", "a2")}},
+        "reordered": {"domains": {"w0": ("a2", "a1"), "w1": ("a2", "a1")}},
+    }
+
+    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+    def test_tampered_bases(self, base, tampering):
+        model = dataclasses.replace(base.countermodel, **self.TAMPERINGS[tampering])
+        self.assert_segments_agree(dataclasses.replace(base, countermodel=model))
+
+    def test_one_lane_set_per_verification(self, base, monkeypatch):
+        built = []
+        init = Lanes.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Lanes, "__init__", counted)
+        assert verify_separation(base).passed
+        assert len(built) == 1
 
 
 class TestWide:
@@ -393,8 +554,8 @@ def test_shared_valuation_lanes_read_unnamed_symbols_as_zero():
     symbols = tuple(sorted(predicates(result.sequent)))
     assert symbols == ("p", "q", "r")
     model = result.countermodel
-    shared = _row_lanes(Lanes.for_models((model,), sig), model.worlds,
-                        sig, symbols, Lanes.for_batches([_valuations(symbols)], sig))
+    shared = _row_lanes(*_countermodel_lanes(model, sig, _valuations(symbols)), model.worlds,
+                        sig, symbols, len(model.worlds))
     fresh = scalar_reference.cell_reader(result.countermodel, sig)
     rows = []
     for valuation in ((("q", 1), ("r", 0)), (("p", 1),), (("q", 1), ("r", 1)), ()):
