@@ -25,6 +25,7 @@ from .kripke import (
     _model_file_interp,
     _model_file_strings,
     _repeats,
+    valuation_batch,
     valuation_batches,
 )
 from .lanes import Lanes
@@ -103,8 +104,8 @@ def decide_propositional(sig: Signature, s: Sequent):
     occurring in s, symbols in sorted name order, valuations in
     lexicographic order with 0 before 1. Returns Valid() or the first
     falsifying valuation packaged as a one-element-domain Countermodel.
-    The valuations are the batches of valuation_batches, which the
-    enumeration cap does not count: the decision is exact.
+    The valuations are valuation_batch's shared batch, or valuation_batches
+    when too many for one; the enumeration cap counts neither: it is exact.
     """
     try:
         preds, propositional = predicate_shape(s)
@@ -112,7 +113,8 @@ def decide_propositional(sig: Signature, s: Sequent):
         propositional = False  # only an atom with arguments can clash
     if not propositional:
         raise UsageError("decide_propositional expects a propositional sequent")
-    verdict = _refutation(sig, s, [valuation_batches(sorted(preds))])
+    batch = valuation_batch(tuple(sorted(preds)))
+    verdict = _refutation(sig, s, [valuation_batches(sorted(preds)) if batch is None else (batch,)])
     return Valid() if verdict is None else verdict
 
 

@@ -28,7 +28,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EnumerationCapError, ModelValidationError, UsageError
 from .lanes import Lanes
@@ -142,14 +142,15 @@ def kripke_violations(model: KripkeModel) -> list:
     """All invariant violations of an assembled model, with witnesses."""
     # a valid model, the usual case, passes one scan in its own order; a
     # failing one is scanned again, sorted, to list every witness stably
-    if next(_violations(model, iter), None) is None:
+    if next(_violations(model, False), None) is None:
         return []
-    return list(_violations(model, sorted))
+    return list(_violations(model, True))
 
 
-def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
+def _violations(model: KripkeModel, listing: bool) -> Iterator:
     """The violations of kripke_violations, reading the pairs of the
-    order and the interpretation entries in the order of ordered(...)."""
+    order and the interpretation entries sorted when listing, and
+    otherwise as stored: the order straight from future."""
     worlds, domains, interp = model.worlds, model.domains, model.interp
     if not worlds:
         yield Violation("empty-worlds", {})
@@ -187,13 +188,15 @@ def _violations(model: KripkeModel, ordered: Callable) -> Iterator:
     if frame or not complete:
         return
     # domain monotonicity along the order
-    for w, v in ordered(_order_pairs(model)):
+    pairs = sorted(_order_pairs(model)) if listing else (
+        (w, v) for w in worlds for v in future[w])
+    for w, v in pairs:
         if w != v and not domain_sets[v].issuperset(domains[w]):
             missing = tuple(a for a in domains[w] if a not in domain_sets[v])
             yield Violation("domain-monotonicity", {"from": w, "to": v, "missing": missing})
     # interpretation sanity plus atomic heredity; absent entries read 0,
     # so only explicit 1-entries can break heredity
-    for (w, pred, args), value in ordered(interp.items()):
+    for (w, pred, args), value in sorted(interp.items()) if listing else interp.items():
         if w not in world_set:
             yield Violation("interp-unknown-world", {"world": w, "pred": pred})
         elif value not in (0, 1):
@@ -586,6 +589,19 @@ def valuation_batches(symbols: Sequence[str]):
     symbols, but not counted against the cap."""
     _, worlds, future, vectors, _ = _frames(1)[0]
     return _split(worlds, future, ("a1",), [(sym, ()) for sym in symbols], vectors)
+
+
+def valuation_batch(symbols: tuple) -> Optional[CdBatch]:
+    """The one batch of valuation_batches(symbols), shared by every caller
+    with its lane masks, or None when it would hold more than
+    MAX_BATCH_WIDTH. The last 64 are kept, keyed by the symbols and the
+    MAX_BATCH_WIDTH in force: a batch of another width is never served."""
+    return _valuation_batch(symbols, MAX_BATCH_WIDTH)
+
+
+@functools.lru_cache(maxsize=64)
+def _valuation_batch(symbols: tuple, width: int) -> Optional[CdBatch]:
+    return next(valuation_batches(symbols)) if 2 ** len(symbols) <= width else None
 
 
 def _packed(batches):

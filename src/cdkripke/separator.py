@@ -28,7 +28,6 @@ from typing import Mapping, Optional, Sequence
 from .classical import Valid, decide_propositional
 from .errors import ConstructionError, UsageError
 from .kripke import (
-    MAX_BATCH_WIDTH,
     CdBatch,
     Failure,
     KripkeModel,
@@ -37,7 +36,7 @@ from .kripke import (
     closed_frame,
     kripke_model_to_json,
     require_valid,
-    valuation_batches,
+    valuation_batch,
 )
 from .lanes import Lanes
 from .syntax import (
@@ -559,7 +558,7 @@ def verify_separation(result: SeparationResult) -> VerificationReport:
 
     # the countermodel's lanes, then every valuation of the occurring
     # symbols: the lanes from first on, when there are few enough
-    batch = _valuations(symbols) if propositional else None
+    batch = valuation_batch(symbols) if propositional else None
     lanes, fault = _countermodel_lanes(model, sig, batch)
     first = None if batch is None else 0 if fault else len(model.worlds)
     if not valid and lanes is not None:
@@ -655,25 +654,15 @@ def judge_cells(result: SeparationResult, tables: Sequence, read_row=None):
                        else f"expected {expected}, got {actual}")
 
 
-@functools.lru_cache(maxsize=64)
-def _valuations(symbols: tuple) -> Optional[CdBatch]:
-    """Every valuation of the symbols, one lane each: the one batch of
-    valuation_batches(symbols), which keeps its lane masks. None when
-    there are more than MAX_BATCH_WIDTH, too many for one batch."""
-    if 2 ** len(symbols) > MAX_BATCH_WIDTH:
-        return None
-    batch, = valuation_batches(symbols)
-    return batch
-
-
 def _countermodel_lanes(model: KripkeModel, sig: Signature, batch: Optional[CdBatch]):
     """(lanes, fault): the lanes of model, world i at lane i, then of
     batch, unless it is None, as the segment after them, with fault "";
     or, when model cannot be laid out, the lanes of batch alone, or
-    None without one, and why not: a world with no future set or no
-    domain, or one that is not a tuple or list, a future set naming a
-    world the model lacks, or an interpretation key that is not a
-    (world, predicate, arguments) triple."""
+    None without one, and why not: a world that is not hashable, has no
+    future set or no domain, or one that is not a tuple or list, a
+    future set naming a world the model lacks, an unhashable domain
+    element, or an interpretation key that is not a (world, predicate,
+    arguments) triple."""
     fault = _layout_fault(model)
     batches = () if batch is None else (batch,)
     if fault:
@@ -685,8 +674,10 @@ def _layout_fault(model: KripkeModel) -> str:
     """Why model cannot be laid out on lanes, as _countermodel_lanes
     lists the faults, or "": the first world in model order, then the
     first interpretation key."""
-    worlds, future, domains = set(model.worlds), model.future, model.domains
-    for w in model.worlds:
+    worlds, future, domains = model.worlds, model.future, model.domains
+    for w in worlds:
+        if not _hashable(w):
+            return f"countermodel world {w!r} is not hashable"
         if w not in future:
             return f"countermodel frame gives world {w!r} no future"
         above = future[w]
@@ -699,10 +690,21 @@ def _layout_fault(model: KripkeModel) -> str:
             return f"countermodel gives world {w!r} no domain"
         if not isinstance(domains[w], (tuple, list)):
             return f"countermodel gives world {w!r} the domain {domains[w]!r}, not a tuple or list"
+        for a in domains[w]:
+            if not _hashable(a):
+                return f"countermodel gives world {w!r} the element {a!r}, which is not hashable"
     for key in model.interp:
         if not (isinstance(key, tuple) and len(key) == 3):
             return f"countermodel interpretation has key {key!r}, not a (world, predicate, arguments) triple"
     return ""
+
+
+def _hashable(x) -> bool:
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
 
 
 def _row_lanes(lanes: Optional[Lanes], fault: str, worlds: tuple, sig: Signature,
@@ -713,11 +715,11 @@ def _row_lanes(lanes: Optional[Lanes], fault: str, worlds: tuple, sig: Signature
     countermodel whose worlds are given, world i at lane i, or gets the
     fault when there is one. A classical row must give each symbol it
     names 0 or 1, as (symbol, bit) pairs; one naming only the given
-    symbols is read from the valuations of _valuations(symbols), the
+    symbols is read from the valuations of valuation_batch(symbols), the
     segment of lanes from lane first, when first is given, with the
     symbols it does not name at 0; any other row from the one lane of
     its own valuation."""
-    windex = {w: i for i, w in enumerate(worlds)}
+    windex = {} if fault else {w: i for i, w in enumerate(worlds)}
     # a valuation's lane is its bits in symbol order, read in binary
     place = {sym: 1 << i for i, sym in enumerate(reversed(symbols))}
 

@@ -10,10 +10,13 @@ Three suites, all reproducible from their seed:
   collapse   over a monotonic signature, constant-domain Kripke values
              coincide with the per-world classical projections.
 
-A random model closes its frame once: its domains and interpretation
-are drawn and closed upward on that closed order, and the model is
-packaged on it and validated where it is drawn. A random formula reads
-its signature's connective menu once.
+A random model's edge coins are a bit mask that picks a frame plan,
+from a cache of at most 1024; its domains and interpretation are closed
+upward over the plan, and the model is validated where it is drawn. A
+random formula reads its signature's (name, arity) menu, built once per
+signature. The lift suite decides on the cached valuation batch of a
+sequent's symbols (kripke.valuation_batch: at most 64 batches, each of
+at most MAX_BATCH_WIDTH valuations).
 
 The heredity and collapse suites draw their trials in runs of at most
 RUN_TRIALS, each trial's model and then its formula from the seeded
@@ -59,22 +62,25 @@ _PREDS = {"p": 0, "q": 0, "P": 1}
 _ATOMS = (Atom("p"), Atom("q"), Atom("P", ("x",)))
 
 
-@functools.lru_cache(maxsize=64)
-def _frame_menu(n: int) -> tuple:
-    """The names of n worlds and the ordered pairs of distinct ones, in
-    the order random_kripke_model draws its edges."""
+@functools.lru_cache(maxsize=1024)
+def _frame_plan(n: int, mask: int) -> tuple:
+    """(worlds, future, ups) of the frame on n worlds whose edges are the
+    set bits of mask, bit k the k-th pair of distinct worlds in row-major
+    order: future is its read-only closed_frame map, ups[i] the indices
+    of the worlds above world i. The last 1024 plans are kept."""
     worlds = tuple(f"w{i}" for i in range(n))
-    return worlds, tuple((v, u) for v in worlds for u in worlds if v != u)
+    candidates = [(v, u) for v in worlds for u in worlds if v != u]
+    future = closed_frame(worlds, [pair for k, pair in enumerate(candidates) if mask >> k & 1])
+    return worlds, future, tuple(tuple(worlds.index(v) for v in future[w]) for w in worlds)
 
 
 @functools.lru_cache(maxsize=64)
 def _element_menu(max_domain: int) -> tuple:
-    """The element pool, and each predicate of _PREDS in sorted order
-    with the argument tuples random_kripke_model draws it on."""
+    """The element pool, and the (predicate, argument tuple) slots that
+    random_kripke_model draws, the predicates of _PREDS in sorted order."""
     pool = tuple(f"a{i + 1}" for i in range(max_domain))
-    unary = tuple((a,) for a in pool)
-    return pool, tuple(
-        (pred, ((),) if arity == 0 else unary) for pred, arity in sorted(_PREDS.items()))
+    return pool, tuple((pred, args) for pred, arity in sorted(_PREDS.items())
+                       for args in (((),) if arity == 0 else [(a,) for a in pool]))
 
 
 def random_kripke_model(
@@ -83,39 +89,36 @@ def random_kripke_model(
     max_domain: int = 2,
     constant_domain: bool = False,
 ) -> KripkeModel:
-    """A validated random model; heredity and domain growth hold by
-    construction (raw random bits are closed upward along the order).
-
-    The frame is closed once, and the model is packaged on it and
-    validated where it is drawn."""
-    worlds, candidates = _frame_menu(rng.randint(1, max_worlds))
+    """A validated random model: the edge coins pick a frame plan, and
+    raw random bits are closed upward along its order, so heredity and
+    domain growth hold by construction; validated where it is drawn."""
+    n = rng.randint(1, max_worlds)
     coin = rng.random
-    pairs = [pair for pair in candidates if coin() < 0.5]
-    future = closed_frame(worlds, pairs)
+    mask = 0
+    for k in range(n * n - n):
+        mask |= (coin() < 0.5) << k
+    worlds, future, ups = _frame_plan(n, mask)
 
-    pool, preds = _element_menu(max_domain)
-    members = {w: {"a1"} for w in worlds}
-    for elem in pool[1:]:
-        if constant_domain:
-            if coin() < 0.7:
-                for w in worlds:
-                    members[w].add(elem)
-        else:
-            for w in worlds:
+    pool, slots = _element_menu(max_domain)
+    if constant_domain:
+        domain = tuple(sorted(["a1", *[elem for elem in pool[1:] if coin() < 0.7]]))
+        members = [frozenset(domain)] * n
+        domains = dict.fromkeys(worlds, domain)
+    else:
+        members = [{"a1"} for _ in worlds]
+        for elem in pool[1:]:
+            for above in ups:
                 if coin() < 0.4:
-                    for v in future[w]:
-                        members[v].add(elem)
+                    for j in above:
+                        members[j].add(elem)
+        domains = {w: tuple(sorted(held)) for w, held in zip(worlds, members)}
 
     interp = {}
-    for pred, tuples in preds:
-        for args in tuples:
-            for w in worlds:
-                if not members[w].issuperset(args):
-                    continue
-                if coin() < 0.4:
-                    for v in future[w]:
-                        interp[(v, pred, args)] = 1
-    domains = {w: tuple(sorted(members[w])) for w in worlds}
+    for pred, args in slots:
+        for w, held in zip(worlds, members):
+            if held.issuperset(args) and coin() < 0.4:
+                for v in future[w]:
+                    interp[v, pred, args] = 1
     return require_valid(KripkeModel(worlds, dict(future), domains, interp))
 
 
@@ -126,17 +129,16 @@ def random_formula(
     atoms: Sequence[Formula] = _ATOMS,
     quantifiers: bool = True,
 ) -> Formula:
-    names = sig.names()
-    arity = {name: sig.arity(name) for name in names}
-    kinds = ["conn"] * 4 + (["forall", "exists"] if quantifiers else [])
+    menu, kinds = sig.arities, ("conn",) * 4 + (("forall", "exists") if quantifiers else ())
+    chance, choice = rng.random, rng.choice
 
     def draw(depth: int) -> Formula:
-        if depth <= 1 or rng.random() < 0.25:
-            return rng.choice(atoms)
-        kind = rng.choice(kinds)
+        if depth <= 1 or chance() < 0.25:
+            return choice(atoms)
+        kind = choice(kinds)
         if kind == "conn":
-            name = rng.choice(names)
-            return Conn(name, [draw(depth - 1) for _ in range(arity[name])])
+            name, arity = choice(menu)
+            return Conn(name, [draw(depth - 1) for _ in range(arity)])
         body = draw(depth - 1)
         return Forall("x", body) if kind == "forall" else Exists("x", body)
 

@@ -78,19 +78,22 @@ class Conn(Formula):
     __hash__ = Formula.__hash__
 
 
-class Forall(Formula):
+class _Quantifier(Formula):
+    """A quantifier binding var in body; ``_kind`` names it in the hash."""
+
     __slots__ = ("var", "body")
+    _kind = ""
 
     def __init__(self, var: str, body: Formula):
         self.var = var
         self.body = body
         self.fv = body.fv - {var}
         self.fvs = tuple(sorted(self.fv))
-        self._hash = hash(("forall", var, body))
+        self._hash = hash((self._kind, var, body))
 
     def __eq__(self, other):
         return (
-            type(other) is Forall
+            type(other) is type(self)
             and self._hash == other._hash
             and self.var == other.var
             and self.body == other.body
@@ -99,25 +102,14 @@ class Forall(Formula):
     __hash__ = Formula.__hash__
 
 
-class Exists(Formula):
-    __slots__ = ("var", "body")
+class Forall(_Quantifier):
+    __slots__ = ()
+    _kind = "forall"
 
-    def __init__(self, var: str, body: Formula):
-        self.var = var
-        self.body = body
-        self.fv = body.fv - {var}
-        self.fvs = tuple(sorted(self.fv))
-        self._hash = hash(("exists", var, body))
 
-    def __eq__(self, other):
-        return (
-            type(other) is Exists
-            and self._hash == other._hash
-            and self.var == other.var
-            and self.body == other.body
-        )
-
-    __hash__ = Formula.__hash__
+class Exists(_Quantifier):
+    __slots__ = ()
+    _kind = "exists"
 
 
 class Sequent:
@@ -322,27 +314,17 @@ class _Parser:
             self.toks.expect(".")
             body = self.parse_formula()
             return Forall(var, body) if name == "forall" else Exists(var, body)
-        if self.toks.peek()[1] == "(":
+        opened = self.toks.peek()[1] == "("
+        if opened:
             self.toks.next()
-            if name in self.sig:
-                args = self._formula_args()
-                arity = self.sig.arity(name)
-                if len(args) != arity:
-                    raise ParseError(
-                        f"connective {name!r} has arity {arity}, got {len(args)} arguments",
-                        pos,
-                    )
-                return Conn(name, args)
-            variables = self._variable_args()
-            return self._atom(name, variables, pos)
-        if name in self.sig:
-            arity = self.sig.arity(name)
-            if arity != 0:
-                raise ParseError(
-                    f"connective {name!r} has arity {arity}, got 0 arguments", pos
-                )
-            return Conn(name, ())
-        return self._atom(name, (), pos)
+        if name not in self.sig:
+            return self._atom(name, self._args(self._variable) if opened else (), pos)
+        args = self._args(self.parse_formula) if opened else ()
+        arity = self.sig.arity(name)
+        if len(args) != arity:
+            raise ParseError(
+                f"connective {name!r} has arity {arity}, got {len(args)} arguments", pos)
+        return Conn(name, args)
 
     def parse_sequent(self) -> Sequent:
         antecedent = self._formula_list(stop="=>")
@@ -372,32 +354,23 @@ class _Parser:
             raise ParseError(f"connective {name!r} cannot be used as a variable", pos)
         return name
 
-    def _variable_args(self) -> tuple:
-        out = [self._variable()]
+    def _items(self, item) -> list:
+        """One or more item() separated by commas."""
+        out = [item()]
         while self.toks.peek()[1] == ",":
             self.toks.next()
-            out.append(self._variable())
-        self.toks.expect(")")
-        return tuple(out)
+            out.append(item())
+        return out
 
-    def _formula_args(self) -> tuple:
-        out = [self.parse_formula()]
-        while self.toks.peek()[1] == ",":
-            self.toks.next()
-            out.append(self.parse_formula())
+    def _args(self, item) -> tuple:
+        """The items of a parenthesized argument list, "(" already read."""
+        out = self._items(item)
         self.toks.expect(")")
         return tuple(out)
 
     def _formula_list(self, stop: Optional[str]) -> list:
-        out: list = []
         kind, text, _ = self.toks.peek()
-        if kind == "eof" or text == stop:
-            return out
-        out.append(self.parse_formula())
-        while self.toks.peek()[1] == ",":
-            self.toks.next()
-            out.append(self.parse_formula())
-        return out
+        return [] if kind == "eof" or text == stop else self._items(self.parse_formula)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

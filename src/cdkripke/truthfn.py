@@ -192,6 +192,11 @@ class Signature:
     def names(self):
         return sorted(self.connectives)
 
+    @functools.cached_property
+    def arities(self) -> tuple:
+        """(name, arity) per connective in names() order, built once."""
+        return tuple((name, self.connectives[name].arity) for name in self.names())
+
 
 STANDARD_BITS = {
     "and": (2, "0001"),

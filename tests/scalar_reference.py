@@ -540,14 +540,25 @@ def check_heredity(model: KripkeModel, f: Formula, rho: Mapping, sig: Signature)
     return True
 
 
+def _hashable(x) -> bool:
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
 def layout_fault(model: KripkeModel) -> str:
     """Why the model's frame, domains or interpretation cannot be
-    evaluated, or "": the first world, in model order, with no future,
-    a future that is not a tuple or list or that names a world the model
-    lacks, or with no domain or one that is not a tuple or list; then
-    the first interpretation key that is not a (world, predicate,
+    evaluated, or "": the first world, in model order, that is not
+    hashable, has no future, a future that is not a tuple or list or
+    that names a world the model lacks, or has no domain, one that is
+    not a tuple or list or one holding an element that is not hashable;
+    then the first interpretation key that is not a (world, predicate,
     arguments) triple."""
     for w in model.worlds:
+        if not _hashable(w):
+            return f"countermodel world {w!r} is not hashable"
         if w not in model.future:
             return f"countermodel frame gives world {w!r} no future"
         above = model.future[w]
@@ -561,6 +572,10 @@ def layout_fault(model: KripkeModel) -> str:
         domain = model.domains[w]
         if not isinstance(domain, (tuple, list)):
             return f"countermodel gives world {w!r} the domain {domain!r}, not a tuple or list"
+        unhashable = [a for a in domain if not _hashable(a)]
+        if unhashable:
+            return (f"countermodel gives world {w!r} the element {unhashable[0]!r}, "
+                    f"which is not hashable")
     for key in model.interp:
         if not (isinstance(key, tuple) and len(key) == 3):
             return (f"countermodel interpretation has key {key!r}, "

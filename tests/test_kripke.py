@@ -192,6 +192,98 @@ class TestViolationsAgainstScalar:
         assert {"heredity", "bad-value", "domain-monotonicity"} <= seen
 
 
+VIOLATION_CODES = {
+    "empty-worlds", "repeated-world", "missing-domain", "empty-domain", "repeated-element",
+    "non-reflexive", "unknown-world-in-future", "non-transitive", "domain-monotonicity",
+    "interp-unknown-world", "bad-value", "interp-out-of-domain", "heredity",
+}
+
+
+def break_model(rng: random.Random, model: KripkeModel) -> KripkeModel:
+    """The model with one to three seeded breakages of its stored parts,
+    the frame bypassing closure, and sometimes its futures as lists."""
+    worlds, domains, interp = list(model.worlds), dict(model.domains), dict(model.interp)
+    future = dict(model.future)
+    for _ in range(rng.randint(1, 3)):
+        w = rng.choice(worlds) if worlds else "w0"
+        above = [v for v in future.get(w, ()) if v != w]
+        kind = rng.randrange(13)
+        if kind == 0:
+            worlds = [] if rng.random() < 0.2 else worlds + [w]
+        elif kind == 1:
+            domains.pop(w, None)
+        elif kind == 2:
+            domains[w] = () if rng.random() < 0.5 else domains.get(w, ("a1",)) + ("a1",)
+        elif kind == 3:
+            future[w] = tuple(v for v in future.get(w, ()) if v != w)
+        elif kind == 4:
+            future[w] = future.get(w, ()) + (rng.choice(["w9", *worlds]),)
+        elif kind == 5 and above:
+            # drop a world above one above w from w's future
+            v = rng.choice(above)
+            future[w] = tuple(u for u in future[w] if u == v or u not in future.get(v, ()))
+        elif kind == 6:
+            domains[w] = domains.get(w, ("a1",)) + ("a9",)
+        elif kind == 7:
+            interp[("w9", "p", ())] = 1
+        elif kind == 8:
+            interp[(w, "P", ("a9",))] = 1
+        elif kind in (9, 10) and above:
+            # a 1-entry at w and another value at a world above it
+            pred = rng.choice("pq")
+            interp[(w, pred, ())] = 1
+            interp[(rng.choice(above), pred, ())] = rng.choice([None, False, 0.0, 2, 0, 1])
+        elif kind == 11:
+            interp[(w, rng.choice("pq"), ())] = rng.choice([None, False, 0.0, 2, 0.5])
+        elif interp:
+            # and where a kind needs a world above w that it lacks
+            interp.pop(rng.choice(sorted(interp)))
+    if rng.random() < 0.3:
+        future = {w: list(v) for w, v in future.items()}
+    return KripkeModel(tuple(worlds), future, domains, interp)
+
+
+class TestFirstPass:
+    """kripke_violations passes a model by a first scan that reads the
+    order straight from the stored future: it finds nothing exactly when
+    the scalar scan finds nothing, on every violation code."""
+
+    def test_seeded_broken_models(self):
+        rng = random.Random(41)
+        seen, clean = set(), 0
+        for _ in range(3000):
+            model = random_kripke_model(rng, 3, 2, constant_domain=rng.random() < 0.3)
+            broken = break_model(rng, model)
+            violations = kripke_violations(broken)
+            assert (violations == []) == (scalar_reference.kripke_violations(broken) == [])
+            assert violations == scalar_reference.kripke_violations(broken)
+            seen.update(v.code for v in violations)
+            clean += not violations
+        assert seen == VIOLATION_CODES
+        assert clean > 100
+
+    @pytest.mark.parametrize("value, codes", [
+        (None, ["bad-value"]),
+        (False, ["heredity"]),
+        (0.0, ["heredity"]),
+        (2, ["bad-value"]),
+        (0, ["heredity"]),
+        (1, []),
+        (True, []),
+    ])
+    @pytest.mark.parametrize("as_lists", [False, True])
+    def test_value_above_a_one_entry(self, value, codes, as_lists):
+        # heredity reads interp.get(key, 0) == 0, not truthiness
+        model = assemble_kripke_model(
+            ["w0", "w1"], [("w0", "w1")], {"w0": ("a1",), "w1": ("a1",)},
+            {("w0", "p", ()): 1, ("w1", "p", ()): value})
+        if as_lists:
+            model = replace(model, future={w: list(v) for w, v in model.future.items()})
+        violations = kripke_violations(model)
+        assert [v.code for v in violations] == codes
+        assert violations == scalar_reference.kripke_violations(model)
+
+
 class TestEval:
     def test_single_world_matches_classical(self):
         rng = random.Random(17)

@@ -20,7 +20,12 @@ import pytest
 import scalar_reference
 from cdkripke.classical import ClassicalEvaluator, ClassicalModel
 from cdkripke.errors import UsageError
-from cdkripke.kripke import MAX_BATCH_WIDTH, kripke_violations, validate_kripke_model
+from cdkripke.kripke import (
+    MAX_BATCH_WIDTH,
+    kripke_violations,
+    validate_kripke_model,
+    valuation_batch,
+)
 from cdkripke.lanes import Lanes
 from cdkripke.separator import (
     AllMonotone,
@@ -29,7 +34,6 @@ from cdkripke.separator import (
     ExpectedTable,
     _countermodel_lanes,
     _row_lanes,
-    _valuations,
     judge_cells,
     separate,
     verify_separation,
@@ -294,6 +298,20 @@ class TestUnlaidCountermodel:
         "domain-not-a-sequence": ({"domains": {"w0": None, "w1": ("a1",)}},
                                   "countermodel gives world 'w0' the domain None, not a tuple or list",
                                   "'NoneType' object is not iterable"),
+        "unhashable-world": ({"worlds": (["w0"], "w1")},
+                             "countermodel world ['w0'] is not hashable",
+                             "unhashable type: 'list'"),
+        "unhashable-world-above": ({"future": {"w0": ("w0", ["w1"]), "w1": ("w1",)}},
+                                   "countermodel frame puts unknown world ['w1'] above 'w0'",
+                                   "unhashable type: 'list'"),
+        "unhashable-element": ({"domains": {"w0": ("a1",), "w1": ("a1", ["a2"])}},
+                               "countermodel gives world 'w1' the element ['a2'], "
+                               "which is not hashable",
+                               "unhashable type: 'list'"),
+        "unhashable-constant-domain": ({"domains": {"w0": ([1],), "w1": ([1],)}},
+                                       "countermodel gives world 'w0' the element [1], "
+                                       "which is not hashable",
+                                       "unhashable type: 'list'"),
         "interp-key-not-a-triple": ({"interp": {"x": 1}},
                                     "countermodel interpretation has key 'x', "
                                     "not a (world, predicate, arguments) triple",
@@ -472,7 +490,7 @@ class TestMergedLanes:
     def assert_segments_agree(cls, result):
         sig = Signature.of(result.connective, standard_signature("or").table("or"))
         model = result.countermodel
-        batch = _valuations(tuple(sorted(predicates(result.sequent))))
+        batch = valuation_batch(tuple(sorted(predicates(result.sequent))))
         merged, fault = _countermodel_lanes(model, sig, batch)
         assert fault == ""
         alone = Lanes.for_models((model,), sig), Lanes.for_batches([batch], sig)
@@ -554,7 +572,7 @@ def test_shared_valuation_lanes_read_unnamed_symbols_as_zero():
     symbols = tuple(sorted(predicates(result.sequent)))
     assert symbols == ("p", "q", "r")
     model = result.countermodel
-    shared = _row_lanes(*_countermodel_lanes(model, sig, _valuations(symbols)), model.worlds,
+    shared = _row_lanes(*_countermodel_lanes(model, sig, valuation_batch(symbols)), model.worlds,
                         sig, symbols, len(model.worlds))
     fresh = scalar_reference.cell_reader(result.countermodel, sig)
     rows = []
